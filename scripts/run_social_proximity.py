@@ -6,7 +6,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from chorenforce import generate_all, load_scenario, reference_traces, run_scenario
+from chorenforce import load_scenario, run_scenario
 from chorenforce.oracle import verdict_histogram
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -23,11 +23,7 @@ def main() -> int:
     ok = True
     for name, policy, seed in SCENARIOS:
         scenario = load_scenario(FIXTURES / name)
-        cms = generate_all(scenario.model)
-        language = reference_traces(scenario.model, scenario.environment)
-        result = run_scenario(
-            scenario, policy=policy, seed=seed, cms=cms, language=language
-        )
+        result = run_scenario(scenario, policy=policy, seed=seed)
         count, bound = result.overhead
         print(f"== {name} ({policy}, seed {seed})")
         print(f"   outcome      {result.outcome}")

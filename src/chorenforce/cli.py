@@ -4,18 +4,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
-from .decompose import Pair, cm_warnings, dumps_cm, generate_all
+from .decompose import CmFormatError, cm_warnings, dumps_cm, generate_all
 from .interpreter import reference_traces
-from .model import load_model
+from .model import ModelFormatError, load_model
 from .oracle import ALLOWED, RuntimeChecker, check_conformance, projection
-from .participants import Scenario, load_scenario
-from .randgen import random_case, scripts_for_word
-from .runner import run_scenario, write_report, write_trace
-from .simulator import COMPLETED, AmbiguousActivationError, enactment_bootstrap
+from .participants import ScenarioFormatError, load_scenario
+from .randgen import fuzz
+from .runner import read_trace, run_scenario, write_report, write_trace
+from .simulator import AmbiguousActivationError, enactment_bootstrap
 from .validate import validate_cefm
 
 
@@ -85,8 +84,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_check_trace(args) -> int:
     scenario = load_scenario(args.scenario)
-    with open(args.trace) as fh:
-        events = [json.loads(line) for line in fh if line.strip()]
+    events = read_trace(args.trace)
     checker = RuntimeChecker(scenario.model, scenario.environment)
     verdicts = checker.run(events)
     flagged = [v for v in verdicts if v.kind != ALLOWED]
@@ -104,36 +102,7 @@ def _cmd_check_trace(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    rng = random.Random(args.seed)
-    failures = 0
-    for n in range(args.models):
-        case = random_case(rng)
-        enforced = set()
-        ok = True
-        for word in case.words:
-            scenario_scripts = scripts_for_word(case.model, word)
-            scenario = Scenario(
-                model=case.model, environment=case.env, scripts=scenario_scripts
-            )
-            result = run_scenario(scenario, policy="roundrobin", seed=0)
-            if case.expect == "equality":
-                if result.outcome != COMPLETED or not result.conformant:
-                    ok = False
-                enforced.add(result.projection)
-            else:
-                if result.outcome == COMPLETED or not result.conformant:
-                    ok = False
-            if result.flagged:
-                ok = False
-        if case.expect == "equality" and enforced != case.language.complete:
-            ok = False
-        if not ok:
-            failures += 1
-            print(f"model {n}: MISMATCH ({case.expect})")
-        elif args.verbose:
-            print(f"model {n}: ok ({case.expect}, {len(case.words)} words)")
-    print(f"{args.models - failures}/{args.models} models agree with the reference")
-    return 0 if failures == 0 else 1
+    return fuzz(args.models, args.seed, args.verbose)
 
 
 def main(argv=None) -> int:
@@ -176,7 +145,17 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_fuzz)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (
+        OSError,
+        json.JSONDecodeError,
+        ModelFormatError,
+        ScenarioFormatError,
+        CmFormatError,
+    ) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

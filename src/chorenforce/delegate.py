@@ -142,11 +142,6 @@ class Delegate:
         mine = self.priorities[self.pair]
         return all(mine > self.priorities[p] for p in others)
 
-    def _forward_unchecked(self, task: str, ems: list) -> bool:
-        """Last-resort forward hook. The honest delegate never forwards a
-        request it cannot justify from an active thread."""
-        return False
-
     # -- rule 1: request -----------------------------------------------------
 
     def handle_request(self, request_id: int, task: str) -> tuple[str, list]:
@@ -160,8 +155,6 @@ class Delegate:
             thread, tup = match
             self._fire_op(thread, tup, ems)
             self._retry_pendings(ems)
-            return FORWARDED, ems
-        if self._forward_unchecked(task, ems):
             return FORWARDED, ems
         self.pending.append((request_id, task))
         return BLOCKED, ems
@@ -341,13 +334,6 @@ class Delegate:
                     del self.pending[i]
                     ems.append(UnblockEmission(request_id=request_id, task=task))
                     self._fire_op(match[0], match[1], ems)
-                    progress = True
-                    break
-                hook_ems: list[Emission] = []
-                if self._forward_unchecked(task, hook_ems):
-                    del self.pending[i]
-                    ems.append(UnblockEmission(request_id=request_id, task=task))
-                    ems.extend(hook_ems)
                     progress = True
                     break
 

@@ -224,7 +224,7 @@ def model_from_json(data: dict) -> Choreography:
         )
     except KeyError as exc:
         raise ModelFormatError(f"missing field: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, AttributeError, ValueError) as exc:
         raise ModelFormatError(str(exc)) from exc
     for name in (model.initial, model.final):
         if name not in model.states:

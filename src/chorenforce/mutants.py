@@ -1,28 +1,45 @@
 """Faulty delegate variants used to exercise the runtime checker.
 
 Each factory returns a Delegate subclass with exactly one rule broken.
-The variants that misread guards take a state-kind map because the bug
-being modeled is kind-specific (a delegate that mishandles branching is
-a different defect from one that mishandles loops); an honest delegate
-needs no such map.
+Most override one of the delegate's hook methods. The unchecked forward
+overrides request handling and the retry of blocked requests instead, so
+the honest delegate carries no code for it. The variants that misread
+guards take a state-kind map because the bug being modeled is
+kind-specific (a delegate that mishandles branching is a different
+defect from one that mishandles loops); an honest delegate needs no
+such map.
 """
 
 from __future__ import annotations
 
-from .delegate import Delegate, ForwardEmission
+from .delegate import BLOCKED, FORWARDED, Delegate, ForwardEmission, UnblockEmission
 from .model import StateKind
 
 
 def forward_without_check() -> type[Delegate]:
-    """Forwards any known task immediately instead of blocking."""
+    """Forwards a request it cannot match from the state of its first
+    thread instead of blocking it. With no thread at all it blocks; once a
+    thread exists, the next retry releases every blocked request, oldest
+    first, through a matching tuple if one exists and unchecked if not."""
 
     class ForwardWithoutCheck(Delegate):
-        def _forward_unchecked(self, task, ems):
-            if not self.threads:
-                return False
-            thread = self.threads[0]
-            ems.append(ForwardEmission(task=task, src=thread.state, trg=None))
-            return True
+        def handle_request(self, request_id, task):
+            status, ems = super().handle_request(request_id, task)
+            if status == BLOCKED and self.threads:
+                self.pending.pop()
+                ems.append(ForwardEmission(task, self.threads[0].state, None))
+                return FORWARDED, ems
+            return status, ems
+
+        def _retry_pendings(self, ems):
+            while self.pending and self.threads:
+                request_id, task = self.pending.pop(0)
+                ems.append(UnblockEmission(request_id=request_id, task=task))
+                match = self._match_request(task)
+                if match is None:
+                    ems.append(ForwardEmission(task, self.threads[0].state, None))
+                else:
+                    self._fire_op(*match, ems)
 
     return ForwardWithoutCheck
 

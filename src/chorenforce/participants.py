@@ -174,7 +174,7 @@ def scenario_from_json(data: dict) -> Scenario:
             seed=data.get("seed", 0),
             policy=data.get("policy", "roundrobin"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ScenarioFormatError(f"bad scenario document: {exc}") from exc
 
 

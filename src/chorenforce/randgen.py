@@ -10,7 +10,8 @@ word can be replayed as a directed run.
 Loops under a fixed environment either never run (guard false) or never
 stop (guard true). A guard-false case checks language equality; a
 guard-true case scripts three iterations and checks that the enforced
-run is a prefix of the reference behaviour.
+run is a prefix of the reference behaviour. `fuzz` runs both checks over
+a seeded stream of cases.
 """
 
 from __future__ import annotations
@@ -18,10 +19,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .decompose import generate_all
 from .interpreter import Language, reference_traces
 from .model import EPS, Choreography, Flow, Guard, Operation, StateKind
-from .participants import Action, ScriptSpec
+from .participants import Action, Scenario, ScriptSpec, default_priorities
 from .predicate import Not, Value, Var
+from .runner import run_scenario
+from .simulator import COMPLETED
 
 ROLES = ("Ra", "Rb", "Rc", "Rd")
 
@@ -212,3 +216,49 @@ def scripts_for_word(model: Choreography, word: tuple[str, ...]) -> tuple[Script
         ScriptSpec(role=role, actions=tuple(acts))
         for role, acts in sorted(actions.items())
     )
+
+
+def fuzz(models: int, seed: int, verbose: bool) -> int:
+    """Replay each case's words under enforcement; compare with the reference.
+
+    A case agrees when every run is unflagged and conformant; in an
+    equality case every run completes and the completed projections are
+    exactly the reference language, in a prefix case no run completes.
+    Prints one line per failing model (and per passing one if verbose)
+    and a summary; returns 0 when all models agree, else 1.
+    """
+    rng = random.Random(seed)
+    failures = 0
+    for n in range(models):
+        case = random_case(rng)
+        cms = generate_all(case.model)
+        priorities = default_priorities(cms)
+        should_complete = case.expect == "equality"
+        completed: set[tuple[str, ...]] = set()
+        bad = []
+        for word in case.words:
+            scenario = Scenario(
+                model=case.model,
+                environment=case.env,
+                scripts=scripts_for_word(case.model, word),
+                priorities=priorities,
+            )
+            result = run_scenario(
+                scenario, policy="roundrobin", seed=0, cms=cms,
+                language=case.language,
+            )
+            done = result.outcome == COMPLETED
+            if done:
+                completed.add(result.projection)
+            if result.flagged or not result.conformant or done != should_complete:
+                bad.append((word, result.outcome, [v.kind for v in result.flagged]))
+        if should_complete and completed != case.language.complete:
+            bad.append(("language-mismatch", sorted(completed),
+                        sorted(case.language.complete)))
+        if bad:
+            failures += 1
+            print(f"model {n}: FAIL {bad}")
+        elif verbose:
+            print(f"model {n}: ok ({case.expect}, {len(case.words)} words)")
+    print(f"{models - failures}/{models} models agree with the reference")
+    return 0 if failures == 0 else 1

@@ -123,8 +123,42 @@ def test_run_share_disabled(tmp_path):
 
 
 def test_fuzz_small(capsys):
-    assert main(["fuzz", "--models", "4", "--seed", "2"]) == 0
-    assert "4/4" in capsys.readouterr().out
+    assert main(["fuzz", "--models", "8", "--seed", "1", "--verbose"]) == 0
+    printed = capsys.readouterr().out
+    assert "8/8" in printed
+    assert "ok (equality" in printed and "ok (prefix" in printed
+
+
+@pytest.mark.parametrize(
+    "text", [None, json.dumps({"participants": 5})], ids=["missing", "malformed"]
+)
+def test_run_missing_or_malformed_scenario_is_a_clean_error(tmp_path, capsys, text):
+    path = tmp_path / "scenario.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_check_trace_missing_trace_is_a_clean_error(scenario_path, tmp_path, capsys):
+    missing = tmp_path / "missing.trace.jsonl"
+    assert main(["check-trace", str(scenario_path), str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda text: text[: len(text) // 2],
+        lambda text: json.dumps({**json.loads(text), "flows": 5}),
+    ],
+    ids=["truncated-json", "flows-number"],
+)
+def test_validate_corrupted_model_is_a_clean_error(tmp_path, capsys, corrupt):
+    path = tmp_path / "corrupted.json"
+    path.write_text(corrupt((FIXTURES / "social_proximity.json").read_text()))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bundled_fixture_scenarios_run(tmp_path):

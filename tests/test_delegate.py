@@ -23,6 +23,7 @@ from chorenforce.delegate import (
     UpdateEmission,
 )
 from chorenforce.model import EPS, Choreography, Flow, Guard, Operation, StateKind
+from chorenforce.mutants import forward_without_check
 from chorenforce.participants import default_priorities
 from chorenforce.predicate import TRUE, Var
 from chorenforce.socialprox import ENV_BOTH_TRUE
@@ -269,3 +270,37 @@ def test_thread_retires_at_final_state():
     status, _ = d.handle_request(0, "finish")
     assert status == FORWARDED
     assert d.threads == []
+
+
+def test_forward_without_check_at_request_time():
+    d = make(SPS_NMU, cls=forward_without_check())
+    assert d.handle_update("S14") == [StateChangeEmission(0, None, "S14")]
+    # the only thread sits at S14, where startItin has no tuple
+    status, ems = d.handle_request(0, "startItin")
+    assert status == FORWARDED
+    assert ems == [ForwardEmission(task="startItin", src="S14", trg=None)]
+    assert d.pending == []
+
+
+def test_forward_without_check_on_retry():
+    d = make(SPS_NMU, cls=forward_without_check())
+    assert d.handle_request(0, "startItin") == (BLOCKED, [])
+    assert d.handle_request(1, "notifyUser") == (BLOCKED, [])
+    ems = d.handle_update("S14")
+    assert kinds(ems) == [
+        "StateChangeEmission",
+        "UnblockEmission",
+        "ForwardEmission",
+        "UnblockEmission",
+        "ForwardEmission",
+        "StateChangeEmission",
+        "NotifyEmission",
+    ]
+    assert ems[:5] == [
+        StateChangeEmission(0, None, "S14"),
+        UnblockEmission(request_id=0, task="startItin"),
+        ForwardEmission(task="startItin", src="S14", trg=None),
+        UnblockEmission(request_id=1, task="notifyUser"),
+        ForwardEmission(task="notifyUser", src="S14", trg="S15"),
+    ]
+    assert d.pending == []

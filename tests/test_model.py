@@ -112,6 +112,23 @@ def test_malformed_json_rejected():
         model_from_json(data)
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda d: d.update(flows=5),
+        lambda d: d.update(roles=5),
+        lambda d: d.update(states=["S5"]),
+        lambda d: d["flows"].append({"from": "LP", "to": "E1", "label": {"guard": 5}}),
+    ],
+    ids=["flows-number", "roles-number", "states-list", "guard-not-string"],
+)
+def test_wrongly_typed_json_raises_format_error(corrupt):
+    data = model_to_json(loop_model())
+    corrupt(data)
+    with pytest.raises(ModelFormatError):
+        model_from_json(data)
+
+
 def test_guard_label_round_trip():
     m = loop_model()
     data = model_to_json(m)
