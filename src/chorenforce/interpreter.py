@@ -1,12 +1,18 @@
-"""Brute-force reference semantics for choreography graphs.
+"""Reference semantics for choreography graphs: the token game.
 
-Runs the token game directly on the model: forks duplicate tokens, joins
-wait for a token on every incoming flow, alternatives and loops follow
-the guard valuation. Every interleaving of enabled operations is
-explored, so the resulting sequence set is the exact trace language of
-the model under one fixed environment. Loop bodies make the language
-infinite; `max_ops` truncates and the truncation is reported instead of
-silently dropped.
+Tokens move over the model: forks duplicate them, joins wait for a token
+on every incoming flow, alternatives and loops follow the guard
+valuation, and a token stops where an operation flow leaves its state.
+A configuration is what remains once every silent move is done.
+
+Membership is decided by replay: `Language.is_member` and
+`Language.is_prefix` follow a word label by label and keep the set of
+configurations it can reach, so the cost is linear in the word's length
+and there is no length limit. Enumerating the language, every
+interleaving up to `max_ops` operations, is only needed to list it
+(`Language.complete` and `Language.truncated`) and runs on first use.
+Loop bodies make the language infinite; enumeration then reports the
+prefixes it cut off instead of silently dropping them.
 
 This module is deliberately independent from the coordination-model
 machinery: it is the oracle the enforced runtime is checked against.
@@ -14,8 +20,7 @@ machinery: it is the oracle the enforced runtime is checked against.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from functools import cached_property
 
 from .model import Choreography, Epsilon, Guard, Operation, StateKind
 from .predicate import Value, eval_pred
@@ -33,159 +38,200 @@ class StuckTokenError(InterpreterError):
     """Tokens remain but nothing can move: ill-synchronized model."""
 
 
-@dataclass(frozen=True)
+# A configuration is a frozenset of (place, count) items with count > 0. A
+# place is a state name for a token at that state, or a (predecessor,
+# join) pair for a token parked on that join entry edge. The configuration
+# with no tokens left is the empty frozenset.
+_Config = frozenset
+
+
 class Language:
-    """Operation-sequence language of a model under one environment."""
+    """Operation-sequence language of a model under one environment: an
+    acceptor that replays words, and on demand the list of its words."""
 
-    complete: frozenset
-    truncated: frozenset
+    def __init__(self, model: Choreography, env: dict[str, Value], max_ops: int = 50):
+        self.model = model
+        self.env = dict(env)
+        self.max_ops = max_ops
+        self._joins = {s for s, kind in model.states.items() if kind is StateKind.JOIN}
+        # state -> operation label -> places a token there can move to
+        self._ops: dict[str, dict[str, list]] = {}
+        for f in model.flows:
+            if isinstance(f.label, Operation):
+                by_label = self._ops.setdefault(f.src, {})
+                by_label.setdefault(f.label.label, []).append(self._place(f.src, f.trg))
+        # state -> places its tokens move to silently (None: they stay);
+        # filled when a token first reaches the state, so a guard is only
+        # evaluated once a run gets to it
+        self._silent: dict[str, tuple | None] = {}
+        # join -> the entry places that must all hold a token for it to fire
+        self._entries = {
+            j: tuple(dict.fromkeys((f.src, j) for f in model.in_flows(j)))
+            for j in self._joins
+        }
+        self._budget = 16 * (len(model.states) + 2) * (len(model.flows) + 2)
+        self._reached: dict[tuple, frozenset] = {}
+        self._start = self._normalize({model.initial: 1}, [model.initial])
 
-    @property
-    def was_truncated(self) -> bool:
-        return bool(self.truncated)
+    # -- the token game ---------------------------------------------------------
 
-    def is_member(self, seq) -> bool:
-        return tuple(seq) in self.complete
+    def _place(self, src: str, trg: str):
+        return (src, trg) if trg in self._joins else trg
 
-    def is_prefix(self, seq) -> bool:
-        seq = tuple(seq)
-        for ref in self.complete | self.truncated:
-            if ref[: len(seq)] == seq:
-                return True
-        return False
+    def _silent_moves(self, s: str) -> tuple | None:
+        model = self.model
+        kind = model.kind(s)
+        outs = model.out_flows(s)
+        if kind is StateKind.FINAL:
+            return ()
+        if kind is StateKind.FORK:
+            return tuple(self._place(s, f.trg) for f in outs)
+        if kind in (StateKind.ALTERNATIVE, StateKind.LOOP):
+            chosen = None
+            eps_exit = None
+            for f in outs:
+                if isinstance(f.label, Guard):
+                    if eval_pred(f.label.pred, self.env):
+                        chosen = f.trg
+                elif isinstance(f.label, Epsilon):
+                    eps_exit = f.trg
+            if chosen is None:
+                chosen = eps_exit  # loop exit; alternatives have no eps flow
+            if chosen is None:
+                raise NoTrueGuardError(f"no guard holds at {s} under {self.env}")
+            return (self._place(s, chosen),)
+        # plain, initial, join: a single outgoing flow
+        if outs and isinstance(outs[0].label, Epsilon):
+            return (self._place(s, outs[0].trg),)
+        return None
 
+    def _normalize(self, counts: dict, work: list) -> _Config:
+        """Run all silent moves to quiescence, starting from the places in
+        `work` (the only ones not yet at rest); `counts` is consumed.
 
-# A configuration is (tokens, arrived):
-#   tokens:  state -> token count
-#   arrived: (predecessor, join) -> tokens parked on that join entry edge
-_Config = tuple[tuple, tuple]
-
-
-def _freeze(tokens: Counter, arrived: Counter) -> _Config:
-    return (
-        tuple(sorted((s, n) for s, n in tokens.items() if n)),
-        tuple(sorted((e, n) for e, n in arrived.items() if n)),
-    )
-
-
-def _thaw(config: _Config) -> tuple[Counter, Counter]:
-    return Counter(dict(config[0])), Counter(dict(config[1]))
-
-
-def _move_token(model: Choreography, tokens: Counter, arrived: Counter,
-                src: str, trg: str) -> None:
-    tokens[src] -= 1
-    if model.kind(trg) is StateKind.JOIN:
-        arrived[(src, trg)] += 1
-    else:
-        tokens[trg] += 1
-
-
-def _fire_ready_joins(model: Choreography, tokens: Counter, arrived: Counter) -> bool:
-    fired = False
-    joins = sorted({j for (_, j), n in arrived.items() if n})
-    for j in joins:
-        edges = [(f.src, j) for f in model.in_flows(j)]
-        while all(arrived[e] for e in edges):
-            for e in edges:
-                arrived[e] -= 1
-            tokens[j] += 1
-            fired = True
-    return fired
-
-
-def _normalize(model: Choreography, config: _Config, env: dict[str, Value]) -> _Config:
-    """Run all epsilon moves to quiescence; stop tokens at operation sources."""
-    tokens, arrived = _thaw(config)
-    budget = 16 * (len(model.states) + 2) * (len(model.flows) + 2) * (
-        sum(tokens.values()) + sum(arrived.values()) + 2
-    )
-    progress = True
-    while progress:
-        progress = _fire_ready_joins(model, tokens, arrived)
-        for s in sorted(tokens):
-            if not tokens[s]:
+        Raises StuckTokenError if tokens remain but none can start an
+        operation."""
+        budget = self._budget * (sum(counts.values()) + 2)
+        silent = self._silent
+        while work:
+            place = work.pop()
+            n = counts.get(place)
+            if not n:
                 continue
-            kind = model.kind(s)
-            outs = model.out_flows(s)
-            if kind is StateKind.FINAL:
-                tokens[s] = 0
-                progress = True
-            elif kind is StateKind.FORK:
-                for _ in range(tokens[s]):
-                    tokens[s] -= 1
-                    for f in outs:
-                        if model.kind(f.trg) is StateKind.JOIN:
-                            arrived[(s, f.trg)] += 1
-                        else:
-                            tokens[f.trg] += 1
-                progress = True
-            elif kind in (StateKind.ALTERNATIVE, StateKind.LOOP):
-                chosen = None
-                eps_exit = None
-                for f in outs:
-                    if isinstance(f.label, Guard):
-                        if eval_pred(f.label.pred, env):
-                            chosen = f.trg
-                    elif isinstance(f.label, Epsilon):
-                        eps_exit = f.trg
-                if chosen is None:
-                    chosen = eps_exit  # loop exit; alternatives have no eps flow
-                if chosen is None:
-                    raise NoTrueGuardError(f"no guard holds at {s} under {env}")
-                while tokens[s]:
-                    _move_token(model, tokens, arrived, s, chosen)
-                progress = True
-            else:
-                # plain, initial, join: a single outgoing flow
-                if outs and isinstance(outs[0].label, Epsilon):
-                    while tokens[s]:
-                        _move_token(model, tokens, arrived, s, outs[0].trg)
-                    progress = True
             budget -= 1
             if budget < 0:
                 raise InterpreterError("epsilon moves do not converge (epsilon cycle?)")
-    return _freeze(tokens, arrived)
+            if isinstance(place, tuple):
+                join = place[1]
+                entries = self._entries[join]
+                fired = min(counts.get(e, 0) for e in entries)
+                if not fired:
+                    continue
+                for e in entries:
+                    if counts[e] == fired:
+                        del counts[e]
+                    else:
+                        counts[e] -= fired
+                counts[join] = counts.get(join, 0) + fired
+                work.append(join)
+                continue
+            if place in silent:
+                moves = silent[place]
+            else:
+                moves = silent[place] = self._silent_moves(place)
+            if moves is None:
+                continue
+            del counts[place]
+            for dst in moves:
+                counts[dst] = counts.get(dst, 0) + n
+                work.append(dst)
+        if counts and self._ops.keys().isdisjoint(counts):
+            raise StuckTokenError(f"tokens stuck at {sorted(counts.items(), key=repr)}")
+        return frozenset(counts.items())
 
+    def _fire(self, config: _Config, src: str, dst) -> _Config:
+        """Move one token from `src` over an operation flow to `dst`."""
+        counts = dict(config)
+        if counts[src] == 1:
+            del counts[src]
+        else:
+            counts[src] -= 1
+        counts[dst] = counts.get(dst, 0) + 1
+        return self._normalize(counts, [dst])
 
-def _enabled_ops(model: Choreography, config: _Config) -> list[tuple[str, Operation, str]]:
-    out = []
-    for s, n in config[0]:
-        if not n:
-            continue
-        for f in model.out_flows(s):
-            if isinstance(f.label, Operation):
-                out.append((s, f.label, f.trg))
-    return sorted(out, key=lambda e: (e[0], e[1].label, e[2]))
+    # -- replay -----------------------------------------------------------------
+
+    def _reach(self, word: tuple) -> frozenset:
+        """The configurations `word` can lead to; empty if it leads nowhere."""
+        reached = self._reached.get(word)
+        if reached is not None:
+            return reached
+        configs = {self._start}
+        for label in word:
+            configs = {
+                self._fire(config, place, dst)
+                for config in configs
+                for place, _ in config
+                for dst in self._ops.get(place, {}).get(label, ())
+            }
+            if not configs:
+                break
+        reached = self._reached[word] = frozenset(configs)
+        return reached
+
+    def is_member(self, seq) -> bool:
+        """Whether `seq` is the label sequence of a complete run."""
+        return frozenset() in self._reach(tuple(seq))
+
+    def is_prefix(self, seq) -> bool:
+        """Whether some run, complete or not, starts with `seq`."""
+        return bool(self._reach(tuple(seq)))
+
+    # -- enumeration ------------------------------------------------------------
+
+    @cached_property
+    def _listing(self) -> tuple[frozenset, frozenset]:
+        """(complete, truncated): every interleaving, depth first, cut off
+        after `max_ops` operations."""
+        complete: set = set()
+        truncated: set = set()
+        seen: set = set()
+        stack = [(self._start, ())]
+        while stack:
+            config, seq = stack.pop()
+            if (config, seq) in seen:
+                continue
+            seen.add((config, seq))
+            if not config:
+                complete.add(seq)
+            elif len(seq) >= self.max_ops:
+                truncated.add(seq)
+            else:
+                stack.extend(
+                    (self._fire(config, place, dst), seq + (label,))
+                    for place, _ in config
+                    for label, dsts in self._ops.get(place, {}).items()
+                    for dst in dsts
+                )
+        return frozenset(complete), frozenset(truncated)
+
+    @cached_property
+    def complete(self) -> frozenset:
+        """Label sequences of complete runs of at most `max_ops` operations."""
+        return self._listing[0]
+
+    @cached_property
+    def truncated(self) -> frozenset:
+        """Prefixes of `max_ops` operations of runs that go on."""
+        return self._listing[1]
+
+    @cached_property
+    def was_truncated(self) -> bool:
+        return bool(self.truncated)
 
 
 def reference_traces(model: Choreography, env: dict[str, Value],
                      max_ops: int = 50) -> Language:
-    """All operation-label sequences of complete runs, plus truncated prefixes."""
-    start = _normalize(model, _freeze(Counter({model.initial: 1}), Counter()), env)
-    complete: set = set()
-    truncated: set = set()
-    seen: set = set()
-
-    def walk(config: _Config, seq: tuple) -> None:
-        if (config, seq) in seen:
-            return
-        seen.add((config, seq))
-        ops = _enabled_ops(model, config)
-        if not ops:
-            if config[0] or config[1]:
-                raise StuckTokenError(
-                    f"tokens stuck at {config} after {list(seq)}")
-            complete.add(seq)
-            return
-        if len(seq) >= max_ops:
-            truncated.add(seq)
-            return
-        for s, op, trg in ops:
-            tokens, arrived = _thaw(config)
-            _move_token(model, tokens, arrived, s, trg)
-            nxt = _normalize(model, _freeze(tokens, arrived), env)
-            walk(nxt, seq + (op.label,))
-
-    walk(start, ())
-    return Language(complete=frozenset(complete), truncated=frozenset(truncated))
+    """The acceptor of the model's runs under `env`; `max_ops` bounds only
+    the enumeration of `complete` and `truncated`."""
+    return Language(model, env, max_ops)

@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass, field
 
 from .decompose import Pair
-from .model import Choreography, model_from_json, model_to_json
-from .predicate import Value
+from .model import Choreography, Guard, Operation, model_from_json, model_to_json
+from .predicate import Value, free_vars, to_text
 
 
 class ScenarioFormatError(ValueError):
@@ -163,7 +163,7 @@ def scenario_from_json(data: dict) -> Scenario:
             )
             for s in data["participants"]
         )
-        return Scenario(
+        scenario = Scenario(
             model=model_from_json(data["cefm"]),
             environment=dict(data["environment"]),
             scripts=scripts,
@@ -176,6 +176,35 @@ def scenario_from_json(data: dict) -> Scenario:
         )
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ScenarioFormatError(f"bad scenario document: {exc}") from exc
+    _check_runnable(scenario)
+    return scenario
+
+
+def _check_runnable(scenario: Scenario) -> None:
+    """Reject what a run would crash on: a request for an operation the
+    model lacks, or a guard over a variable the environment leaves unset."""
+    model = scenario.model
+    operations = {
+        (op.initiator, op.task, op.receiver)
+        for op in (f.label for f in model.flows)
+        if isinstance(op, Operation)
+    }
+    for spec in scenario.scripts:
+        for request in (*spec.actions, *spec.injections):
+            if (spec.role, request.task, request.target) not in operations:
+                raise ScenarioFormatError(
+                    f"participant {spec.role} requests "
+                    f"{spec.role}.{request.task}.{request.target}, "
+                    "which is no operation of the model"
+                )
+    for flow in model.flows:
+        if isinstance(flow.label, Guard):
+            unbound = free_vars(flow.label.pred) - scenario.environment.keys()
+            if unbound:
+                raise ScenarioFormatError(
+                    f"guard {to_text(flow.label.pred)!r} at {flow.src} reads "
+                    f"{', '.join(sorted(unbound))}, unbound in the environment"
+                )
 
 
 def dumps_scenario(scenario: Scenario) -> str:

@@ -3,7 +3,8 @@
 Each generated model is a chain of operations over distinct role pairs,
 optionally carrying one structural feature: a guarded branch to the
 final state, a guarded loop around one operation, or a concurrent split
-of two same-initiator operations that meet again at a join. Sizes stay
+of two same-initiator operations that meet again at a join, followed by
+one more operation of the first branch's pair. Sizes stay
 small (at most 12 states) so the reference language is tiny and every
 word can be replayed as a directed run.
 
@@ -192,9 +193,11 @@ def random_case(rng: random.Random) -> GeneratedCase:
             b.eps(fork, src)
             b.op(src, operation, trg)
             b.eps(trg, join)
-        tail_state = b.state("T1")
-        b.eps(join, tail_state)
-        b.eps(tail_state, "Final")
+        # The first branch pair also owns the operation after the join, so
+        # its delegate must cross the join before it may forward again.
+        closing = Operation(initiator, f"t{k}", receivers[0])
+        tail = _chain(b, join, [closing], k)
+        b.eps(tail, "Final")
 
     model = b.build()
     language = reference_traces(model, env)
@@ -243,10 +246,7 @@ def fuzz(models: int, seed: int, verbose: bool) -> int:
                 scripts=scripts_for_word(case.model, word),
                 priorities=priorities,
             )
-            result = run_scenario(
-                scenario, policy="roundrobin", seed=0, cms=cms,
-                language=case.language,
-            )
+            result = run_scenario(scenario, policy="roundrobin", seed=0, cms=cms)
             done = result.outcome == COMPLETED
             if done:
                 completed.add(result.projection)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .decompose import CoordModel, Pair, generate_all
 from .delegate import Delegate
-from .interpreter import Language, reference_traces
+from .interpreter import reference_traces
 from .oracle import (
     ALLOWED,
     RuntimeChecker,
@@ -77,7 +77,6 @@ def run_scenario(
     mutant_pair: Pair | None = None,
     mutant_cls: type[Delegate] | None = None,
     cms: dict[Pair, CoordModel] | None = None,
-    language: Language | None = None,
 ) -> RunResult:
     policy_name = policy if policy is not None else scenario.policy
     run_seed = seed if seed is not None else scenario.seed
@@ -111,8 +110,7 @@ def run_scenario(
     if outcome == DEADLOCKED:
         verdicts.extend(post_hoc_deadlock(delegates))
 
-    if language is None:
-        language = reference_traces(scenario.model, scenario.environment)
+    language = reference_traces(scenario.model, scenario.environment)
     conformant = check_conformance(sim.events, language, outcome == COMPLETED)
 
     return RunResult(

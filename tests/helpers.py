@@ -7,6 +7,7 @@ from chorenforce.interpreter import Language
 from chorenforce.model import EPS, Choreography, Flow, Guard, Operation, StateKind
 from chorenforce.participants import Action, Injection, Scenario, ScriptSpec
 from chorenforce.predicate import Not, Var
+from chorenforce.randgen import scripts_for_word
 from chorenforce.socialprox import (
     ENV_BOTH_TRUE,
     ENV_SHARE_DISABLED,
@@ -113,8 +114,7 @@ def share_disabled_scenario() -> Scenario:
     )
 
 
-def run_sp(scenario: Scenario, *, policy="roundrobin", seed=0, env_key="both",
-            **kw) -> RunResult:
+def run_sp(scenario: Scenario, *, policy="roundrobin", seed=0, **kw) -> RunResult:
     """Run a social proximity scenario with the cached decomposition.
 
     Every call also asserts the coordination message bound, so any test
@@ -125,7 +125,6 @@ def run_sp(scenario: Scenario, *, policy="roundrobin", seed=0, env_key="both",
         policy=policy,
         seed=seed,
         cms=sp_cms(),
-        language=sp_language(env_key),
         **kw,
     )
     assert_overhead(result)
@@ -192,3 +191,37 @@ LOOP_BODY_ACTIONS = (
     Action("work", "B"),
     Action("work", "B"),
 )
+
+
+def chain_scenario(n: int) -> Scenario:
+    """n operations in sequence, operation i from role R{i % 6} to the
+    next role round the ring; each role requests its operations in order."""
+    ops = [Operation(f"R{i % 6}", f"t{i}", f"R{(i + 1) % 6}") for i in range(n)]
+    states = {f"S{i}": StateKind.PLAIN for i in range(n + 1)}
+    states.update(Initial=StateKind.INITIAL, Final=StateKind.FINAL)
+    flows = [Flow("Initial", EPS, "S0"), Flow(f"S{n}", EPS, "Final")]
+    flows += [Flow(f"S{i}", op, f"S{i + 1}") for i, op in enumerate(ops)]
+    roles = {r for op in ops for r in (op.initiator, op.receiver)}
+    model = Choreography(states, "Initial", "Final", roles, {}, flows)
+    word = tuple(op.label for op in ops)
+    return Scenario(model=model, environment={}, scripts=scripts_for_word(model, word))
+
+
+def fork_model(k: int) -> Choreography:
+    """A fork of k single-operation branches, B{j}.b{j}.C{j}, and a join."""
+    states = {
+        "Initial": StateKind.INITIAL,
+        "F": StateKind.FORK,
+        "J": StateKind.JOIN,
+        "Final": StateKind.FINAL,
+    }
+    flows = [Flow("Initial", EPS, "F"), Flow("J", EPS, "Final")]
+    for j in range(k):
+        states[f"P{j}"] = states[f"Q{j}"] = StateKind.PLAIN
+        flows += [
+            Flow("F", EPS, f"P{j}"),
+            Flow(f"P{j}", Operation(f"B{j}", f"b{j}", f"C{j}"), f"Q{j}"),
+            Flow(f"Q{j}", EPS, "J"),
+        ]
+    roles = {f"{r}{j}" for r in "BC" for j in range(k)}
+    return Choreography(states, "Initial", "Final", roles, {}, flows)

@@ -125,8 +125,7 @@ def _prevention_runs():
 def _share_runs() -> list:
     if "share" not in _CACHE:
         _CACHE["share"] = [
-            _note(run_sp(share_disabled_scenario(), policy="random",
-                          seed=seed, env_key="share"))
+            _note(run_sp(share_disabled_scenario(), policy="random", seed=seed))
             for seed in range(10)
         ]
     return _CACHE["share"]
@@ -168,9 +167,7 @@ def _random_model_sweep() -> dict:
                 scripts=scripts_for_word(case.model, word),
                 priorities=priorities,
             )
-            result = run_scenario(
-                scenario, policy=policy, seed=seed, cms=cms, language=case.language
-            )
+            result = run_scenario(scenario, policy=policy, seed=seed, cms=cms)
             runs += 1
             _OVERHEADS.append(result.overhead)
             count, bound = result.overhead
@@ -485,15 +482,15 @@ def test_criterion_8_coordination_overhead_stays_under_the_bound():
 @gate(9)
 def test_criterion_9_reruns_write_byte_identical_traces(tmp_path):
     configs = (
-        ("inorder", inorder_scenario, "roundrobin", 0, "both"),
-        ("shuffled", shuffled_scenario, "random", 11, "both"),
-        ("adversarial", adversarial_scenario, "random", 7, "both"),
-        ("quiet", share_disabled_scenario, "roundrobin", 2, "share"),
+        ("inorder", inorder_scenario, "roundrobin", 0),
+        ("shuffled", shuffled_scenario, "random", 11),
+        ("adversarial", adversarial_scenario, "random", 7),
+        ("quiet", share_disabled_scenario, "roundrobin", 2),
     )
-    for name, build, policy, seed, env_key in configs:
+    for name, build, policy, seed in configs:
         paths = []
         for attempt in ("first", "second"):
-            result = run_sp(build(), policy=policy, seed=seed, env_key=env_key)
+            result = run_sp(build(), policy=policy, seed=seed)
             path = tmp_path / f"{name}_{policy}_{seed}_{attempt}.trace.jsonl"
             write_trace(result.events, path)
             paths.append(path)

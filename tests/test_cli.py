@@ -7,9 +7,16 @@ import pytest
 
 from chorenforce.cli import main
 from chorenforce.decompose import Pair, loads_cm
+from chorenforce.interpreter import Language
 from chorenforce.model import save_model
 from chorenforce.participants import save_scenario
-from helpers import sp_cms, sp_model, inorder_scenario, share_disabled_scenario
+from helpers import (
+    chain_scenario,
+    inorder_scenario,
+    share_disabled_scenario,
+    sp_cms,
+    sp_model,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -172,3 +179,60 @@ def test_bundled_fixture_scenarios_run(tmp_path):
             "run", str(FIXTURES / name), "--out-dir", str(tmp_path / "runs"),
         ])
         assert code == 0, name
+
+
+def _unknown_action(data):
+    data["participants"][1]["actions"][4] = ["startItin", "UMS"]
+
+
+def _unknown_injection(data):
+    data["participants"][1]["injections"] = [
+        {"after": 1, "task": "noSuchTask", "target": "NMU"}
+    ]
+
+
+def _unbound_guard_variable(data):
+    del data["environment"]["friendFound"]
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (_unknown_action, "SPS.startItin.UMS"),
+        (_unknown_injection, "SPS.noSuchTask.NMU"),
+        (_unbound_guard_variable, "friendFound"),
+    ],
+    ids=["unknown-action", "unknown-injection", "unbound-guard-variable"],
+)
+def test_run_unrunnable_scenario_is_a_clean_error(tmp_path, capsys, edit, named):
+    data = json.loads((FIXTURES / "scenario_inorder.json").read_text())
+    edit(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def test_long_chain_run_and_check_trace_conform(tmp_path, capsys):
+    # longer than the 50 operations the reference enumeration lists
+    path = tmp_path / "chain.json"
+    save_scenario(chain_scenario(60), path)
+    runs = tmp_path / "runs"
+    assert main(["run", str(path), "--out-dir", str(runs)]) == 0
+    assert "conformant: True" in capsys.readouterr().out
+    trace = next(runs.glob("*.trace.jsonl"))
+    assert main(["check-trace", str(path), str(trace)]) == 0
+    assert "complete run of the reference behaviour: True" in capsys.readouterr().out
+
+
+def test_run_and_check_trace_never_enumerate(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the reference language was enumerated")
+
+    monkeypatch.setattr(Language, "_listing", property(refuse))
+    scenario = FIXTURES / "scenario_adversarial.json"
+    runs = tmp_path / "runs"
+    assert main(["run", str(scenario), "--out-dir", str(runs)]) == 0
+    trace = next(runs.glob("*.trace.jsonl"))
+    assert main(["check-trace", str(scenario), str(trace)]) == 0

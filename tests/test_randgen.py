@@ -1,8 +1,9 @@
 import random
 
+from chorenforce.delegate import Delegate
 from chorenforce.model import StateKind
 from chorenforce.participants import Scenario, default_priorities
-from chorenforce.randgen import GeneratedCase, random_case, scripts_for_word
+from chorenforce.randgen import GeneratedCase, fuzz, random_case, scripts_for_word
 from chorenforce.runner import run_scenario
 from chorenforce.validate import validate_cefm
 from chorenforce import generate_all
@@ -69,8 +70,7 @@ def test_directed_runs_agree_with_reference():
                 scripts=scripts_for_word(case.model, word),
                 priorities=prios,
             )
-            result = run_scenario(scenario, policy="roundrobin", seed=0,
-                                  cms=cms, language=case.language)
+            result = run_scenario(scenario, policy="roundrobin", seed=0, cms=cms)
             assert not result.flagged, (word, result.report())
             assert result.conformant, (word, result.report())
             if result.outcome == "completed":
@@ -87,3 +87,10 @@ def test_case_is_reproducible():
     assert a.model == b.model
     assert a.env == b.env
     assert a.words == b.words
+
+
+def test_fuzz_catches_a_delegate_that_never_crosses_a_join(monkeypatch):
+    # fork cases end with an operation of a branch pair, which only a
+    # delegate that crosses the join can forward
+    monkeypatch.setattr(Delegate, "_winner", lambda self, join, others: False)
+    assert fuzz(40, 0, False) == 1

@@ -95,7 +95,7 @@ def test_inorder_run_completes():
 
 
 def test_share_disabled_run_completes():
-    result = run_sp(share_disabled_scenario(), env_key="share")
+    result = run_sp(share_disabled_scenario())
     assert result.outcome == COMPLETED
     assert result.projection == ("IM.getUserPref.UMS",)
 
