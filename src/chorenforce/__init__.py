@@ -11,7 +11,6 @@ from .decompose import (
     CoordTuple,
     Pair,
     generate_all,
-    generate_cm,
     initial_wait_states,
 )
 from .delegate import Delegate
@@ -56,7 +55,6 @@ __all__ = [
     "default_priorities",
     "enactment_bootstrap",
     "generate_all",
-    "generate_cm",
     "initial_wait_states",
     "load_model",
     "load_scenario",

@@ -11,11 +11,14 @@ step), target state, allowed services (pairs to send a state update to),
 enabling condition, notifications to send when the target is a join,
 notifications to wait for at that join.
 
-Generation walks forward from every target of an owned operation flow,
-emitting one tuple per epsilon or guard flow encountered, and stopping
-where another pair's operation takes over. The epsilon flow leaving a
-loop state gets the complement of the entry guard as its condition, so
-exactly one of entry/exit is enabled per evaluation.
+Generation makes one pass over the flows, grouping the operation flows
+by pair and recording which pairs' operations leave each state, then one
+walk per pair. The walk goes forward from every target of an owned
+operation flow, emitting one tuple per epsilon or guard flow
+encountered, and stopping where another pair's operation takes over.
+The epsilon flow leaving a loop state gets the complement of the entry
+guard as its condition, so exactly one of entry/exit is enabled per
+evaluation.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .model import Choreography, Epsilon, Guard, Operation, StateKind
+from .model import Choreography, Flow, Guard, Operation, StateKind
 from .predicate import Not, Pred, TRUE, parse_predicate, to_text
 from .validate import validate_cefm
 
@@ -114,10 +117,6 @@ class CoordModel:
         return self.owner == other.owner and self.tuples == other.tuples
 
 
-def _operation_pairs(model: Choreography) -> list[Pair]:
-    return [Pair(i, r) for i, r in model.pairs()]
-
-
 def _owners_of(model: Choreography) -> dict[str, frozenset[Pair]]:
     """For each state, the pairs whose operation chain reaches it.
 
@@ -131,18 +130,6 @@ def _owners_of(model: Choreography) -> dict[str, frozenset[Pair]]:
             for s in model.eps_closure(f.trg):
                 owners[s].add(pair)
     return {s: frozenset(v) for s, v in owners.items()}
-
-
-def _allowed_services(model: Choreography, owner: Pair, trg: str) -> frozenset[Pair]:
-    # Only pairs whose operation leaves trg directly; the owner never
-    # updates itself.
-    out = set()
-    for f in model.out_flows(trg):
-        if isinstance(f.label, Operation):
-            pair = Pair(f.label.initiator, f.label.receiver)
-            if pair != owner:
-                out.add(pair)
-    return frozenset(out)
 
 
 def _join_entries(
@@ -175,21 +162,25 @@ def _loop_exit_cond(model: Choreography, src: str) -> Pred:
     return pred.inner if isinstance(pred, Not) else Not(pred)
 
 
-def _generate(model: Choreography, owner: Pair,
-              owners: dict[str, frozenset[Pair]]) -> CoordModel:
-    tuples: set[CoordTuple] = set()
-    frontier: list[str] = []
+def _generate(
+    model: Choreography,
+    owner: Pair,
+    op_flows: list[Flow],
+    owners: dict[str, frozenset[Pair]],
+    leaving: dict[str, set[Pair]],
+) -> CoordModel:
+    # A tuple updates the pairs whose operation leaves its target directly;
+    # the owner never updates itself.
+    def tuple_to(src: str, op: str | None, trg: str, cond: Pred) -> CoordTuple:
+        notified, waited = _join_entries(model, owners, src, trg)
+        return CoordTuple(
+            src=src, op=op, trg=trg,
+            allowed_services=frozenset(leaving[trg] - {owner}),
+            cond=cond, to_be_notified=notified, to_be_waited=waited,
+        )
 
-    for f in model.flows:
-        if isinstance(f.label, Operation) and Pair(f.label.initiator, f.label.receiver) == owner:
-            notified, waited = _join_entries(model, owners, f.src, f.trg)
-            tuples.add(CoordTuple(
-                src=f.src, op=f.label.task, trg=f.trg,
-                allowed_services=_allowed_services(model, owner, f.trg),
-                cond=TRUE, to_be_notified=notified, to_be_waited=waited,
-            ))
-            frontier.append(f.trg)
-
+    tuples = {tuple_to(f.src, f.label.task, f.trg, TRUE) for f in op_flows}
+    frontier = [f.trg for f in op_flows]
     seen: set[str] = set()
     while frontier:
         s = frontier.pop()
@@ -205,24 +196,10 @@ def _generate(model: Choreography, owner: Pair,
                 cond = _loop_exit_cond(model, s)
             else:
                 cond = TRUE
-            notified, waited = _join_entries(model, owners, s, f.trg)
-            tuples.add(CoordTuple(
-                src=s, op=None, trg=f.trg,
-                allowed_services=_allowed_services(model, owner, f.trg),
-                cond=cond, to_be_notified=notified, to_be_waited=waited,
-            ))
+            tuples.add(tuple_to(s, None, f.trg, cond))
             frontier.append(f.trg)
 
     return CoordModel(owner, tuples)
-
-
-def generate_cm(model: Choreography, owner: Pair) -> CoordModel:
-    report = validate_cefm(model)
-    if not report.ok:
-        raise InvalidModelError(str(report))
-    if owner not in _operation_pairs(model):
-        raise InvalidModelError(f"{owner} exchanges no operation in the model")
-    return _generate(model, owner, _owners_of(model))
 
 
 def generate_all(model: Choreography) -> dict[Pair, CoordModel]:
@@ -230,7 +207,14 @@ def generate_all(model: Choreography) -> dict[Pair, CoordModel]:
     if not report.ok:
         raise InvalidModelError(str(report))
     owners = _owners_of(model)
-    return {p: _generate(model, p, owners) for p in _operation_pairs(model)}
+    op_flows: dict[Pair, list[Flow]] = {}
+    leaving: dict[str, set[Pair]] = {s: set() for s in model.states}
+    for f in model.flows:
+        if isinstance(f.label, Operation):
+            pair = Pair(f.label.initiator, f.label.receiver)
+            op_flows.setdefault(pair, []).append(f)
+            leaving[f.src].add(pair)
+    return {p: _generate(model, p, op_flows[p], owners, leaving) for p in sorted(op_flows)}
 
 
 def initial_wait_states(cm: CoordModel) -> frozenset[str]:

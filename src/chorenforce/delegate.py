@@ -352,8 +352,5 @@ class Delegate:
     def suspended_threads(self) -> list[Thread]:
         return [t for t in self.threads if t.status == "suspended"]
 
-    def op_threads(self) -> list[Thread]:
-        return [t for t in self.threads if t.status == "op"]
-
     def pending_tasks(self) -> list[str]:
         return [task for _, task in self.pending]

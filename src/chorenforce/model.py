@@ -129,9 +129,6 @@ class Choreography:
                 seen.setdefault(f.label.label, f.label)
         return [seen[k] for k in sorted(seen)]
 
-    def pairs(self) -> list[tuple[str, str]]:
-        return sorted({(op.initiator, op.receiver) for op in self.operations()})
-
     def eps_closure(self, start: str) -> set[str]:
         """States reachable from start via epsilon flows only (start included)."""
         seen = {start}
@@ -143,14 +140,6 @@ class Choreography:
                     seen.add(f.trg)
                     stack.append(f.trg)
         return seen
-
-    def echain_targets(self, s: str, label: Label) -> set[str]:
-        """States reachable via one flow carrying `label`, then any epsilon chain."""
-        out: set[str] = set()
-        for f in self._out[s]:
-            if f.label == label:
-                out |= self.eps_closure(f.trg)
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Choreography):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .decompose import Pair
 from .model import Choreography, Guard, Operation, model_from_json, model_to_json
-from .predicate import Value, free_vars, to_text
+from .predicate import Value, free_vars, strict_eq, to_text
 
 
 class ScenarioFormatError(ValueError):
@@ -182,7 +182,8 @@ def scenario_from_json(data: dict) -> Scenario:
 
 def _check_runnable(scenario: Scenario) -> None:
     """Reject what a run would crash on: a request for an operation the
-    model lacks, or a guard over a variable the environment leaves unset."""
+    model lacks, or a guard over a variable the environment leaves unset
+    or binds to a value outside the variable's declared domain."""
     model = scenario.model
     operations = {
         (op.initiator, op.task, op.receiver)
@@ -199,12 +200,22 @@ def _check_runnable(scenario: Scenario) -> None:
                 )
     for flow in model.flows:
         if isinstance(flow.label, Guard):
-            unbound = free_vars(flow.label.pred) - scenario.environment.keys()
+            read = free_vars(flow.label.pred)
+            unbound = read - scenario.environment.keys()
             if unbound:
                 raise ScenarioFormatError(
                     f"guard {to_text(flow.label.pred)!r} at {flow.src} reads "
                     f"{', '.join(sorted(unbound))}, unbound in the environment"
                 )
+            for name in sorted(read & model.variables.keys()):
+                value = scenario.environment[name]
+                domain = model.variables[name]
+                # type-strict: 1 is no member of the domain (False, True)
+                if not any(strict_eq(value, d) for d in domain):
+                    raise ScenarioFormatError(
+                        f"environment binds {name} to {json.dumps(value)}, "
+                        f"outside its domain {json.dumps(list(domain))}"
+                    )
 
 
 def dumps_scenario(scenario: Scenario) -> str:

@@ -189,7 +189,7 @@ def to_text(p: Pred) -> str:
     raise TypeError(f"not a predicate node: {p!r}")
 
 
-def _strict_eq(a: Value, b: Value) -> bool:
+def strict_eq(a: Value, b: Value) -> bool:
     # avoid True == 1 surprises across bool/int domains
     return isinstance(a, bool) == isinstance(b, bool) and a == b
 
@@ -207,7 +207,7 @@ def eval_pred(p: Pred, env: dict[str, Value]) -> bool:
     if isinstance(p, Eq):
         if p.name not in env:
             raise UnboundVariableError(p.name)
-        return _strict_eq(env[p.name], p.value)
+        return strict_eq(env[p.name], p.value)
     if isinstance(p, Not):
         return not eval_pred(p.inner, env)
     if isinstance(p, And):

@@ -20,10 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .decompose import generate_all
 from .interpreter import Language, reference_traces
 from .model import EPS, Choreography, Flow, Guard, Operation, StateKind
-from .participants import Action, Scenario, ScriptSpec, default_priorities
+from .participants import Action, Scenario, ScriptSpec
 from .predicate import Not, Value, Var
 from .runner import run_scenario
 from .simulator import COMPLETED
@@ -234,8 +233,6 @@ def fuzz(models: int, seed: int, verbose: bool) -> int:
     failures = 0
     for n in range(models):
         case = random_case(rng)
-        cms = generate_all(case.model)
-        priorities = default_priorities(cms)
         should_complete = case.expect == "equality"
         completed: set[tuple[str, ...]] = set()
         bad = []
@@ -244,9 +241,8 @@ def fuzz(models: int, seed: int, verbose: bool) -> int:
                 model=case.model,
                 environment=case.env,
                 scripts=scripts_for_word(case.model, word),
-                priorities=priorities,
             )
-            result = run_scenario(scenario, policy="roundrobin", seed=0, cms=cms)
+            result = run_scenario(scenario, policy="roundrobin", seed=0)
             done = result.outcome == COMPLETED
             if done:
                 completed.add(result.projection)

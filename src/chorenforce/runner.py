@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .decompose import CoordModel, Pair, generate_all
+from .decompose import Pair, generate_all
 from .delegate import Delegate
 from .interpreter import reference_traces
 from .oracle import (
@@ -76,12 +76,10 @@ def run_scenario(
     max_events: int = 10000,
     mutant_pair: Pair | None = None,
     mutant_cls: type[Delegate] | None = None,
-    cms: dict[Pair, CoordModel] | None = None,
 ) -> RunResult:
     policy_name = policy if policy is not None else scenario.policy
     run_seed = seed if seed is not None else scenario.seed
-    if cms is None:
-        cms = generate_all(scenario.model)
+    cms = generate_all(scenario.model)
     priorities = scenario.priorities or default_priorities(cms)
 
     delegates: dict[Pair, Delegate] = {}

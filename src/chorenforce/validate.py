@@ -8,6 +8,7 @@ shapes (unreachable states, states that cannot reach the final state).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from .model import Choreography, Epsilon, Flow, Guard, Operation, StateKind
@@ -192,38 +193,31 @@ def _check_loops(model: Choreography, report: ValidationReport) -> None:
         entry = guard_out[0].trg
         preds = [f.src for f in model.in_flows(s)]
         # One predecessor must close the cycle: reachable from the entry state.
-        reachable = _forward_reach(model, entry)
+        reachable = _reach(entry, lambda s: (f.trg for f in model.out_flows(s)))
         if not any(p in reachable for p in preds):
             report.add(s, "loop-back",
                        f"no predecessor of {s} is reachable from entry {entry}")
 
 
-def _forward_reach(model: Choreography, start: str) -> set[str]:
+def _reach(start: str, step: Callable[[str], Iterable[str]]) -> set[str]:
+    """States reachable from start by repeatedly following step."""
     seen = {start}
     stack = [start]
     while stack:
-        cur = stack.pop()
-        for f in model.out_flows(cur):
-            if f.trg not in seen:
-                seen.add(f.trg)
-                stack.append(f.trg)
+        for nxt in step(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
     return seen
 
 
 def _check_reachability(model: Choreography, report: ValidationReport) -> None:
-    from_initial = _forward_reach(model, model.initial)
+    from_initial = _reach(model.initial, lambda s: (f.trg for f in model.out_flows(s)))
     for s in sorted(model.states):
         if s not in from_initial:
             report.warn(s, "unreachable", "not reachable from the initial state")
 
-    reaches_final = {model.final}
-    changed = True
-    while changed:
-        changed = False
-        for f in model.flows:
-            if f.trg in reaches_final and f.src not in reaches_final:
-                reaches_final.add(f.src)
-                changed = True
+    reaches_final = _reach(model.final, lambda s: (f.src for f in model.in_flows(s)))
     for s in sorted(model.states):
         if s not in reaches_final and s in from_initial:
             report.warn(s, "dead-end", "cannot reach the final state")

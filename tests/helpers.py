@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from chorenforce import RunResult, generate_all, reference_traces, run_scenario
 from chorenforce.interpreter import Language
 from chorenforce.model import EPS, Choreography, Flow, Guard, Operation, StateKind
@@ -115,18 +117,12 @@ def share_disabled_scenario() -> Scenario:
 
 
 def run_sp(scenario: Scenario, *, policy="roundrobin", seed=0, **kw) -> RunResult:
-    """Run a social proximity scenario with the cached decomposition.
+    """Run a social proximity scenario.
 
     Every call also asserts the coordination message bound, so any test
     going through here contributes to the overhead check.
     """
-    result = run_scenario(
-        scenario,
-        policy=policy,
-        seed=seed,
-        cms=sp_cms(),
-        **kw,
-    )
+    result = run_scenario(scenario, policy=policy, seed=seed, **kw)
     assert_overhead(result)
     return result
 
@@ -193,18 +189,36 @@ LOOP_BODY_ACTIONS = (
 )
 
 
-def chain_scenario(n: int) -> Scenario:
-    """n operations in sequence, operation i from role R{i % 6} to the
-    next role round the ring; each role requests its operations in order."""
-    ops = [Operation(f"R{i % 6}", f"t{i}", f"R{(i + 1) % 6}") for i in range(n)]
+def chain_model(ops: list[Operation]) -> Choreography:
+    """The operations in sequence between Initial and Final."""
+    n = len(ops)
     states = {f"S{i}": StateKind.PLAIN for i in range(n + 1)}
     states.update(Initial=StateKind.INITIAL, Final=StateKind.FINAL)
     flows = [Flow("Initial", EPS, "S0"), Flow(f"S{n}", EPS, "Final")]
     flows += [Flow(f"S{i}", op, f"S{i + 1}") for i, op in enumerate(ops)]
     roles = {r for op in ops for r in (op.initiator, op.receiver)}
-    model = Choreography(states, "Initial", "Final", roles, {}, flows)
+    return Choreography(states, "Initial", "Final", roles, {}, flows)
+
+
+def chain_scenario(n: int) -> Scenario:
+    """n operations in sequence, operation i from role R{i % 6} to the
+    next role round the ring; each role requests its operations in order."""
+    ops = [Operation(f"R{i % 6}", f"t{i}", f"R{(i + 1) % 6}") for i in range(n)]
+    model = chain_model(ops)
     word = tuple(op.label for op in ops)
     return Scenario(model=model, environment={}, scripts=scripts_for_word(model, word))
+
+
+def random_chain_model(seed: int, n_ops: int, n_roles: int) -> Choreography:
+    """A chain whose operations each join two roles drawn at random, so
+    the operations of one pair lie scattered along it."""
+    rng = random.Random(seed)
+    roles = [f"R{i}" for i in range(n_roles)]
+    ops = []
+    for i in range(n_ops):
+        initiator, receiver = rng.sample(roles, 2)
+        ops.append(Operation(initiator, f"t{i}", receiver))
+    return chain_model(ops)
 
 
 def fork_model(k: int) -> Choreography:

@@ -33,7 +33,7 @@ from chorenforce.oracle import (
     MISSED_LOOP,
     UNDESIRED_TASK,
 )
-from chorenforce.participants import Action, Scenario, ScriptSpec, default_priorities
+from chorenforce.participants import Action, Scenario, ScriptSpec
 from chorenforce.randgen import random_case, scripts_for_word
 from chorenforce.runner import run_scenario, write_trace
 from chorenforce.simulator import COMPLETED, DEADLOCKED
@@ -153,9 +153,6 @@ def _random_model_sweep() -> dict:
         if len(case.model.states) > 12:
             problems.append(f"model {index}: {len(case.model.states)} states")
             continue
-        cms = generate_all(case.model)
-        priorities = default_priorities(cms)
-
         plan = [(word, "roundrobin", 0) for word in case.words]
         plan += [(case.words[j % len(case.words)], "random", j) for j in range(50)]
 
@@ -165,9 +162,8 @@ def _random_model_sweep() -> dict:
                 model=case.model,
                 environment=dict(case.env),
                 scripts=scripts_for_word(case.model, word),
-                priorities=priorities,
             )
-            result = run_scenario(scenario, policy=policy, seed=seed, cms=cms)
+            result = run_scenario(scenario, policy=policy, seed=seed)
             runs += 1
             _OVERHEADS.append(result.overhead)
             count, bound = result.overhead
@@ -385,7 +381,7 @@ def test_criterion_7_each_defect_class_has_a_mutant_that_elicits_it():
         ),
     )
     result = run_scenario(
-        early, cms=sp_cms(),
+        early,
         mutant_pair=Pair(SPS, NMU), mutant_cls=forward_without_check(),
     )
     elicit(UNDESIRED_TASK, result, "unchecked forward")
@@ -395,7 +391,7 @@ def test_criterion_7_each_defect_class_has_a_mutant_that_elicits_it():
         model=sp, environment=dict(ENV_SHARE_DISABLED), scripts=(im_script(),),
     )
     result = run_scenario(
-        wrong_branch, cms=sp_cms(),
+        wrong_branch,
         mutant_pair=Pair(IM, UMS), mutant_cls=skip_guard_check(sp.states),
     )
     elicit(INVALID_ALTERNATIVE, result, "inverted alternative guard")
@@ -432,7 +428,7 @@ def test_criterion_7_each_defect_class_has_a_mutant_that_elicits_it():
         ),
     )
     result = run_scenario(
-        rushed, cms=sp_cms(), mutant_pair=Pair(SPS, NMF), mutant_cls=skip_wait(),
+        rushed, mutant_pair=Pair(SPS, NMF), mutant_cls=skip_wait(),
     )
     elicit(MISSED_JOIN, result, "join crossed without waiting")
 

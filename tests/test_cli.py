@@ -195,14 +195,37 @@ def _unbound_guard_variable(data):
     del data["environment"]["friendFound"]
 
 
+def _int_for_bool_variable(data):
+    data["environment"]["shareEnabled"] = 1
+
+
+def _value_outside_int_domain(data):
+    # the shareEnabled alternative decided by n == 0 / n == 1 instead
+    guards = {"shareEnabled": "n == 1", "not shareEnabled": "n == 0"}
+    for flow in data["cefm"]["flows"]:
+        label = flow["label"]
+        if isinstance(label, dict) and label.get("guard") in guards:
+            label["guard"] = guards[label["guard"]]
+    data["cefm"]["variables"]["n"] = [0, 1]
+    data["environment"]["n"] = 5
+
+
 @pytest.mark.parametrize(
     "edit, named",
     [
         (_unknown_action, "SPS.startItin.UMS"),
         (_unknown_injection, "SPS.noSuchTask.NMU"),
         (_unbound_guard_variable, "friendFound"),
+        (_int_for_bool_variable, "shareEnabled"),
+        (_value_outside_int_domain, "n to 5"),
     ],
-    ids=["unknown-action", "unknown-injection", "unbound-guard-variable"],
+    ids=[
+        "unknown-action",
+        "unknown-injection",
+        "unbound-guard-variable",
+        "int-for-bool-variable",
+        "value-outside-domain",
+    ],
 )
 def test_run_unrunnable_scenario_is_a_clean_error(tmp_path, capsys, edit, named):
     data = json.loads((FIXTURES / "scenario_inorder.json").read_text())

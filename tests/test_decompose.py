@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +11,14 @@ from chorenforce.decompose import (
     Pair,
     dumps_cm,
     generate_all,
-    generate_cm,
     initial_wait_states,
     loads_cm,
 )
-from chorenforce.model import EPS, Choreography, Flow, StateKind
+from chorenforce.model import EPS, Choreography, Flow, Operation, StateKind
 from chorenforce.predicate import Not, Var, eval_pred, free_vars
 from chorenforce.randgen import random_case
 from golden import GOLDEN_CMS, GOLDEN_INITIAL_WAIT, GOLDEN_TUPLE_COUNT
-from helpers import sp_cms, sp_model, loop_model
+from helpers import loop_model, random_chain_model, sp_cms
 
 
 def test_pairs_discovered():
@@ -128,16 +128,16 @@ def test_invalid_model_rejected():
         generate_all(broken)
 
 
-def test_generate_cm_single_pair():
-    cm = generate_cm(sp_model(), Pair("IM", "SPS"))
-    assert cm.tuples == GOLDEN_CMS[Pair("IM", "SPS")]
+def test_generate_all_is_fast_on_a_long_chain_over_many_roles():
+    model = random_chain_model(seed=3, n_ops=800, n_roles=400)
+    t0 = time.perf_counter()
+    cms = generate_all(model)
+    elapsed = time.perf_counter() - t0
+    assert sum(len(cm.tuples) for cm in cms.values()) == 801
+    assert elapsed < 0.2, f"generate_all took {elapsed:.3f}s"
 
 
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=60, deadline=None)
-def test_decomposition_invariants_on_random_models(seed):
-    case = random_case(random.Random(seed))
-    model = case.model
+def assert_decomposition_invariants(model: Choreography) -> None:
     cms = generate_all(model)
     op_flows = {
         (f.src, f.label.task, f.trg, f.label.initiator, f.label.receiver)
@@ -148,7 +148,12 @@ def test_decomposition_invariants_on_random_models(seed):
     for pair, cm in cms.items():
         for t in cm.tuples:
             assert t.src in model.states and t.trg in model.states
-            assert pair not in t.allowed_services
+            leaving = {
+                Pair(f.label.initiator, f.label.receiver)
+                for f in model.out_flows(t.trg)
+                if isinstance(f.label, Operation)
+            }
+            assert t.allowed_services == leaving - {pair}
             assert free_vars(t.cond) <= set(model.variables)
             if t.is_op:
                 key = (t.src, t.op, t.trg, pair.initiator, pair.receiver)
@@ -170,3 +175,13 @@ def test_decomposition_invariants_on_random_models(seed):
             assert s in ends or s in entry or any(
                 t.src == s and t.is_op for t in cm.tuples
             )
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_decomposition_invariants_on_random_models(seed):
+    assert_decomposition_invariants(random_case(random.Random(seed)).model)
+
+
+def test_decomposition_invariants_on_scattered_chain():
+    assert_decomposition_invariants(random_chain_model(seed=7, n_ops=160, n_roles=45))

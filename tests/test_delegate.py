@@ -160,7 +160,7 @@ def test_buffered_update_consumed_by_request():
     changes = [(e.src, e.trg) for e in ems if isinstance(e, StateChangeEmission)]
     assert changes == [(None, "E1"), ("E1", "E2"), ("E2", "LP"), ("LP", "E1")]
     # after one iteration the thread waits at the body entry again
-    assert [t.state for t in d.op_threads()] == ["E1"]
+    assert [t.state for t in d.threads if t.status == "op"] == ["E1"]
 
 
 def test_pending_request_wants_buffered_state():

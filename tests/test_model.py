@@ -17,7 +17,7 @@ from chorenforce.model import (
     save_model,
 )
 from chorenforce.predicate import Var
-from chorenforce.socialprox import IM, SPS, UMS, social_proximity
+from chorenforce.socialprox import IM, UMS, social_proximity
 from helpers import loop_model
 
 
@@ -53,27 +53,12 @@ def test_eps_closure_stops_at_guards_and_ops():
     assert m.eps_closure("S10") == {"S10"}
 
 
-def test_echain_targets():
-    m = social_proximity()
-    assert m.echain_targets("S5", Operation(IM, "getUserPref", UMS)) == {"S6", "S7"}
-    assert m.echain_targets("S9", Operation(IM, "matchGPS", SPS)) == {"S10"}
-    assert m.echain_targets("S5", Operation(IM, "nosuch", UMS)) == set()
-
-
 def test_operations_and_pairs():
     m = social_proximity()
     ops = m.operations()
     # startItin appears twice, but with distinct receivers: 8 distinct labels
     assert len(ops) == 8
     assert len({op.label for op in ops}) == 8
-    assert sorted(m.pairs()) == [
-        (IM, SPS),
-        (IM, UMS),
-        (SPS, "NMF"),
-        (SPS, "NMU"),
-        (SPS, "SocialProxApp"),
-        (SPS, UMS),
-    ]
 
 
 def test_flow_sort_key_total_order():

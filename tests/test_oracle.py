@@ -42,7 +42,6 @@ from chorenforce.socialprox import (
 )
 from helpers import (
     APP,
-    sp_cms,
     sp_language,
     sp_model,
     im_script,
@@ -90,7 +89,7 @@ def test_forward_without_check_is_undesired_task():
         ),
     )
     result = run_scenario(
-        scenario, cms=sp_cms(),
+        scenario,
         mutant_pair=SPS_NMU, mutant_cls=forward_without_check(),
     )
     bad = [v for v in result.verdicts if v.kind == UNDESIRED_TASK]
@@ -107,7 +106,7 @@ def test_skip_guard_check_is_invalid_alternative():
         scripts=(im_script(),),
     )
     result = run_scenario(
-        scenario, cms=sp_cms(),
+        scenario,
         mutant_pair=IM_UMS,
         mutant_cls=skip_guard_check(sp_model().states),
     )
@@ -161,7 +160,7 @@ def test_skip_wait_is_missed_join():
         ),
     )
     result = run_scenario(
-        scenario, cms=sp_cms(),
+        scenario,
         mutant_pair=SPS_NMF, mutant_cls=skip_wait(),
     )
     bad = [v for v in result.verdicts if v.kind == MISSED_JOIN]

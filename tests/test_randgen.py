@@ -2,11 +2,10 @@ import random
 
 from chorenforce.delegate import Delegate
 from chorenforce.model import StateKind
-from chorenforce.participants import Scenario, default_priorities
+from chorenforce.participants import Scenario
 from chorenforce.randgen import GeneratedCase, fuzz, random_case, scripts_for_word
 from chorenforce.runner import run_scenario
 from chorenforce.validate import validate_cefm
-from chorenforce import generate_all
 
 
 def cases(n, seed=0):
@@ -60,17 +59,14 @@ def test_scripts_project_the_word():
 def test_directed_runs_agree_with_reference():
     # a light version of the acceptance fuzz: a handful of models
     for case in cases(12, seed=9):
-        cms = generate_all(case.model)
-        prios = default_priorities(cms)
         completed_words = set()
         for word in case.words:
             scenario = Scenario(
                 model=case.model,
                 environment=case.env,
                 scripts=scripts_for_word(case.model, word),
-                priorities=prios,
             )
-            result = run_scenario(scenario, policy="roundrobin", seed=0, cms=cms)
+            result = run_scenario(scenario, policy="roundrobin", seed=0)
             assert not result.flagged, (word, result.report())
             assert result.conformant, (word, result.report())
             if result.outcome == "completed":
