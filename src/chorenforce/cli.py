@@ -7,7 +7,13 @@ import json
 import sys
 from pathlib import Path
 
-from .decompose import CmFormatError, cm_warnings, dumps_cm, generate_all
+from .decompose import (
+    CmFormatError,
+    InvalidModelError,
+    cm_warnings,
+    dumps_cm,
+    generate_all,
+)
 from .interpreter import reference_traces
 from .model import ModelFormatError, load_model
 from .oracle import ALLOWED, RuntimeChecker, check_conformance, projection
@@ -153,6 +159,7 @@ def main(argv=None) -> int:
         ModelFormatError,
         ScenarioFormatError,
         CmFormatError,
+        InvalidModelError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

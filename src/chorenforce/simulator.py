@@ -7,6 +7,14 @@ reply comes back in the same step. One step therefore consumes exactly
 one schedulable item: a nonempty channel, a participant with a pending
 action, or an armed injection.
 
+The simulator keeps the labels of exactly those items in one ready set,
+updated where they change rather than rebuilt each step: a channel's
+label enters when its queue goes from empty to nonempty and leaves when
+the queue empties, and a role's participant and injection labels are
+re-derived at bootstrap, after the role issues a request, and when a
+request of its script is unblocked. Policies see the set as a sorted
+list, so the schedule depends only on which items are ready.
+
 Every observable fact of a run becomes one trace event with a strictly
 increasing sequence number. Message events are logged at delivery, so
 the trace reflects what each delegate knew and when. Two runs with the
@@ -16,6 +24,7 @@ same scenario, seed and policy produce byte-identical traces.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 
 from .decompose import CoordModel, Pair
@@ -73,19 +82,23 @@ class RoundRobin:
         self._pos = -1
 
     def select(self, ready: list[str]) -> str:
-        fresh = [k for k in ready if k not in self._known_set]
-        if fresh:
-            self._known.extend(fresh)
-            self._known_set.update(fresh)
-            self._known.sort()
-        ready_set = set(ready)
-        n = len(self._known)
-        for offset in range(1, n + 1):
-            idx = (self._pos + offset) % n
-            if self._known[idx] in ready_set:
-                self._pos = idx
-                return self._known[idx]
-        raise SimulationError("no ready source")
+        """The first ready label after the last pick in the rotation.
+
+        `ready` is sorted, so that is the first ready label above the
+        known label at the last pick's index, else the smallest one.
+        The index is kept, not the label: labels first seen in this call
+        are sorted in before it is read, so it may then name another
+        label than the last pick."""
+        for label in ready:
+            if label not in self._known_set:
+                self._known_set.add(label)
+                insort(self._known, label)
+        if not ready:
+            raise SimulationError("no ready source")
+        i = 0 if self._pos < 0 else bisect_right(ready, self._known[self._pos])
+        chosen = ready[i] if i < len(ready) else ready[0]
+        self._pos = bisect_left(self._known, chosen)
+        return chosen
 
 
 class SeededRandom:
@@ -112,6 +125,10 @@ def _src_label(pair: Pair | None) -> str:
     return "enactment" if pair is None else f"{pair.initiator},{pair.receiver}"
 
 
+def _channel_label(src: Pair | None, dst: Pair) -> str:
+    return f"ch:{_src_label(src)}->{_src_label(dst)}"
+
+
 class Simulator:
     def __init__(
         self,
@@ -130,6 +147,7 @@ class Simulator:
         self.max_events = max_events
         self.events: list[dict] = []
         self.channels: dict[tuple[Pair | None, Pair], deque] = {}
+        self._ready: dict[str, tuple] = {}
         self.request_origin: dict[int, tuple] = {}
         self._next_request = 0
 
@@ -143,10 +161,16 @@ class Simulator:
     # -- transport --------------------------------------------------------
 
     def _send(self, src: Pair | None, dst: Pair, message: tuple) -> None:
-        self.channels.setdefault((src, dst), deque()).append(message)
+        queue = self.channels.setdefault((src, dst), deque())
+        if not queue:
+            self._ready[_channel_label(src, dst)] = ("channel", src, dst)
+        queue.append(message)
 
     def _deliver(self, src: Pair | None, dst: Pair) -> None:
-        message = self.channels[(src, dst)].popleft()
+        queue = self.channels[(src, dst)]
+        message = queue.popleft()
+        if not queue:
+            del self._ready[_channel_label(src, dst)]
         delegate = self.delegates[dst]
         if message[0] == "update":
             _, state = message
@@ -186,6 +210,7 @@ class Simulator:
                 kind, *info = self.request_origin[em.request_id]
                 if kind == "participant":
                     self.participants[info[0]].on_unblocked()
+                    self._refresh(info[0])
             elif isinstance(em, StateChangeEmission):
                 self._emit(
                     "StateChange",
@@ -237,37 +262,38 @@ class Simulator:
                 participant.on_blocked(request_id)
         elif not injected:
             participant.on_forwarded()
+        self._refresh(role)
+
+    def _refresh(self, role: str) -> None:
+        """Re-derive the role's participant and injection labels."""
+        participant = self.participants[role]
+        label = f"pt:{role}"
+        if participant.ready():
+            self._ready[label] = ("participant", role)
+        else:
+            self._ready.pop(label, None)
+        for idx in range(len(participant.injections)):
+            self._ready.pop(f"inj:{role}:{idx}", None)
+        for idx in participant.ready_injections():
+            self._ready[f"inj:{role}:{idx}"] = ("injection", role, idx)
 
     # -- main loop ------------------------------------------------------------
-
-    def _collect_ready(self) -> dict[str, tuple]:
-        ready: dict[str, tuple] = {}
-        for (src, dst), queue in self.channels.items():
-            if queue:
-                label = f"ch:{_src_label(src)}->{_src_label(dst)}"
-                ready[label] = ("channel", src, dst)
-        for role in self.participants:
-            participant = self.participants[role]
-            if participant.ready():
-                ready[f"pt:{role}"] = ("participant", role)
-            for idx in participant.ready_injections():
-                ready[f"inj:{role}:{idx}"] = ("injection", role, idx)
-        return ready
 
     def bootstrap(self) -> None:
         for pair, state in enactment_bootstrap(self.model, self.cms):
             self._send(None, pair, ("update", state))
+        for role in self.participants:
+            self._refresh(role)
 
     def run(self) -> str:
         self.bootstrap()
         while True:
             if len(self.events) >= self.max_events:
                 return BUDGET
-            ready = self._collect_ready()
-            if not ready:
+            if not self._ready:
                 break
-            label = self.policy.select(sorted(ready))
-            item = ready[label]
+            label = self.policy.select(sorted(self._ready))
+            item = self._ready[label]
             if item[0] == "channel":
                 self._deliver(item[1], item[2])
             elif item[0] == "participant":

@@ -200,25 +200,34 @@ def chain_model(ops: list[Operation]) -> Choreography:
     return Choreography(states, "Initial", "Final", roles, {}, flows)
 
 
-def chain_scenario(n: int) -> Scenario:
-    """n operations in sequence, operation i from role R{i % 6} to the
-    next role round the ring; each role requests its operations in order."""
-    ops = [Operation(f"R{i % 6}", f"t{i}", f"R{(i + 1) % 6}") for i in range(n)]
+def chain_model_scenario(ops: list[Operation]) -> Scenario:
+    """The chain of ops; each role requests its operations in chain order."""
     model = chain_model(ops)
     word = tuple(op.label for op in ops)
     return Scenario(model=model, environment={}, scripts=scripts_for_word(model, word))
 
 
-def random_chain_model(seed: int, n_ops: int, n_roles: int) -> Choreography:
-    """A chain whose operations each join two roles drawn at random, so
-    the operations of one pair lie scattered along it."""
+def chain_scenario(n: int) -> Scenario:
+    """n operations in sequence, operation i from role R{i % 6} to the
+    next role round the ring."""
+    ops = [Operation(f"R{i % 6}", f"t{i}", f"R{(i + 1) % 6}") for i in range(n)]
+    return chain_model_scenario(ops)
+
+
+def random_chain_ops(seed: int, n_ops: int, n_roles: int) -> list[Operation]:
+    """Operations that each join two roles drawn at random, so the
+    operations of one pair lie scattered along the chain."""
     rng = random.Random(seed)
     roles = [f"R{i}" for i in range(n_roles)]
     ops = []
     for i in range(n_ops):
         initiator, receiver = rng.sample(roles, 2)
         ops.append(Operation(initiator, f"t{i}", receiver))
-    return chain_model(ops)
+    return ops
+
+
+def random_chain_model(seed: int, n_ops: int, n_roles: int) -> Choreography:
+    return chain_model(random_chain_ops(seed, n_ops, n_roles))
 
 
 def fork_model(k: int) -> Choreography:

@@ -237,6 +237,31 @@ def test_run_unrunnable_scenario_is_a_clean_error(tmp_path, capsys, edit, named)
     assert err.startswith("error: ") and named in err
 
 
+def _structurally_invalid(cefm):
+    # a second way out of the plain state S5
+    cefm["flows"].append({"from": "S5", "label": "eps", "to": "Final"})
+
+
+def test_run_structurally_invalid_model_is_a_clean_error(tmp_path, capsys):
+    data = json.loads((FIXTURES / "scenario_inorder.json").read_text())
+    _structurally_invalid(data["cefm"])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "S5: plain-degree" in err
+
+
+def test_gen_cm_structurally_invalid_model_is_a_clean_error(tmp_path, capsys):
+    data = json.loads((FIXTURES / "social_proximity.json").read_text())
+    _structurally_invalid(data)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    assert main(["gen-cm", str(path), "--out-dir", str(tmp_path / "cms")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "S5: plain-degree" in err
+
+
 def test_long_chain_run_and_check_trace_conform(tmp_path, capsys):
     # longer than the 50 operations the reference enumeration lists
     path = tmp_path / "chain.json"
