@@ -19,7 +19,13 @@ from .model import ModelFormatError, load_model
 from .oracle import ALLOWED, RuntimeChecker, check_conformance, projection
 from .participants import ScenarioFormatError, load_scenario
 from .randgen import fuzz
-from .runner import read_trace, run_scenario, write_report, write_trace
+from .runner import (
+    TraceFormatError,
+    read_trace,
+    run_scenario,
+    write_report,
+    write_trace,
+)
 from .simulator import AmbiguousActivationError, enactment_bootstrap
 from .validate import validate_cefm
 
@@ -160,6 +166,7 @@ def main(argv=None) -> int:
         ScenarioFormatError,
         CmFormatError,
         InvalidModelError,
+        TraceFormatError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

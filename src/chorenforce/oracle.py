@@ -39,6 +39,10 @@ MISSED_JOIN = "MissedJoin"
 DEADLOCKING_JOIN = "DeadlockingJoin"
 
 
+class TraceFormatError(ValueError):
+    """A trace line or event is not what the trace format promises."""
+
+
 @dataclass(frozen=True)
 class Verdict:
     seq: int  # sequence number of the forward event; -1 for post-run findings
@@ -82,18 +86,24 @@ class RuntimeChecker:
     def run(self, events: list[dict]) -> list[Verdict]:
         delivered: set[tuple[str, tuple, str, tuple]] = set()
         verdicts = []
-        for event in events:
-            if event["kind"] == "Notify":
-                delivered.add(
-                    (
-                        event["pred"],
-                        tuple(event["from"]),
-                        event["join"],
-                        tuple(event["to"]),
+        index = 0
+        try:
+            for index, event in enumerate(events):
+                if event["kind"] == "Notify":
+                    delivered.add(
+                        (
+                            event["pred"],
+                            tuple(event["from"]),
+                            event["join"],
+                            tuple(event["to"]),
+                        )
                     )
-                )
-            elif event["kind"] == "Forward":
-                verdicts.append(self._classify(event, delivered))
+                elif event["kind"] == "Forward":
+                    verdicts.append(self._classify(event, delivered))
+        except KeyError as exc:
+            raise TraceFormatError(f"trace event {index}: missing field {exc}") from None
+        except TypeError as exc:
+            raise TraceFormatError(f"trace event {index}: {exc}") from None
         return verdicts
 
     def _classify(self, event: dict, delivered: set) -> Verdict:

@@ -11,6 +11,7 @@ from .interpreter import reference_traces
 from .oracle import (
     ALLOWED,
     RuntimeChecker,
+    TraceFormatError,
     Verdict,
     check_conformance,
     coordination_overhead,
@@ -125,8 +126,32 @@ def run_scenario(
     )
 
 
+# json.dumps(event, sort_keys=True) builds this C encoder, with these
+# arguments, on every call; here it is built once. Its markers dict (the
+# circular-reference check) keeps the entries of a failed encode, so
+# trace_lines empties it afterwards.
+_MARKERS: dict = {}
+_ENCODE = json.encoder.c_make_encoder(
+    _MARKERS,
+    json.JSONEncoder().default,
+    json.encoder.encode_basestring_ascii,  # ensure_ascii
+    None,  # indent
+    ": ",  # key separator
+    ", ",  # item separator
+    True,  # sort_keys
+    False,  # skipkeys
+    True,  # allow_nan
+)
+_SCAN = json.JSONDecoder().scan_once
+
+
 def trace_lines(events: list[dict]) -> str:
-    return "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
+    """One JSON object per event and line: keys sorted, ASCII-escaped,
+    the same bytes as json.dumps(event, sort_keys=True) + "\n"."""
+    try:
+        return "".join(["".join(_ENCODE(e, 0)) + "\n" for e in events])
+    finally:
+        _MARKERS.clear()
 
 
 def write_trace(events: list[dict], path) -> None:
@@ -134,9 +159,47 @@ def write_trace(events: list[dict], path) -> None:
         fh.write(trace_lines(events))
 
 
+def _decode_line(number: int, line: str) -> dict:
+    try:
+        event = json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise TraceFormatError(f"trace line {number}: {exc}") from None
+    if type(event) is not dict:
+        raise TraceFormatError(
+            f"trace line {number}: expected one JSON object, got {type(event).__name__}"
+        )
+    return event
+
+
 def read_trace(path) -> list[dict]:
+    """The events of a trace file. Blank lines are skipped; any other line
+    must hold exactly one JSON object, else TraceFormatError names it.
+
+    The file is split on "\n" only: str.splitlines would also split on a
+    raw U+2028 inside a string. A line that json's scanner reads whole as
+    one object is taken as it is, without json.loads' per-call work;
+    json.loads decides every other line, so padded lines decode as before
+    and a malformed one is named. Lines are decoded one by one because
+    one json.loads over the joined lines cannot tell which line an object
+    came from: `{"a": 1}, {"b": [1` followed by `2]}` would pass as two.
+    """
     with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"trace is not text: {exc}") from None
+    events = []
+    for number, line in enumerate(lines, 1):
+        try:
+            event, end = _SCAN(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line) or type(event) is not dict:
+            if not line.strip():
+                continue
+            event = _decode_line(number, line)
+        events.append(event)
+    return events
 
 
 def write_report(result: RunResult, path) -> None:

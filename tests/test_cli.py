@@ -284,3 +284,45 @@ def test_run_and_check_trace_never_enumerate(tmp_path, monkeypatch):
     assert main(["run", str(scenario), "--out-dir", str(runs)]) == 0
     trace = next(runs.glob("*.trace.jsonl"))
     assert main(["check-trace", str(scenario), str(trace)]) == 0
+
+
+def test_check_trace_structurally_invalid_model_is_a_clean_error(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    main(["run", str(FIXTURES / "scenario_inorder.json"), "--out-dir", str(runs)])
+    trace = next(runs.glob("*.trace.jsonl"))
+    data = json.loads((FIXTURES / "scenario_inorder.json").read_text())
+    _structurally_invalid(data["cefm"])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["check-trace", str(path), str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "S5: plain-degree" in err
+
+
+@pytest.mark.parametrize(
+    "extra,named",
+    [
+        ("[1, 2]", "line 64: expected one JSON object"),
+        ('{"kind": "Forward", "seq": 99}', "event 63: missing field 'cd'"),
+        ('{"seq": 99}', "event 63: missing field 'kind'"),
+        ('{"kind": "Notify", "seq": 99, "pred": "S1"}', "event 63: missing field 'from'"),
+        (
+            '{"kind": "Forward", "seq": 99, "cd": 5, "task": "t", "src": "S1"}',
+            "event 63: 'int' object is not iterable",
+        ),
+    ],
+    ids=["array", "forward-without-cd", "no-kind", "notify-without-from", "int-cd"],
+)
+def test_check_trace_malformed_trace_is_a_clean_error(tmp_path, capsys, extra, named):
+    scenario = FIXTURES / "scenario_inorder.json"
+    runs = tmp_path / "runs"
+    main(["run", str(scenario), "--out-dir", str(runs)])
+    trace = next(runs.glob("*.trace.jsonl"))
+    assert len(trace.read_text().splitlines()) == 63
+    with trace.open("a") as fh:
+        fh.write(extra + "\n")
+    capsys.readouterr()
+    assert main(["check-trace", str(scenario), str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace ") and named in err
