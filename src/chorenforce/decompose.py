@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .model import Choreography, Flow, Guard, Operation, StateKind
 from .predicate import Not, Pred, TRUE, parse_predicate, to_text
@@ -40,8 +41,11 @@ class CmFormatError(ValueError):
     """A coordination-model JSON document is malformed."""
 
 
-@dataclass(frozen=True, order=True)
-class Pair:
+class Pair(NamedTuple):
+    """A (initiator, receiver) role pair. As a tuple its hash, equality
+    and ordering are those of (initiator, receiver), computed in C; it
+    also compares equal to that plain tuple."""
+
     initiator: str
     receiver: str
 
@@ -73,6 +77,9 @@ class CoordTuple:
 
 
 class CoordModel:
+    """One pair's tuples, with lookup tables that are each built on first
+    use: a recheck reads only tuples_from, ops_from and waits_at."""
+
     def __init__(self, owner: Pair, tuples):
         self.owner = owner
         self.tuples = frozenset(tuples)
@@ -82,9 +89,13 @@ class CoordModel:
 
     @cached_property
     def by_src(self) -> dict[str, list[CoordTuple]]:
+        """Tuples by source state, each list in sorted_tuples order."""
         out: dict[str, list[CoordTuple]] = {}
-        for t in self.sorted_tuples():
+        for t in self.tuples:
             out.setdefault(t.src, []).append(t)
+        for group in out.values():
+            if len(group) > 1:
+                group.sort(key=CoordTuple.sort_key)
         return out
 
     def tuples_from(self, src: str) -> list[CoordTuple]:
@@ -93,23 +104,42 @@ class CoordModel:
     def ops_from(self, src: str) -> set[str]:
         return {t.op for t in self.tuples_from(src) if t.is_op}
 
+    @cached_property
+    def _op_sources(self) -> dict[str, list[str]]:
+        out: dict[str, list[str]] = {}
+        for t in self.tuples:
+            if t.is_op:
+                out.setdefault(t.op, []).append(t.src)
+        for sources in out.values():
+            sources.sort()
+        return out
+
     def has_op(self, task: str) -> bool:
-        return any(t.op == task for t in self.tuples)
+        return task in self._op_sources
 
     def op_sources(self, task: str) -> list[str]:
-        return sorted(t.src for t in self.tuples if t.op == task)
+        return self._op_sources.get(task, [])
+
+    @cached_property
+    def op_states(self) -> frozenset[str]:
+        """The states with an operation tuple of this pair out of them."""
+        return frozenset(t.src for t in self.tuples if t.is_op)
 
     @cached_property
     def initial_wait(self) -> frozenset[str]:
         return initial_wait_states(self)
 
+    @cached_property
+    def _waits(self) -> dict[str, frozenset[tuple[str, Pair]]]:
+        out: dict[str, set[tuple[str, Pair]]] = {}
+        for t in self.tuples:
+            if t.to_be_waited:
+                out.setdefault(t.trg, set()).update(t.to_be_waited)
+        return {join: frozenset(entries) for join, entries in out.items()}
+
     def waits_at(self, join: str) -> frozenset[tuple[str, Pair]]:
         """All notifications this delegate must collect before passing `join`."""
-        out: set[tuple[str, Pair]] = set()
-        for t in self.tuples:
-            if t.trg == join:
-                out |= t.to_be_waited
-        return frozenset(out)
+        return self._waits.get(join, frozenset())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoordModel):
@@ -225,7 +255,6 @@ def initial_wait_states(cm: CoordModel) -> frozenset[str]:
     because crossing a join is decided by the notify/priority handshake
     and continued via an update, not by this walk.
     """
-    op_sources = {t.src for t in cm.tuples if t.is_op}
     reached: set[str] = set()
     frontier = [t.trg for t in cm.tuples if t.is_op and not t.to_be_waited]
     while frontier:
@@ -237,7 +266,7 @@ def initial_wait_states(cm: CoordModel) -> frozenset[str]:
             if t.to_be_waited:
                 continue
             frontier.append(t.trg)
-    return frozenset(op_sources - reached)
+    return cm.op_states - reached
 
 
 def cm_warnings(cm: CoordModel) -> list[str]:

@@ -119,7 +119,9 @@ class Delegate:
         self.pair = pair
         self.cm = cm
         self.env = dict(env)
-        self.priorities = dict(priorities)
+        # read-only and shared by every delegate of a run: a copy each
+        # would cost O(pairs^2) to build the delegates
+        self.priorities = priorities
         self.final_state = final_state
         self.threads: list[Thread] = []
         self.pending: list[tuple[int, str]] = []  # (request_id, task)
@@ -240,7 +242,7 @@ class Delegate:
                 else:
                     thread.status = "parked"
                 continue
-            if any(t.is_op for t in outs):
+            if thread.state in self.cm.op_states:
                 thread.status = "op"
                 continue
             live = [t for t in outs if self._cond_holds(t)]
@@ -265,13 +267,15 @@ class Delegate:
 
     def _traverse(self, thread: Thread, t: CoordTuple, ems: list) -> bool:
         """Apply one tuple to a thread; True when the thread advanced."""
-        for pred, pair in sorted(self._notify_entries(t)):
-            ems.append(NotifyEmission(dst=pair, pred=pred, join=t.trg))
-        waits = set(self._wait_entries(t))
+        notified = self._notify_entries(t)
+        if notified:
+            for pred, pair in sorted(notified):
+                ems.append(NotifyEmission(dst=pair, pred=pred, join=t.trg))
+        waits = self._wait_entries(t)
         if waits:
             thread.join = t.trg
             thread.pending_tuple = t
-            thread.awaited = waits
+            thread.awaited = set(waits)
             self._drain_notify_buffer(thread)
             if thread.awaited:
                 thread.status = "suspended"

@@ -236,4 +236,8 @@ def save_model(model: Choreography, path) -> None:
 
 def load_model(path) -> Choreography:
     with open(path) as fh:
-        return loads_model(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"model is not text: {exc}") from None
+    return loads_model(text)

@@ -39,6 +39,12 @@ MISSED_JOIN = "MissedJoin"
 DEADLOCKING_JOIN = "DeadlockingJoin"
 
 
+# the kinds of event the simulator writes
+EVENT_KINDS = frozenset(
+    {"Request", "Block", "Forward", "Unblock", "Update", "Notify", "StateChange"}
+)
+
+
 class TraceFormatError(ValueError):
     """A trace line or event is not what the trace format promises."""
 
@@ -89,7 +95,8 @@ class RuntimeChecker:
         index = 0
         try:
             for index, event in enumerate(events):
-                if event["kind"] == "Notify":
+                kind = event["kind"]
+                if kind == "Notify":
                     delivered.add(
                         (
                             event["pred"],
@@ -98,8 +105,10 @@ class RuntimeChecker:
                             tuple(event["to"]),
                         )
                     )
-                elif event["kind"] == "Forward":
+                elif kind == "Forward":
                     verdicts.append(self._classify(event, delivered))
+                elif kind not in EVENT_KINDS:
+                    raise TraceFormatError(f"trace event {index}: unknown kind {kind!r}")
         except KeyError as exc:
             raise TraceFormatError(f"trace event {index}: missing field {exc}") from None
         except TypeError as exc:
@@ -107,15 +116,17 @@ class RuntimeChecker:
         return verdicts
 
     def _classify(self, event: dict, delivered: set) -> Verdict:
-        cd = tuple(event["cd"])
+        raw_cd = event["cd"]
+        cd = tuple(raw_cd)  # a cd that is no sequence fails here
+        if type(raw_cd) is not list or list(map(type, cd)) != [str, str]:
+            raise TypeError(f"Forward cd is not a list of two roles: {raw_cd!r}")
         task = event["task"]
         src = event["src"]
-        pair = Pair(*cd)
 
         def verdict(kind: str, detail: str = "") -> Verdict:
             return Verdict(event["seq"], kind, cd, task, src, detail)
 
-        cm = self.cms.get(pair)
+        cm = self.cms.get(cd)  # a Pair hashes and compares as its plain tuple
         allowed_ops = cm.ops_from(src) if cm is not None else set()
         if task not in allowed_ops:
             return verdict(
@@ -139,7 +150,7 @@ class RuntimeChecker:
                 )
         if src in self._join_exit_in:
             join = self._join_exit_in[src]
-            required = self.cms[pair].waits_at(join)
+            required = cm.waits_at(join)
             missing = [
                 (pred_state, (other.initiator, other.receiver))
                 for pred_state, other in sorted(required)

@@ -224,7 +224,11 @@ def dumps_scenario(scenario: Scenario) -> str:
 
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
-        return scenario_from_json(json.load(fh))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioFormatError(f"scenario is not text: {exc}") from None
+    return scenario_from_json(json.loads(text))
 
 
 def save_scenario(scenario: Scenario, path) -> None:

@@ -117,16 +117,8 @@ def make_policy(name: str, seed: int):
     raise SimulationError(f"unknown policy {name!r}")
 
 
-def _fmt_pair(pair: Pair | None) -> list[str] | None:
-    return None if pair is None else [pair.initiator, pair.receiver]
-
-
 def _src_label(pair: Pair | None) -> str:
     return "enactment" if pair is None else f"{pair.initiator},{pair.receiver}"
-
-
-def _channel_label(src: Pair | None, dst: Pair) -> str:
-    return f"ch:{_src_label(src)}->{_src_label(dst)}"
 
 
 class Simulator:
@@ -147,78 +139,108 @@ class Simulator:
         self.max_events = max_events
         self.events: list[dict] = []
         self.channels: dict[tuple[Pair | None, Pair], deque] = {}
+        # each channel's ready label and item, built at its first send
+        self._channel_items: dict[tuple[Pair | None, Pair], tuple[str, tuple]] = {}
         self._ready: dict[str, tuple] = {}
         self.request_origin: dict[int, tuple] = {}
         self._next_request = 0
 
-    # -- trace -----------------------------------------------------------
-
-    def _emit(self, kind: str, **fields) -> dict:
-        event = {"kind": kind, "seq": len(self.events), **fields}
-        self.events.append(event)
-        return event
-
     # -- transport --------------------------------------------------------
 
     def _send(self, src: Pair | None, dst: Pair, message: tuple) -> None:
-        queue = self.channels.setdefault((src, dst), deque())
+        key = (src, dst)
+        queue = self.channels.get(key)
+        if queue is None:
+            queue = self.channels[key] = deque()
+            label = f"ch:{_src_label(src)}->{_src_label(dst)}"
+            self._channel_items[key] = (label, ("channel", src, dst, label))
         if not queue:
-            self._ready[_channel_label(src, dst)] = ("channel", src, dst)
+            label, item = self._channel_items[key]
+            self._ready[label] = item
         queue.append(message)
 
-    def _deliver(self, src: Pair | None, dst: Pair) -> None:
+    def _deliver(self, src: Pair | None, dst: Pair, label: str) -> None:
         queue = self.channels[(src, dst)]
         message = queue.popleft()
         if not queue:
-            del self._ready[_channel_label(src, dst)]
+            del self._ready[label]
         delegate = self.delegates[dst]
+        events = self.events
+        sender = None if src is None else list(src)
         if message[0] == "update":
-            _, state = message
-            self._emit("Update", **{"from": _fmt_pair(src)}, to=_fmt_pair(dst), state=state)
+            state = message[1]
+            events.append(
+                {
+                    "kind": "Update",
+                    "seq": len(events),
+                    "from": sender,
+                    "to": list(dst),
+                    "state": state,
+                }
+            )
             emissions = delegate.handle_update(state)
         else:
             _, pred, join = message
             assert src is not None
-            self._emit(
-                "Notify", **{"from": _fmt_pair(src)}, to=_fmt_pair(dst), pred=pred, join=join
+            events.append(
+                {
+                    "kind": "Notify",
+                    "seq": len(events),
+                    "from": sender,
+                    "to": list(dst),
+                    "pred": pred,
+                    "join": join,
+                }
             )
             emissions = delegate.handle_notify(pred, src, join)
         self._process(dst, emissions)
 
     def _process(self, origin: Pair, emissions: list) -> None:
+        """Log or route each emission; kinds are tested most frequent first."""
+        events = self.events
         for em in emissions:
-            if isinstance(em, ForwardEmission):
-                self._emit(
-                    "Forward",
-                    cd=_fmt_pair(origin),
-                    task=em.task,
-                    src=em.src,
-                    trg=em.trg,
-                    receiver=origin.receiver,
+            kind = type(em)
+            if kind is StateChangeEmission:
+                events.append(
+                    {
+                        "kind": "StateChange",
+                        "seq": len(events),
+                        "cd": list(origin),
+                        "thread": em.thread_id,
+                        "from": em.src,
+                        "to": em.trg,
+                    }
                 )
-            elif isinstance(em, UpdateEmission):
-                self._send(origin, em.dst, ("update", em.state))
-            elif isinstance(em, NotifyEmission):
-                self._send(origin, em.dst, ("notify", em.pred, em.join))
-            elif isinstance(em, UnblockEmission):
-                self._emit(
-                    "Unblock",
-                    cd=_fmt_pair(origin),
-                    request_id=em.request_id,
-                    task=em.task,
+            elif kind is ForwardEmission:
+                events.append(
+                    {
+                        "kind": "Forward",
+                        "seq": len(events),
+                        "cd": list(origin),
+                        "task": em.task,
+                        "src": em.src,
+                        "trg": em.trg,
+                        "receiver": origin.receiver,
+                    }
                 )
-                kind, *info = self.request_origin[em.request_id]
-                if kind == "participant":
+            elif kind is UnblockEmission:
+                events.append(
+                    {
+                        "kind": "Unblock",
+                        "seq": len(events),
+                        "cd": list(origin),
+                        "request_id": em.request_id,
+                        "task": em.task,
+                    }
+                )
+                request_kind, *info = self.request_origin[em.request_id]
+                if request_kind == "participant":
                     self.participants[info[0]].on_unblocked()
                     self._refresh(info[0])
-            elif isinstance(em, StateChangeEmission):
-                self._emit(
-                    "StateChange",
-                    cd=_fmt_pair(origin),
-                    thread=em.thread_id,
-                    **{"from": em.src},
-                    to=em.trg,
-                )
+            elif kind is UpdateEmission:
+                self._send(origin, em.dst, ("update", em.state))
+            elif kind is NotifyEmission:
+                self._send(origin, em.dst, ("notify", em.pred, em.join))
             else:
                 raise SimulationError(f"unknown emission {em!r}")
 
@@ -240,23 +262,30 @@ class Simulator:
         self.request_origin[request_id] = (
             ("injection", role, injection_index) if injected else ("participant", role)
         )
-        self._emit(
-            "Request",
-            participant=role,
-            cd=_fmt_pair(pair),
-            task=action.task,
-            request_id=request_id,
-            injected=injected,
+        events = self.events
+        events.append(
+            {
+                "kind": "Request",
+                "seq": len(events),
+                "participant": role,
+                "cd": list(pair),
+                "task": action.task,
+                "request_id": request_id,
+                "injected": injected,
+            }
         )
         reply, emissions = self.delegates[pair].handle_request(request_id, action.task)
         self._process(pair, emissions)
         if reply == BLOCKED:
-            self._emit(
-                "Block",
-                participant=role,
-                cd=_fmt_pair(pair),
-                task=action.task,
-                request_id=request_id,
+            events.append(
+                {
+                    "kind": "Block",
+                    "seq": len(events),
+                    "participant": role,
+                    "cd": list(pair),
+                    "task": action.task,
+                    "request_id": request_id,
+                }
             )
             if not injected:
                 participant.on_blocked(request_id)
@@ -272,6 +301,8 @@ class Simulator:
             self._ready[label] = ("participant", role)
         else:
             self._ready.pop(label, None)
+        if not participant.injections:
+            return
         for idx in range(len(participant.injections)):
             self._ready.pop(f"inj:{role}:{idx}", None)
         for idx in participant.ready_injections():
@@ -287,15 +318,16 @@ class Simulator:
 
     def run(self) -> str:
         self.bootstrap()
+        events = self.events
+        ready = self._ready
         while True:
-            if len(self.events) >= self.max_events:
+            if len(events) >= self.max_events:
                 return BUDGET
-            if not self._ready:
+            if not ready:
                 break
-            label = self.policy.select(sorted(self._ready))
-            item = self._ready[label]
+            item = ready[self.policy.select(sorted(ready))]
             if item[0] == "channel":
-                self._deliver(item[1], item[2])
+                self._deliver(item[1], item[2], item[3])
             elif item[0] == "participant":
                 self._issue(item[1])
             else:

@@ -311,8 +311,21 @@ def test_check_trace_structurally_invalid_model_is_a_clean_error(tmp_path, capsy
             '{"kind": "Forward", "seq": 99, "cd": 5, "task": "t", "src": "S1"}',
             "event 63: 'int' object is not iterable",
         ),
+        ('{"kind": "Bogus"}', "event 63: unknown kind 'Bogus'"),
+        (
+            '{"kind": "Forward", "cd": "IS", "task": "x", "src": "S1", "seq": 5}',
+            "event 63: Forward cd is not a list of two roles: 'IS'",
+        ),
     ],
-    ids=["array", "forward-without-cd", "no-kind", "notify-without-from", "int-cd"],
+    ids=[
+        "array",
+        "forward-without-cd",
+        "no-kind",
+        "notify-without-from",
+        "int-cd",
+        "unknown-kind",
+        "string-cd",
+    ],
 )
 def test_check_trace_malformed_trace_is_a_clean_error(tmp_path, capsys, extra, named):
     scenario = FIXTURES / "scenario_inorder.json"
@@ -326,3 +339,26 @@ def test_check_trace_malformed_trace_is_a_clean_error(tmp_path, capsys, extra, n
     assert main(["check-trace", str(scenario), str(trace)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: trace ") and named in err
+
+
+@pytest.mark.parametrize(
+    "command", ["validate", "gen-cm", "bootstrap", "run", "check-trace"]
+)
+def test_input_that_is_not_utf8_is_a_clean_error(tmp_path, capsys, command):
+    # a UTF-16 byte order mark in front of an otherwise valid file
+    if command in ("run", "check-trace"):
+        source = "scenario_inorder.json"
+    else:
+        source = "social_proximity.json"
+    path = tmp_path / source
+    path.write_bytes(b"\xff\xfe" + (FIXTURES / source).read_bytes())
+    args = [command, str(path)]
+    if command == "check-trace":
+        trace = tmp_path / "empty.trace.jsonl"
+        trace.write_text("")
+        args.append(str(trace))
+    elif command in ("gen-cm", "run"):
+        args += ["--out-dir", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not text" in err

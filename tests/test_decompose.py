@@ -1,5 +1,6 @@
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from chorenforce.decompose import (
     CoordModel,
+    CoordTuple,
     InvalidModelError,
     Pair,
     dumps_cm,
@@ -15,10 +17,12 @@ from chorenforce.decompose import (
     loads_cm,
 )
 from chorenforce.model import EPS, Choreography, Flow, Operation, StateKind
-from chorenforce.predicate import Not, Var, eval_pred, free_vars
+from chorenforce.predicate import TRUE, Not, Var, eval_pred, free_vars
 from chorenforce.randgen import random_case
 from golden import GOLDEN_CMS, GOLDEN_INITIAL_WAIT, GOLDEN_TUPLE_COUNT
-from helpers import loop_model, random_chain_model, sp_cms
+from helpers import loop_model, random_chain_model, sp_cms, sp_model
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_pairs_discovered():
@@ -185,3 +189,95 @@ def test_decomposition_invariants_on_random_models(seed):
 
 def test_decomposition_invariants_on_scattered_chain():
     assert_decomposition_invariants(random_chain_model(seed=7, n_ops=160, n_roles=45))
+
+
+# -- Pair and the coordination model's lookup tables ----------------------------
+
+def test_pair_orders_hashes_and_prints_as_its_two_roles():
+    roles = ["A", "B", "AB", "IM", "SPS", "b", "R10", "R2"]
+    pairs = [Pair(a, b) for a in roles for b in roles if a != b]
+    shuffled = list(pairs)
+    random.Random(4).shuffle(shuffled)
+    assert [(p.initiator, p.receiver) for p in sorted(shuffled)] == sorted(
+        (p.initiator, p.receiver) for p in pairs
+    )
+    for p in pairs:
+        assert hash(p) == hash((p.initiator, p.receiver))
+        assert str(p) == f"({p.initiator},{p.receiver})"
+    pair = Pair(*["a", "b"])
+    assert (pair.initiator, pair.receiver) == ("a", "b") and pair == Pair("a", "b")
+
+
+def assert_tables_match_scans(cm: CoordModel) -> None:
+    """Each lookup of the model equals its definition as a scan of the tuples."""
+    tuples = cm.tuples
+    in_order = cm.sorted_tuples()
+    states = {t.src for t in tuples} | {t.trg for t in tuples} | {"no-such-state"}
+    for s in states:
+        assert cm.tuples_from(s) == [t for t in in_order if t.src == s]
+        assert cm.ops_from(s) == {t.op for t in tuples if t.src == s and t.is_op}
+        waited = set()
+        for t in tuples:
+            if t.trg == s:
+                waited |= t.to_be_waited
+        assert cm.waits_at(s) == frozenset(waited)
+    for task in {t.op for t in tuples if t.is_op} | {"no-such-task"}:
+        assert cm.has_op(task) == any(t.op == task for t in tuples)
+        assert cm.op_sources(task) == sorted(t.src for t in tuples if t.op == task)
+    op_states = {t.src for t in tuples if t.is_op}
+    assert cm.op_states == op_states
+    reached = set()
+    frontier = [t.trg for t in tuples if t.is_op and not t.to_be_waited]
+    while frontier:
+        s = frontier.pop()
+        if s not in reached:
+            reached.add(s)
+            frontier += [t.trg for t in tuples if t.src == s and not t.to_be_waited]
+    assert cm.initial_wait == op_states - reached
+
+
+def table_models():
+    yield sp_model()
+    yield loop_model()
+    yield random_chain_model(seed=7, n_ops=160, n_roles=45)
+    rng = random.Random(0)
+    for _ in range(200):
+        yield random_case(rng).model
+
+
+def hand_built_cm() -> CoordModel:
+    """Shapes generated models rarely hold: one task from ten states and
+    twice from one, tuples that differ only in their condition, and
+    joins entered by several tuples with different wait sets."""
+    ab, ac, de = Pair("A", "B"), Pair("A", "C"), Pair("D", "E")
+
+    def tup(src, op, trg, cond=TRUE, waited=()):
+        return CoordTuple(src, op, trg, frozenset(), cond, frozenset(), frozenset(waited))
+
+    p = Var("p")
+    tuples = [tup(f"S{i}", "t", f"T{i}") for i in range(10)]
+    tuples += [
+        tup("S1", "t", "T9"),
+        tup("S1", "u", "T1"),
+        tup("S1", None, "T1", cond=p),
+        tup("S1", None, "T1", cond=Not(p)),
+        tup("T1", None, "J", waited=[("T1", ab)]),
+        tup("T2", None, "J", waited=[("T2", ac), ("X", de)]),
+        tup("T3", None, "J", waited=[("T2", ac)]),
+        tup("T4", None, "K", waited=[("T4", de)]),
+    ]
+    return CoordModel(ab, tuples)
+
+
+def test_lookup_tables_agree_with_the_scans_they_replace():
+    assert_tables_match_scans(hand_built_cm())
+    checked = 1
+    for path in sorted((FIXTURES / "coordination_models").glob("cm_*.json")):
+        initiator, receiver = path.stem[len("cm_"):].split("__")
+        assert_tables_match_scans(loads_cm(path.read_text(), Pair(initiator, receiver)))
+        checked += 1
+    for model in table_models():
+        for cm in generate_all(model).values():
+            assert_tables_match_scans(cm)
+            checked += 1
+    assert checked > 400

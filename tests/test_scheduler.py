@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from chorenforce import runner
-from chorenforce.participants import Scenario, load_scenario
+from chorenforce.decompose import generate_all
+from chorenforce.delegate import Delegate
+from chorenforce.participants import Scenario, default_priorities, load_scenario
 from chorenforce.randgen import random_case, scripts_for_word
 from chorenforce.runner import run_scenario, trace_lines
 from chorenforce.simulator import COMPLETED, RoundRobin, SimulationError, Simulator
@@ -215,3 +217,19 @@ def test_simulator_is_fast_on_a_long_chain_over_many_roles(monkeypatch, policy):
     result = run_scenario(scenario, policy=policy, seed=0)
     assert result.outcome == COMPLETED and len(result.projection) == 800
     assert elapsed[0] < 0.25, f"Simulator.run took {elapsed[0]:.3f}s"
+
+
+def test_delegates_are_cheap_to_build_on_a_long_chain_over_many_roles():
+    # 796 pairs: a priority table copied per delegate would cost O(pairs^2)
+    scenario = chain_model_scenario(random_chain_ops(seed=3, n_ops=800, n_roles=400))
+    model = scenario.model
+    cms = generate_all(model)
+    priorities = default_priorities(cms)
+    t0 = time.perf_counter()
+    delegates = {
+        pair: Delegate(pair, cms[pair], scenario.environment, priorities, model.final)
+        for pair in sorted(cms)
+    }
+    elapsed = time.perf_counter() - t0
+    assert len(delegates) == 796
+    assert elapsed < 0.01, f"building the delegates took {elapsed * 1000:.1f} ms"
