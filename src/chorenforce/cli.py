@@ -7,13 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .decompose import (
-    CmFormatError,
-    InvalidModelError,
-    cm_warnings,
-    dumps_cm,
-    generate_all,
-)
+from .decompose import InvalidModelError, cm_warnings, dumps_cm, generate_all
 from .interpreter import reference_traces
 from .model import ModelFormatError, load_model
 from .oracle import ALLOWED, RuntimeChecker, check_conformance, projection
@@ -164,7 +158,6 @@ def main(argv=None) -> int:
         json.JSONDecodeError,
         ModelFormatError,
         ScenarioFormatError,
-        CmFormatError,
         InvalidModelError,
         TraceFormatError,
     ) as exc:

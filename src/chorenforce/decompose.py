@@ -29,16 +29,12 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .model import Choreography, Flow, Guard, Operation, StateKind
-from .predicate import Not, Pred, TRUE, parse_predicate, to_text
+from .predicate import Not, Pred, TRUE, to_text
 from .validate import validate_cefm
 
 
 class InvalidModelError(ValueError):
     """The source model failed structural validation."""
-
-
-class CmFormatError(ValueError):
-    """A coordination-model JSON document is malformed."""
 
 
 class Pair(NamedTuple):
@@ -284,18 +280,8 @@ def _pair_to_json(p: Pair) -> list[str]:
     return [p.initiator, p.receiver]
 
 
-def _pair_from_json(data) -> Pair:
-    if not (isinstance(data, list) and len(data) == 2):
-        raise CmFormatError(f"bad pair: {data!r}")
-    return Pair(data[0], data[1])
-
-
 def _entry_set_to_json(entries) -> list:
     return [[s, _pair_to_json(p)] for s, p in sorted(entries)]
-
-
-def _entry_set_from_json(data) -> frozenset:
-    return frozenset((s, _pair_from_json(p)) for s, p in data)
 
 
 def tuple_to_json(t: CoordTuple) -> dict:
@@ -310,29 +296,7 @@ def tuple_to_json(t: CoordTuple) -> dict:
     }
 
 
-def tuple_from_json(data: dict) -> CoordTuple:
-    try:
-        return CoordTuple(
-            src=data["src"],
-            op=data["op"],
-            trg=data["trg"],
-            allowed_services=frozenset(_pair_from_json(p) for p in data["allowedService"]),
-            cond=parse_predicate(data["cond"]),
-            to_be_notified=_entry_set_from_json(data["toBeNotified"]),
-            to_be_waited=_entry_set_from_json(data["toBeWaited"]),
-        )
-    except KeyError as exc:
-        raise CmFormatError(f"missing tuple field: {exc}") from exc
-
-
 def dumps_cm(cm: CoordModel) -> str:
     """Canonical dump: a JSON array of tuples ordered by (src, op, trg)."""
     body = [tuple_to_json(t) for t in cm.sorted_tuples()]
     return json.dumps(body, indent=2, sort_keys=True) + "\n"
-
-
-def loads_cm(text: str, owner: Pair) -> CoordModel:
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise CmFormatError("expected a JSON array of tuples")
-    return CoordModel(owner, (tuple_from_json(t) for t in data))

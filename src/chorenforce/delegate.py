@@ -15,11 +15,12 @@ Handlers return emissions rather than performing I/O; the caller decides
 how forwards, updates, notifications and unblocks travel. That keeps the
 rule logic transport-free and lets tests drive a delegate directly.
 
-Thread statuses: 'op' means sitting at a state with an own operation
-tuple, waiting for the initiator; 'suspended' means waiting before a
-join; 'parked' means a local dead end where only other pairs act next.
-Parked threads are normal at the end of a run. A thread that reaches the
-global final state is dropped.
+A delegate keeps only threads that can still move. Each one either sits
+at a state with an own operation tuple, waiting for the initiator, or is
+suspended before a join, which is exactly when its `join` is set. A
+thread at a state with no tuple out of it (the final state, or a local
+dead end where only other pairs act next) can never move again and is
+retired, as is one that loses a join.
 """
 
 from __future__ import annotations
@@ -93,18 +94,17 @@ Emission = (
 
 
 class Thread:
-    __slots__ = ("id", "state", "status", "awaited", "join", "pending_tuple")
+    __slots__ = ("id", "state", "awaited", "join", "pending_tuple")
 
     def __init__(self, tid: int, state: str):
         self.id = tid
         self.state = state
-        self.status = "active"
         self.awaited: set[tuple[str, Pair]] = set()
         self.join: str | None = None
         self.pending_tuple: CoordTuple | None = None
 
     def __repr__(self) -> str:
-        return f"Thread(id={self.id}, state={self.state!r}, status={self.status!r})"
+        return f"Thread(id={self.id}, state={self.state!r}, join={self.join!r})"
 
 
 class Delegate:
@@ -114,7 +114,6 @@ class Delegate:
         cm: CoordModel,
         env: dict[str, Value],
         priorities: dict[Pair, int],
-        final_state: str | None = None,
     ):
         self.pair = pair
         self.cm = cm
@@ -122,7 +121,6 @@ class Delegate:
         # read-only and shared by every delegate of a run: a copy each
         # would cost O(pairs^2) to build the delegates
         self.priorities = priorities
-        self.final_state = final_state
         self.threads: list[Thread] = []
         self.pending: list[tuple[int, str]] = []  # (request_id, task)
         self.update_buffer: list[str] = []
@@ -163,7 +161,7 @@ class Delegate:
 
     def _match_request(self, task: str) -> tuple[Thread, CoordTuple] | None:
         for thread in self.threads:
-            if thread.status == "suspended":
+            if thread.join is not None:
                 continue
             for t in self.cm.tuples_from(thread.state):
                 if t.op == task:
@@ -205,11 +203,7 @@ class Delegate:
     def handle_notify(self, pred: str, sender: Pair, join: str) -> list:
         ems: list[Emission] = []
         for thread in self.threads:
-            if (
-                thread.status == "suspended"
-                and thread.join == join
-                and (pred, sender) in thread.awaited
-            ):
+            if thread.join == join and (pred, sender) in thread.awaited:
                 thread.awaited.discard((pred, sender))
                 if not thread.awaited:
                     if self._resolve_join(thread, ems):
@@ -224,10 +218,10 @@ class Delegate:
     def _walk(self, threads: list[Thread], ems: list) -> None:
         """Advance threads through epsilon tuples until each settles.
 
-        A settled thread is at an own operation state ('op'), at a local
-        dead end ('parked'), waiting before a join ('suspended'), or gone
-        (final state, or lost a join). Several true conditions out of one
-        state mean a concurrent split: one thread per branch.
+        A settled thread is at an own operation state, waiting before a
+        join, or retired: no tuple leaves its state, or it lost a join.
+        Several true conditions out of one state mean a concurrent split:
+        one thread per branch.
         """
         queue = deque(threads)
         budget = 8 * (len(self.cm.tuples) + 2) ** 2
@@ -237,13 +231,9 @@ class Delegate:
                 continue  # retired while queued
             outs = self.cm.tuples_from(thread.state)
             if not outs:
-                if thread.state == self.final_state:
-                    self._retire(thread)
-                else:
-                    thread.status = "parked"
+                self._retire(thread)
                 continue
             if thread.state in self.cm.op_states:
-                thread.status = "op"
                 continue
             live = [t for t in outs if self._cond_holds(t)]
             if not live:
@@ -278,7 +268,6 @@ class Delegate:
             thread.awaited = set(waits)
             self._drain_notify_buffer(thread)
             if thread.awaited:
-                thread.status = "suspended"
                 return False
             return self._resolve_join(thread, ems)
         self._advance(thread, t, ems)
@@ -313,16 +302,11 @@ class Delegate:
             self._retire(thread)
             return False
         for sibling in list(self.threads):
-            if (
-                sibling is not thread
-                and sibling.status == "suspended"
-                and sibling.join == t.trg
-            ):
+            if sibling is not thread and sibling.join == t.trg:
                 self._retire(sibling)
         thread.join = None
         thread.pending_tuple = None
         thread.awaited = set()
-        thread.status = "active"
         self._advance(thread, t, ems)
         return True
 
@@ -354,7 +338,7 @@ class Delegate:
         self.threads.remove(thread)
 
     def suspended_threads(self) -> list[Thread]:
-        return [t for t in self.threads if t.status == "suspended"]
+        return [t for t in self.threads if t.join is not None]
 
     def pending_tasks(self) -> list[str]:
         return [task for _, task in self.pending]

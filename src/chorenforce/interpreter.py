@@ -225,10 +225,6 @@ class Language:
         """Prefixes of `max_ops` operations of runs that go on."""
         return self._listing[1]
 
-    @cached_property
-    def was_truncated(self) -> bool:
-        return bool(self.truncated)
-
 
 def reference_traces(model: Choreography, env: dict[str, Value],
                      max_ops: int = 50) -> Language:

@@ -93,6 +93,7 @@ class RuntimeChecker:
         delivered: set[tuple[str, tuple, str, tuple]] = set()
         verdicts = []
         index = 0
+        last_seq = None
         try:
             for index, event in enumerate(events):
                 kind = event["kind"]
@@ -100,15 +101,22 @@ class RuntimeChecker:
                     delivered.add(
                         (
                             event["pred"],
-                            tuple(event["from"]),
+                            _roles(event, "from"),
                             event["join"],
-                            tuple(event["to"]),
+                            _roles(event, "to"),
                         )
                     )
                 elif kind == "Forward":
                     verdicts.append(self._classify(event, delivered))
                 elif kind not in EVENT_KINDS:
                     raise TraceFormatError(f"trace event {index}: unknown kind {kind!r}")
+                seq = event["seq"]
+                if type(seq) is not int or (last_seq is not None and seq <= last_seq):
+                    raise TraceFormatError(
+                        f"trace event {index}: seq must be an int above the "
+                        f"previous event's, got {seq!r}"
+                    )
+                last_seq = seq
         except KeyError as exc:
             raise TraceFormatError(f"trace event {index}: missing field {exc}") from None
         except TypeError as exc:
@@ -116,10 +124,7 @@ class RuntimeChecker:
         return verdicts
 
     def _classify(self, event: dict, delivered: set) -> Verdict:
-        raw_cd = event["cd"]
-        cd = tuple(raw_cd)  # a cd that is no sequence fails here
-        if type(raw_cd) is not list or list(map(type, cd)) != [str, str]:
-            raise TypeError(f"Forward cd is not a list of two roles: {raw_cd!r}")
+        cd = _roles(event, "cd")
         task = event["task"]
         src = event["src"]
 
@@ -163,6 +168,16 @@ class RuntimeChecker:
                     f"crossed {join} without notifications {missing}",
                 )
         return verdict(ALLOWED)
+
+
+def _roles(event: dict, field: str) -> tuple[str, str]:
+    """The event's role pair under `field`, which must be a list of two
+    role names; TypeError otherwise."""
+    value = event[field]
+    roles = tuple(value)  # a value that is no sequence fails here
+    if type(value) is not list or list(map(type, roles)) != [str, str]:
+        raise TypeError(f"{event['kind']} {field} is not a list of two roles: {value!r}")
+    return roles
 
 
 def post_hoc_deadlock(delegates: dict[Pair, object]) -> list[Verdict]:

@@ -86,9 +86,7 @@ def run_scenario(
     delegates: dict[Pair, Delegate] = {}
     for pair in sorted(cms):
         cls = mutant_cls if (mutant_cls and pair == mutant_pair) else Delegate
-        delegates[pair] = cls(
-            pair, cms[pair], scenario.environment, priorities, scenario.model.final
-        )
+        delegates[pair] = cls(pair, cms[pair], scenario.environment, priorities)
     participants = {
         spec.role: Participant(spec, mode=scenario.mode, seed=run_seed)
         for spec in scenario.scripts

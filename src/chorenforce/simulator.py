@@ -142,7 +142,8 @@ class Simulator:
         # each channel's ready label and item, built at its first send
         self._channel_items: dict[tuple[Pair | None, Pair], tuple[str, tuple]] = {}
         self._ready: dict[str, tuple] = {}
-        self.request_origin: dict[int, tuple] = {}
+        # the role of each participant request; injected ones unblock nobody
+        self._request_role: dict[int, str] = {}
         self._next_request = 0
 
     # -- transport --------------------------------------------------------
@@ -233,10 +234,10 @@ class Simulator:
                         "task": em.task,
                     }
                 )
-                request_kind, *info = self.request_origin[em.request_id]
-                if request_kind == "participant":
-                    self.participants[info[0]].on_unblocked()
-                    self._refresh(info[0])
+                role = self._request_role.get(em.request_id)
+                if role is not None:
+                    self.participants[role].on_unblocked()
+                    self._refresh(role)
             elif kind is UpdateEmission:
                 self._send(origin, em.dst, ("update", em.state))
             elif kind is NotifyEmission:
@@ -259,9 +260,8 @@ class Simulator:
         request_id = self._next_request
         self._next_request += 1
         injected = injection_index is not None
-        self.request_origin[request_id] = (
-            ("injection", role, injection_index) if injected else ("participant", role)
-        )
+        if not injected:
+            self._request_role[request_id] = role
         events = self.events
         events.append(
             {
@@ -335,18 +335,12 @@ class Simulator:
         return COMPLETED if self._completed() else DEADLOCKED
 
     def _completed(self) -> bool:
-        """Nothing left that must still happen. Parked threads, pairs that
-        never activated, and unconsumed buffered messages are all fine;
-        blocked participants, unissued injections, pending requests,
-        suspended threads and threads still owed a request are not."""
+        """Nothing left that must still happen. Pairs that never activated
+        and unconsumed buffered messages are fine; blocked participants,
+        unissued injections, pending requests and any delegate thread are
+        not, since a delegate keeps only threads suspended before a join
+        or still owed a request."""
         for participant in self.participants.values():
             if not participant.done():
                 return False
-        for pair in sorted(self.delegates):
-            delegate = self.delegates[pair]
-            if delegate.pending:
-                return False
-            for thread in delegate.threads:
-                if thread.status in ("suspended", "op"):
-                    return False
-        return True
+        return not any(d.pending or d.threads for d in self.delegates.values())

@@ -12,8 +12,14 @@ such map.
 
 from __future__ import annotations
 
-from .delegate import BLOCKED, FORWARDED, Delegate, ForwardEmission, UnblockEmission
-from .model import StateKind
+from chorenforce.delegate import (
+    BLOCKED,
+    FORWARDED,
+    Delegate,
+    ForwardEmission,
+    UnblockEmission,
+)
+from chorenforce.model import StateKind
 
 
 def forward_without_check() -> type[Delegate]:

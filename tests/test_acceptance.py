@@ -18,13 +18,6 @@ import random
 import time
 
 from chorenforce.decompose import Pair, generate_all, initial_wait_states
-from chorenforce.mutants import (
-    forward_without_check,
-    ignore_loop_guard,
-    skip_guard_check,
-    skip_notify,
-    skip_wait,
-)
 from chorenforce.oracle import (
     DEADLOCKING_JOIN,
     INVALID_ALTERNATIVE,
@@ -38,6 +31,13 @@ from chorenforce.randgen import random_case, scripts_for_word
 from chorenforce.runner import run_scenario, write_trace
 from chorenforce.simulator import COMPLETED, DEADLOCKED
 from chorenforce.socialprox import ENV_BOTH_TRUE, ENV_SHARE_DISABLED, IM, NMF, NMU, SPS, UMS
+from mutants import (
+    forward_without_check,
+    ignore_loop_guard,
+    skip_guard_check,
+    skip_notify,
+    skip_wait,
+)
 from conftest import record_criterion
 from golden import GOLDEN_CMS, GOLDEN_INITIAL_WAIT, GOLDEN_TUPLE_COUNT
 from helpers import (

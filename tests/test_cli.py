@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from chorenforce.cli import main
-from chorenforce.decompose import Pair, loads_cm
 from chorenforce.interpreter import Language
 from chorenforce.model import save_model
 from chorenforce.participants import save_scenario
@@ -14,7 +13,6 @@ from helpers import (
     chain_scenario,
     inorder_scenario,
     share_disabled_scenario,
-    sp_cms,
     sp_model,
 )
 
@@ -49,21 +47,17 @@ def test_validate_broken(tmp_path, capsys):
     assert "join-degree" in capsys.readouterr().out
 
 
-def test_gen_cm_writes_files(model_path, tmp_path, capsys):
+def test_gen_cm_writes_files(tmp_path, capsys):
+    # the committed coordination models are gen-cm output, byte for byte
     out = tmp_path / "cms"
-    assert main(["gen-cm", str(model_path), "--out-dir", str(out)]) == 0
+    model = FIXTURES / "social_proximity.json"
+    assert main(["gen-cm", str(model), "--out-dir", str(out)]) == 0
+    expected = FIXTURES / "coordination_models"
     files = sorted(p.name for p in out.glob("*.json"))
-    assert files == [
-        "cm_IM__SPS.json",
-        "cm_IM__UMS.json",
-        "cm_SPS__NMF.json",
-        "cm_SPS__NMU.json",
-        "cm_SPS__SocialProxApp.json",
-        "cm_SPS__UMS.json",
-    ]
-    pair = Pair("SPS", "NMU")
-    again = loads_cm((out / "cm_SPS__NMU.json").read_text(), pair)
-    assert again == sp_cms()[pair]
+    assert len(files) == 6
+    assert files == sorted(p.name for p in expected.glob("*.json"))
+    for name in files:
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
     assert "entry states" in capsys.readouterr().out
 
 
@@ -316,6 +310,14 @@ def test_check_trace_structurally_invalid_model_is_a_clean_error(tmp_path, capsy
             '{"kind": "Forward", "cd": "IS", "task": "x", "src": "S1", "seq": 5}',
             "event 63: Forward cd is not a list of two roles: 'IS'",
         ),
+        (
+            '{"kind": "Notify", "from": "IS", "to": "UM", "pred": "S1", "join": "S2",'
+            ' "seq": 99}',
+            "event 63: Notify from is not a list of two roles: 'IS'",
+        ),
+        ('{"kind": "Request", "seq": "x"}', "event 63: seq must be an int"),
+        ('{"kind": "Request", "seq": true}', "event 63: seq must be an int"),
+        ('{"kind": "Request", "seq": 62}', "previous event's, got 62"),
     ],
     ids=[
         "array",
@@ -325,6 +327,10 @@ def test_check_trace_structurally_invalid_model_is_a_clean_error(tmp_path, capsy
         "int-cd",
         "unknown-kind",
         "string-cd",
+        "notify-string-roles",
+        "string-seq",
+        "bool-seq",
+        "repeated-seq",
     ],
 )
 def test_check_trace_malformed_trace_is_a_clean_error(tmp_path, capsys, extra, named):

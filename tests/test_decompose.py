@@ -1,6 +1,5 @@
 import random
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,18 +10,14 @@ from chorenforce.decompose import (
     CoordTuple,
     InvalidModelError,
     Pair,
-    dumps_cm,
     generate_all,
     initial_wait_states,
-    loads_cm,
 )
 from chorenforce.model import EPS, Choreography, Flow, Operation, StateKind
 from chorenforce.predicate import TRUE, Not, Var, eval_pred, free_vars
 from chorenforce.randgen import random_case
 from golden import GOLDEN_CMS, GOLDEN_INITIAL_WAIT, GOLDEN_TUPLE_COUNT
 from helpers import loop_model, random_chain_model, sp_cms, sp_model
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_pairs_discovered():
@@ -110,13 +105,6 @@ def test_loop_exit_complement_of_negated_guard():
         t for t in cms[Pair("A", "B")].tuples if t.src == "LP" and t.trg == "X1"
     )
     assert exit_tuple.cond == Var("p")
-
-
-def test_cm_json_round_trip():
-    for pair, cm in sp_cms().items():
-        again = loads_cm(dumps_cm(cm), pair)
-        assert again == cm
-        assert again.owner == pair
 
 
 def test_invalid_model_rejected():
@@ -272,10 +260,6 @@ def hand_built_cm() -> CoordModel:
 def test_lookup_tables_agree_with_the_scans_they_replace():
     assert_tables_match_scans(hand_built_cm())
     checked = 1
-    for path in sorted((FIXTURES / "coordination_models").glob("cm_*.json")):
-        initiator, receiver = path.stem[len("cm_"):].split("__")
-        assert_tables_match_scans(loads_cm(path.read_text(), Pair(initiator, receiver)))
-        checked += 1
     for model in table_models():
         for cm in generate_all(model).values():
             assert_tables_match_scans(cm)

@@ -23,10 +23,10 @@ from chorenforce.delegate import (
     UpdateEmission,
 )
 from chorenforce.model import EPS, Choreography, Flow, Guard, Operation, StateKind
-from chorenforce.mutants import forward_without_check
 from chorenforce.participants import default_priorities
 from chorenforce.predicate import TRUE, Var
 from chorenforce.socialprox import ENV_BOTH_TRUE
+from mutants import forward_without_check
 from helpers import sp_cms, loop_model
 
 IM_UMS = Pair("IM", "UMS")
@@ -43,7 +43,6 @@ def make(pair, env=None, cms=None, cls=Delegate):
         cms[pair],
         env or dict(ENV_BOTH_TRUE),
         default_priorities(cms),
-        final_state="Final",
     )
 
 
@@ -55,7 +54,8 @@ def test_activation_then_forward():
     d = make(IM_UMS)
     ems = d.handle_update("S5")
     assert ems == [StateChangeEmission(0, None, "S5")]
-    assert [t.status for t in d.threads] == ["op"]
+    # waiting at its own operation state, not before a join
+    assert [(t.state, t.join) for t in d.threads] == [("S5", None)]
 
     status, ems = d.handle_request(0, "getUserPref")
     assert status == FORWARDED
@@ -68,8 +68,8 @@ def test_activation_then_forward():
         ("S6", "S7"),
         ("S7", "S9"),
     ]
-    assert [t.status for t in d.threads] == ["parked"]
-    assert d.threads[0].state == "S9"
+    # S9 is a local dead end: only other pairs act next, so it retires
+    assert d.threads == []
 
 
 def test_false_branch_under_disabled_environment():
@@ -149,8 +149,7 @@ def test_buffered_update_consumed_by_request():
     bc = Pair("B", "C")
     # the body entry E1 is reachable from the delegate's own walk (around
     # the loop), so it is not an activation state: a bare update parks
-    d = Delegate(bc, cms[bc], {"p": True}, default_priorities(cms),
-                 final_state="Final")
+    d = Delegate(bc, cms[bc], {"p": True}, default_priorities(cms))
     assert initial_wait_states(cms[bc]) == frozenset()
     assert d.handle_update("E1") == []
     assert d.update_buffer == ["E1"]
@@ -160,14 +159,13 @@ def test_buffered_update_consumed_by_request():
     changes = [(e.src, e.trg) for e in ems if isinstance(e, StateChangeEmission)]
     assert changes == [(None, "E1"), ("E1", "E2"), ("E2", "LP"), ("LP", "E1")]
     # after one iteration the thread waits at the body entry again
-    assert [t.state for t in d.threads if t.status == "op"] == ["E1"]
+    assert [(t.state, t.join) for t in d.threads] == [("E1", None)]
 
 
 def test_pending_request_wants_buffered_state():
     cms = generate_all(relay_loop_model())
     bc = Pair("B", "C")
-    d = Delegate(bc, cms[bc], {"p": True}, default_priorities(cms),
-                 final_state="Final")
+    d = Delegate(bc, cms[bc], {"p": True}, default_priorities(cms))
     status, _ = d.handle_request(3, "work")
     assert status == BLOCKED
     ems = d.handle_update("E1")
@@ -181,8 +179,15 @@ def test_fork_splits_into_two_threads():
     assert status == FORWARDED
     assert UpdateEmission(dst=SPS_NMF, state="S11") in ems
     assert UpdateEmission(dst=SPS_NMU, state="S14") in ems
-    assert sorted(t.state for t in d.threads) == ["S11", "S14"]
-    assert {t.status for t in d.threads} == {"parked"}
+    # the fork state S13 splits into a second thread, one per branch
+    branches = [
+        (e.thread_id, e.trg)
+        for e in ems
+        if isinstance(e, StateChangeEmission) and e.src == "S13"
+    ]
+    assert sorted(branches) == [(0, "S11"), (1, "S14")]
+    # both branches end where other pairs act next, so both retire
+    assert d.threads == []
 
 
 def test_join_notify_then_win():
@@ -198,8 +203,9 @@ def test_join_notify_then_win():
     ems = d.handle_notify("S12", SPS_NMF, "S16")
     # (SPS,NMU) outranks (SPS,NMF): crosses, updates the loser's pair
     assert UpdateEmission(dst=SPS_NMF, state="S21") in ems
-    (thread,) = d.threads
-    assert thread.status == "parked" and thread.state == "S21"
+    assert StateChangeEmission(thread.id, "S16", "S21") in ems
+    # S21 is a local dead end: the crossing thread retires there
+    assert d.threads == []
 
 
 def test_join_notify_then_lose():
@@ -264,7 +270,7 @@ def test_thread_retires_at_final_state():
     cms = generate_all(loop_model())
     d = Delegate(
         Pair("A", "C"), cms[Pair("A", "C")], {"p": False},
-        default_priorities(cms), final_state="Final",
+        default_priorities(cms),
     )
     d.handle_update("X1")
     status, _ = d.handle_request(0, "finish")

@@ -23,7 +23,7 @@ def test_both_true_language_is_the_two_interleavings():
     assert lang.complete == frozenset(
         {PREFIX + NOTIFY_FU + TAIL, PREFIX + NOTIFY_UF + TAIL}
     )
-    assert not lang.was_truncated
+    assert not lang.truncated
 
 
 def test_share_disabled_language():
@@ -57,14 +57,14 @@ def test_empty_choreography():
 def test_loop_exit_language():
     lang = reference_traces(loop_model(), {"p": False})
     assert lang.complete == frozenset({("A.init.B", "A.finish.C")})
-    assert not lang.was_truncated
+    assert not lang.truncated
 
 
 def test_loop_repeat_language_truncates():
     lang = reference_traces(loop_model(), {"p": True}, max_ops=6)
     # the guard never releases the token, so no word ever completes
     assert lang.complete == frozenset()
-    assert lang.was_truncated
+    assert lang.truncated
     assert lang.is_prefix(("A.init.B", "A.work.B", "A.work.B"))
     assert not lang.is_prefix(("A.init.B", "A.finish.C"))
 

@@ -6,14 +6,6 @@ the silent-deadlock case, on the post-run findings).
 """
 
 from chorenforce.decompose import Pair
-from chorenforce.mutants import (
-    forward_without_check,
-    ignore_loop_guard,
-    skip_guard_check,
-    skip_notify,
-    skip_wait,
-    wrong_priority,
-)
 from chorenforce.oracle import (
     ALLOWED,
     DEADLOCKING_JOIN,
@@ -39,6 +31,14 @@ from chorenforce.socialprox import (
     NMU,
     SPS,
     UMS,
+)
+from mutants import (
+    forward_without_check,
+    ignore_loop_guard,
+    skip_guard_check,
+    skip_notify,
+    skip_wait,
+    wrong_priority,
 )
 from helpers import (
     APP,

@@ -227,7 +227,7 @@ def test_delegates_are_cheap_to_build_on_a_long_chain_over_many_roles():
     priorities = default_priorities(cms)
     t0 = time.perf_counter()
     delegates = {
-        pair: Delegate(pair, cms[pair], scenario.environment, priorities, model.final)
+        pair: Delegate(pair, cms[pair], scenario.environment, priorities)
         for pair in sorted(cms)
     }
     elapsed = time.perf_counter() - t0

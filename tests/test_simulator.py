@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from chorenforce.decompose import Pair, generate_all
 from chorenforce.model import EPS, Choreography, Flow, Operation, StateKind
+from chorenforce.participants import load_scenario
 from chorenforce.runner import run_scenario, trace_lines
 from chorenforce.simulator import (
     COMPLETED,
@@ -14,6 +17,7 @@ from chorenforce.simulator import (
 )
 from helpers import (
     adversarial_scenario,
+    chain_scenario,
     sp_cms,
     sp_model,
     inorder_scenario,
@@ -24,6 +28,8 @@ from helpers import (
     LOOP_BODY_ACTIONS,
     LOOP_EXIT_ACTIONS,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_bootstrap_targets():
@@ -167,3 +173,23 @@ def test_event_budget_returns_budget_outcome():
     result = run_scenario(inorder_scenario(), max_events=5)
     assert result.outcome == "budget"
     assert len(result.events) >= 5
+
+
+@pytest.mark.parametrize("policy", ["roundrobin", "random"])
+@pytest.mark.parametrize(
+    "name", ["adversarial", "inorder", "share_disabled", "shuffled", "chain_600"]
+)
+def test_completed_run_leaves_no_delegate_thread(name, policy):
+    # a thread with no tuple out of its state is retired, so at the end of
+    # a completed run no delegate holds one
+    if name == "chain_600":
+        result = run_scenario(
+            chain_scenario(600), policy=policy, seed=0, max_events=10**6
+        )
+    else:
+        result = run_scenario(
+            load_scenario(FIXTURES / f"scenario_{name}.json"), policy=policy
+        )
+    assert result.outcome == COMPLETED
+    held = {str(pair): d.threads for pair, d in result.delegates.items() if d.threads}
+    assert held == {}
