@@ -22,7 +22,6 @@ from .participants import (
     Injection,
     Scenario,
     ScriptSpec,
-    default_priorities,
     load_scenario,
     save_scenario,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "Verdict",
     "check_conformance",
     "coordination_overhead",
-    "default_priorities",
     "enactment_bootstrap",
     "generate_all",
     "initial_wait_states",

@@ -49,12 +49,7 @@ def _cmd_gen_cm(args) -> int:
 
 def _cmd_bootstrap(args) -> int:
     model = load_model(args.model)
-    cms = generate_all(model)
-    try:
-        updates = enactment_bootstrap(model, cms)
-    except AmbiguousActivationError as exc:
-        print(f"error: {exc}")
-        return 1
+    updates = enactment_bootstrap(model, generate_all(model))
     for pair, state in updates:
         print(f"update {state} -> {pair}")
     if not updates:
@@ -160,6 +155,7 @@ def main(argv=None) -> int:
         ScenarioFormatError,
         InvalidModelError,
         TraceFormatError,
+        AmbiguousActivationError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

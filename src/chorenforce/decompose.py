@@ -12,10 +12,11 @@ enabling condition, notifications to send when the target is a join,
 notifications to wait for at that join.
 
 Generation makes one pass over the flows, grouping the operation flows
-by pair and recording which pairs' operations leave each state, then one
-walk per pair. The walk goes forward from every target of an owned
-operation flow, emitting one tuple per epsilon or guard flow
-encountered, and stopping where another pair's operation takes over.
+by pair and recording which pairs' operations leave each state and which
+reach it through epsilon flows, then one walk per pair. The walk goes
+forward from every target of an owned operation flow, emitting one
+tuple per epsilon or guard flow encountered, and stopping where another
+pair's operation takes over.
 The epsilon flow leaving a loop state gets the complement of the entry
 guard as its condition, so exactly one of entry/exit is enabled per
 evaluation.
@@ -143,24 +144,9 @@ class CoordModel:
         return self.owner == other.owner and self.tuples == other.tuples
 
 
-def _owners_of(model: Choreography) -> dict[str, frozenset[Pair]]:
-    """For each state, the pairs whose operation chain reaches it.
-
-    A pair (h,k) owns state x when some flow labeled r_h.t.r_k leads to a
-    state whose epsilon closure contains x.
-    """
-    owners: dict[str, set[Pair]] = {s: set() for s in model.states}
-    for f in model.flows:
-        if isinstance(f.label, Operation):
-            pair = Pair(f.label.initiator, f.label.receiver)
-            for s in model.eps_closure(f.trg):
-                owners[s].add(pair)
-    return {s: frozenset(v) for s, v in owners.items()}
-
-
 def _join_entries(
     model: Choreography,
-    owners: dict[str, frozenset[Pair]],
+    owners: dict[str, set[Pair]],
     src: str,
     trg: str,
 ) -> tuple[frozenset, frozenset]:
@@ -192,7 +178,7 @@ def _generate(
     model: Choreography,
     owner: Pair,
     op_flows: list[Flow],
-    owners: dict[str, frozenset[Pair]],
+    owners: dict[str, set[Pair]],
     leaving: dict[str, set[Pair]],
 ) -> CoordModel:
     # A tuple updates the pairs whose operation leaves its target directly;
@@ -232,14 +218,18 @@ def generate_all(model: Choreography) -> dict[Pair, CoordModel]:
     report = validate_cefm(model)
     if not report.ok:
         raise InvalidModelError(str(report))
-    owners = _owners_of(model)
     op_flows: dict[Pair, list[Flow]] = {}
     leaving: dict[str, set[Pair]] = {s: set() for s in model.states}
+    # a pair owns every state in the epsilon closure of one of its
+    # operations' targets: the states its operation chain reaches
+    owners: dict[str, set[Pair]] = {s: set() for s in model.states}
     for f in model.flows:
         if isinstance(f.label, Operation):
             pair = Pair(f.label.initiator, f.label.receiver)
             op_flows.setdefault(pair, []).append(f)
             leaving[f.src].add(pair)
+            for s in model.eps_closure(f.trg):
+                owners[s].add(pair)
     return {p: _generate(model, p, op_flows[p], owners, leaving) for p in sorted(op_flows)}
 
 
@@ -248,8 +238,8 @@ def initial_wait_states(cm: CoordModel) -> frozenset[str]:
 
     These are sources of operation tuples that the delegate cannot reach
     on its own: the forward walk over its tuples stops at join entries,
-    because crossing a join is decided by the notify/priority handshake
-    and continued via an update, not by this walk.
+    because crossing a join is decided by the notify handshake and the
+    pair order and continued via an update, not by this walk.
     """
     reached: set[str] = set()
     frontier = [t.trg for t in cm.tuples if t.is_op and not t.to_be_waited]

@@ -9,7 +9,9 @@ each pinned to one state of the model. It reacts to three inputs:
 * a state update from another delegate (activates a fresh thread, wakes
   a blocked request, or is buffered),
 * a join notification from another delegate (releases a thread waiting
-  at a join, after which priority decides whether it crosses or retires).
+  at a join, after which the pair order decides whether it crosses or
+  retires: of the pairs meeting at a join, the one that sorts last
+  crosses).
 
 Handlers return emissions rather than performing I/O; the caller decides
 how forwards, updates, notifications and unblocks travel. That keeps the
@@ -108,19 +110,10 @@ class Thread:
 
 
 class Delegate:
-    def __init__(
-        self,
-        pair: Pair,
-        cm: CoordModel,
-        env: dict[str, Value],
-        priorities: dict[Pair, int],
-    ):
+    def __init__(self, pair: Pair, cm: CoordModel, env: dict[str, Value]):
         self.pair = pair
         self.cm = cm
         self.env = dict(env)
-        # read-only and shared by every delegate of a run: a copy each
-        # would cost O(pairs^2) to build the delegates
-        self.priorities = priorities
         self.threads: list[Thread] = []
         self.pending: list[tuple[int, str]] = []  # (request_id, task)
         self.update_buffer: list[str] = []
@@ -139,8 +132,7 @@ class Delegate:
         return t.to_be_waited
 
     def _winner(self, join: str, others: list[Pair]) -> bool:
-        mine = self.priorities[self.pair]
-        return all(mine > self.priorities[p] for p in others)
+        return all(self.pair > p for p in others)
 
     # -- rule 1: request -----------------------------------------------------
 
@@ -291,7 +283,7 @@ class Delegate:
     def _resolve_join(self, thread: Thread, ems: list) -> bool:
         """All awaited notifications arrived; cross the join or retire.
 
-        The crossing thread is the one whose pair outranks every other
+        The crossing thread is the one whose pair sorts after every other
         pair named in the tuple's wait entries. Entries naming this very
         pair are sibling threads of this delegate; whichever completes
         first crosses and the rest retire when it does.

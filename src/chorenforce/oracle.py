@@ -15,9 +15,11 @@ verdict:
 * DeadlockingJoin: issued after a stalled run, for threads still holding
   unmet join waits.
 
-Checks are applied in that order; the first match wins. Guard verdicts
-are static per (state, environment) because the environment is fixed
-for a run. Notification delivery is tracked from the trace itself, so a
+Checks are applied in that order; the first match wins. The guard, loop
+and join checks read the flow that enters the reported state; a
+validated model has at most one there. Guard verdicts are static per
+(state, environment) because the environment is fixed for a run.
+Notification delivery is tracked from the trace itself, so a
 delegate that skips its bookkeeping cannot hide a missed join.
 """
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 from .decompose import CoordModel, Pair, generate_all
 from .interpreter import Language
-from .model import Choreography, Epsilon, Guard, StateKind
+from .model import Choreography, Guard, StateKind
 from .predicate import Value, eval_pred
 
 ALLOWED = "Allowed"
@@ -69,25 +71,6 @@ class RuntimeChecker:
         self.model = model
         self.env = dict(env)
         self.cms = cms if cms is not None else generate_all(model)
-
-        self._alt_guard_in: dict[str, object] = {}
-        self._loop_guard_in: dict[str, object] = {}
-        self._loop_exit_in: dict[str, str] = {}
-        self._join_exit_in: dict[str, str] = {}
-        self._loop_entry_guard: dict[str, object] = {}
-        for flow in model.flows:
-            kind = model.kind(flow.src)
-            if isinstance(flow.label, Guard):
-                if kind is StateKind.ALTERNATIVE:
-                    self._alt_guard_in[flow.trg] = flow.label.pred
-                elif kind is StateKind.LOOP:
-                    self._loop_guard_in[flow.trg] = flow.label.pred
-                    self._loop_entry_guard[flow.src] = flow.label.pred
-            elif isinstance(flow.label, Epsilon):
-                if kind is StateKind.LOOP:
-                    self._loop_exit_in[flow.trg] = flow.src
-                elif kind is StateKind.JOIN:
-                    self._join_exit_in[flow.trg] = flow.src
 
     def run(self, events: list[dict]) -> list[Verdict]:
         delivered: set[tuple[str, tuple, str, tuple]] = set()
@@ -138,34 +121,34 @@ class RuntimeChecker:
                 UNDESIRED_TASK,
                 f"{task!r} not among {sorted(allowed_ops)} at {src}",
             )
-        if src in self._alt_guard_in:
-            pred = self._alt_guard_in[src]
-            if not eval_pred(pred, self.env):
-                return verdict(INVALID_ALTERNATIVE, f"branch guard false at {src}")
-        if src in self._loop_guard_in:
-            pred = self._loop_guard_in[src]
-            if not eval_pred(pred, self.env):
+        # In a validated model operations leave only the initial state,
+        # entered by no flow, and plain states, entered by exactly one.
+        entering = self.model.in_flows(src)
+        if not entering:
+            return verdict(ALLOWED)
+        (flow,) = entering
+        before = flow.src
+        kind = self.model.kind(before)
+        if isinstance(flow.label, Guard):
+            if not eval_pred(flow.label.pred, self.env):
+                if kind is StateKind.ALTERNATIVE:
+                    return verdict(INVALID_ALTERNATIVE, f"branch guard false at {src}")
                 return verdict(INVALID_LOOP, f"loop entry guard false at {src}")
-        if src in self._loop_exit_in:
-            loop_state = self._loop_exit_in[src]
-            pred = self._loop_entry_guard.get(loop_state)
-            if pred is not None and eval_pred(pred, self.env):
-                return verdict(
-                    MISSED_LOOP, f"loop at {loop_state} should repeat, not exit"
-                )
-        if src in self._join_exit_in:
-            join = self._join_exit_in[src]
-            required = cm.waits_at(join)
+        elif kind is StateKind.LOOP:
+            entry = next(f for f in self.model.out_flows(before) if isinstance(f.label, Guard))
+            if eval_pred(entry.label.pred, self.env):
+                return verdict(MISSED_LOOP, f"loop at {before} should repeat, not exit")
+        elif kind is StateKind.JOIN:
             missing = [
                 (pred_state, (other.initiator, other.receiver))
-                for pred_state, other in sorted(required)
-                if (pred_state, (other.initiator, other.receiver), join, cd)
+                for pred_state, other in sorted(cm.waits_at(before))
+                if (pred_state, (other.initiator, other.receiver), before, cd)
                 not in delivered
             ]
             if missing:
                 return verdict(
                     MISSED_JOIN,
-                    f"crossed {join} without notifications {missing}",
+                    f"crossed {before} without notifications {missing}",
                 )
         return verdict(ALLOWED)
 

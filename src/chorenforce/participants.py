@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .decompose import Pair
 from .model import Choreography, Guard, Operation, model_from_json, model_to_json
 from .predicate import Value, free_vars, strict_eq, to_text
 
@@ -69,7 +68,6 @@ class Participant:
         self.injections = list(spec.injections)
         self.ptr = 0
         self.blocked_request: int | None = None
-        self.completed = 0
         self.issued_injections: set[int] = set()
 
     def ready(self) -> bool:
@@ -79,7 +77,7 @@ class Participant:
         return [
             i
             for i, inj in enumerate(self.injections)
-            if i not in self.issued_injections and self.completed > inj.after
+            if i not in self.issued_injections and self.ptr > inj.after
         ]
 
     def current_action(self) -> Action:
@@ -87,7 +85,6 @@ class Participant:
 
     def on_forwarded(self) -> None:
         self.ptr += 1
-        self.completed += 1
 
     def on_blocked(self, request_id: int) -> None:
         self.blocked_request = request_id
@@ -95,7 +92,6 @@ class Participant:
     def on_unblocked(self) -> None:
         self.blocked_request = None
         self.ptr += 1
-        self.completed += 1
 
     def done(self) -> bool:
         return (
@@ -110,25 +106,15 @@ class Scenario:
     model: Choreography
     environment: dict[str, Value]
     scripts: tuple[ScriptSpec, ...]
-    priorities: dict[Pair, int] = field(default_factory=dict)
     mode: str = "inorder"  # or "shuffled"
     seed: int = 0
     policy: str = "roundrobin"  # or "random"
-
-
-def default_priorities(pairs) -> dict[Pair, int]:
-    # Later pairs in sorted order outrank earlier ones.
-    return {pair: rank for rank, pair in enumerate(sorted(pairs))}
 
 
 def scenario_to_json(scenario: Scenario) -> dict:
     return {
         "cefm": model_to_json(scenario.model),
         "environment": dict(sorted(scenario.environment.items())),
-        "priorities": [
-            [p.initiator, p.receiver, rank]
-            for p, rank in sorted(scenario.priorities.items())
-        ],
         "participants": [
             {
                 "role": s.role,
@@ -167,9 +153,6 @@ def scenario_from_json(data: dict) -> Scenario:
             model=model_from_json(data["cefm"]),
             environment=dict(data["environment"]),
             scripts=scripts,
-            priorities={
-                Pair(i, r): rank for i, r, rank in data.get("priorities", [])
-            },
             mode=data.get("mode", "inorder"),
             seed=data.get("seed", 0),
             policy=data.get("policy", "roundrobin"),

@@ -19,7 +19,7 @@ from .oracle import (
     projection,
     verdict_histogram,
 )
-from .participants import Participant, Scenario, default_priorities
+from .participants import Participant, Scenario
 from .simulator import COMPLETED, DEADLOCKED, Simulator, make_policy
 
 
@@ -81,12 +81,11 @@ def run_scenario(
     policy_name = policy if policy is not None else scenario.policy
     run_seed = seed if seed is not None else scenario.seed
     cms = generate_all(scenario.model)
-    priorities = scenario.priorities or default_priorities(cms)
 
     delegates: dict[Pair, Delegate] = {}
     for pair in sorted(cms):
         cls = mutant_cls if (mutant_cls and pair == mutant_pair) else Delegate
-        delegates[pair] = cls(pair, cms[pair], scenario.environment, priorities)
+        delegates[pair] = cls(pair, cms[pair], scenario.environment)
     participants = {
         spec.role: Participant(spec, mode=scenario.mode, seed=run_seed)
         for spec in scenario.scripts

@@ -197,6 +197,14 @@ def _check_loops(model: Choreography, report: ValidationReport) -> None:
         if not any(p in reachable for p in preds):
             report.add(s, "loop-back",
                        f"no predecessor of {s} is reachable from entry {entry}")
+        # A body that can come back without an operation would let a true
+        # guard walk the loop forever without anyone acting.
+        silent = _reach(entry, lambda x: (
+            f.trg for f in model.out_flows(x) if not isinstance(f.label, Operation)
+        ))
+        if s in silent:
+            report.add(s, "loop-without-operation",
+                       f"the body from {entry} can return to {s} without an operation")
 
 
 def _reach(start: str, step: Callable[[str], Iterable[str]]) -> set[str]:

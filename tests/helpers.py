@@ -3,28 +3,44 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 from chorenforce import RunResult, generate_all, reference_traces, run_scenario
+from chorenforce.decompose import Pair
+from chorenforce.delegate import Delegate
 from chorenforce.interpreter import Language
 from chorenforce.model import EPS, Choreography, Flow, Guard, Operation, StateKind
-from chorenforce.participants import Action, Injection, Scenario, ScriptSpec
+from chorenforce.oracle import (
+    DEADLOCKING_JOIN,
+    INVALID_ALTERNATIVE,
+    INVALID_LOOP,
+    MISSED_JOIN,
+    MISSED_LOOP,
+    UNDESIRED_TASK,
+)
+from chorenforce.participants import Action, Scenario, ScriptSpec, load_scenario
 from chorenforce.predicate import Not, Var
 from chorenforce.randgen import scripts_for_word
 from chorenforce.socialprox import (
     ENV_BOTH_TRUE,
     ENV_SHARE_DISABLED,
     IM,
-    IM_ACTIONS,
     NMF,
     NMU,
     SPS,
-    SPS_ACTIONS,
-    SPS_REORDERABLE,
     UMS,
     social_proximity,
 )
+from mutants import (
+    forward_without_check,
+    ignore_loop_guard,
+    skip_guard_check,
+    skip_notify,
+    skip_wait,
+)
 
 APP = "SocialProxApp"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 # Caches: the model and its decomposition never change between tests.
 _MODEL = None
@@ -53,67 +69,89 @@ def sp_language(env_key: str) -> Language:
     return _LANGS[env_key]
 
 
+def fixture_scenario(name: str) -> Scenario:
+    """A bundled scenario, fixtures/scenario_<name>.json, freshly loaded."""
+    return load_scenario(FIXTURES / f"scenario_{name}.json")
+
+
 def im_script() -> ScriptSpec:
-    return ScriptSpec(role=IM, actions=tuple(Action(t, r) for t, r in IM_ACTIONS))
-
-
-def sps_script(**kw) -> ScriptSpec:
-    return ScriptSpec(
-        role=SPS, actions=tuple(Action(t, r) for t, r in SPS_ACTIONS), **kw
-    )
+    """IM's part in the bundled scenarios: all of its operations."""
+    return fixture_scenario("inorder").scripts[0]
 
 
 def inorder_scenario() -> Scenario:
-    return Scenario(
-        model=sp_model(),
-        environment=dict(ENV_BOTH_TRUE),
-        scripts=(im_script(), sps_script()),
-        mode="inorder",
-    )
+    return fixture_scenario("inorder")
 
 
 def shuffled_scenario() -> Scenario:
-    return Scenario(
-        model=sp_model(),
-        environment=dict(ENV_BOTH_TRUE),
-        scripts=(
-            im_script(),
-            sps_script(reorder_groups=tuple(tuple(g) for g in SPS_REORDERABLE)),
-        ),
-        mode="shuffled",
-    )
+    return fixture_scenario("shuffled")
 
 
 def adversarial_scenario() -> Scenario:
-    main = (
-        Action("getFriends", UMS),
-        Action("getLocations", APP),
-        Action("notifyUser", NMU),
-        Action("notifyFriend", NMF),
-        Action("startItin", NMF),
-    )
-    return Scenario(
-        model=sp_model(),
-        environment=dict(ENV_BOTH_TRUE),
-        scripts=(
-            im_script(),
-            ScriptSpec(
-                role=SPS,
-                actions=main,
-                injections=(Injection(after=2, task="startItin", target=NMU),),
-            ),
-        ),
-        mode="inorder",
-    )
+    return fixture_scenario("adversarial")
 
 
 def share_disabled_scenario() -> Scenario:
-    return Scenario(
-        model=sp_model(),
-        environment=dict(ENV_SHARE_DISABLED),
-        scripts=(ScriptSpec(role=IM, actions=(Action("getUserPref", UMS),)),),
-        mode="inorder",
+    return fixture_scenario("share_disabled")
+
+
+def defect_cases() -> list[tuple[str, str, Scenario, Pair, type[Delegate]]]:
+    """One run per misbehaviour class, each with the faulty delegate that
+    elicits it: (verdict kind, note, scenario, mutant pair, mutant class)."""
+    sp = sp_model()
+    # forwards a known task without consulting its coordination model
+    early = Scenario(
+        model=sp,
+        environment=dict(ENV_BOTH_TRUE),
+        scripts=(
+            im_script(),
+            ScriptSpec(role=SPS, actions=(
+                Action("getFriends", UMS),
+                Action("getLocations", APP),
+                Action("startItin", NMU),
+            )),
+        ),
     )
+    # takes the wrong branch of the shareEnabled alternative
+    wrong_branch = Scenario(
+        model=sp, environment=dict(ENV_SHARE_DISABLED), scripts=(im_script(),),
+    )
+    # crosses the join without waiting for the sibling notification
+    rushed = Scenario(
+        model=sp,
+        environment=dict(ENV_BOTH_TRUE),
+        scripts=(
+            im_script(),
+            ScriptSpec(role=SPS, actions=(
+                Action("getFriends", UMS),
+                Action("getLocations", APP),
+                Action("notifyFriend", NMF),
+                Action("startItin", NMF),
+            )),
+        ),
+    )
+    loop_kinds = loop_model().states
+    return [
+        (UNDESIRED_TASK, "unchecked forward",
+         early, Pair(SPS, NMU), forward_without_check()),
+        (INVALID_ALTERNATIVE, "inverted alternative guard",
+         wrong_branch, Pair(IM, UMS), skip_guard_check(sp.states)),
+        # enters a loop whose guard is false
+        (INVALID_LOOP, "loop entered on a false guard",
+         loop_scenario({"p": False}, (Action("init", "B"), Action("work", "B"))),
+         Pair("A", "B"), ignore_loop_guard(loop_kinds)),
+        # leaves a loop whose guard still holds; the run even completes,
+        # only the verdict gives the defect away
+        (MISSED_LOOP, "loop exited on a true guard",
+         loop_scenario({"p": True}, LOOP_EXIT_ACTIONS),
+         Pair("A", "B"), ignore_loop_guard(loop_kinds)),
+        (MISSED_JOIN, "join crossed without waiting",
+         rushed, Pair(SPS, NMF), skip_wait()),
+        # never notifies the sibling branch: the run stalls silently and
+        # only the post-run scan of suspended delegates can say why
+        (DEADLOCKING_JOIN, "suppressed notification",
+         inorder_scenario(), Pair(SPS, NMF), skip_notify()),
+    ]
 
 
 def run_sp(scenario: Scenario, *, policy="roundrobin", seed=0, **kw) -> RunResult:
@@ -169,6 +207,46 @@ def loop_model() -> Choreography:
         variables={"p": (False, True)},
         flows=flows,
     )
+
+
+def silent_loop_model() -> Choreography:
+    """loop_model without the body's operation: LP --p--> E1 --eps--> LP,
+    a loop that can come back to LP without anyone acting."""
+    model = loop_model()
+    flows = [f for f in model.flows if f.src not in ("E1", "E2")]
+    flows.append(Flow("E1", EPS, "LP"))
+    states = {s: k for s, k in model.states.items() if s != "E2"}
+    return Choreography(
+        states, model.initial, model.final, model.roles, model.variables, flows
+    )
+
+
+def twin_fork_model() -> Choreography:
+    """A fork whose two branches are both A->B operations, so the pair
+    has two entry states reachable before any operation."""
+    states = {
+        "Initial": StateKind.INITIAL,
+        "F": StateKind.FORK,
+        "P1": StateKind.PLAIN,
+        "P2": StateKind.PLAIN,
+        "Q1": StateKind.PLAIN,
+        "Q2": StateKind.PLAIN,
+        "J": StateKind.JOIN,
+        "Z": StateKind.PLAIN,
+        "Final": StateKind.FINAL,
+    }
+    flows = [
+        Flow("Initial", EPS, "F"),
+        Flow("F", EPS, "P1"),
+        Flow("F", EPS, "Q1"),
+        Flow("P1", Operation("A", "t0", "B"), "P2"),
+        Flow("Q1", Operation("A", "t1", "B"), "Q2"),
+        Flow("P2", EPS, "J"),
+        Flow("Q2", EPS, "J"),
+        Flow("J", EPS, "Z"),
+        Flow("Z", EPS, "Final"),
+    ]
+    return Choreography(states, "Initial", "Final", {"A", "B"}, {}, flows)
 
 
 def loop_scenario(env: dict, actions: tuple[Action, ...]) -> Scenario:

@@ -92,8 +92,9 @@ def skip_notify() -> type[Delegate]:
 
 
 def wrong_priority() -> type[Delegate]:
-    """Always defers at joins, as a delegate with a duplicated priority
-    table entry would; nobody crosses and the run stalls."""
+    """Always defers at joins, as a delegate that misreads the pair
+    order would, taking a sibling pair for the one that sorts last;
+    nobody crosses and the run stalls."""
 
     class WrongPriority(Delegate):
         def _winner(self, join, others):

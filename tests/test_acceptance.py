@@ -17,7 +17,7 @@ import functools
 import random
 import time
 
-from chorenforce.decompose import Pair, generate_all, initial_wait_states
+from chorenforce.decompose import generate_all, initial_wait_states
 from chorenforce.oracle import (
     DEADLOCKING_JOIN,
     INVALID_ALTERNATIVE,
@@ -26,31 +26,22 @@ from chorenforce.oracle import (
     MISSED_LOOP,
     UNDESIRED_TASK,
 )
-from chorenforce.participants import Action, Scenario, ScriptSpec
+from chorenforce.participants import Scenario
 from chorenforce.randgen import random_case, scripts_for_word
 from chorenforce.runner import run_scenario, write_trace
 from chorenforce.simulator import COMPLETED, DEADLOCKED
-from chorenforce.socialprox import ENV_BOTH_TRUE, ENV_SHARE_DISABLED, IM, NMF, NMU, SPS, UMS
-from mutants import (
-    forward_without_check,
-    ignore_loop_guard,
-    skip_guard_check,
-    skip_notify,
-    skip_wait,
-)
+from chorenforce.socialprox import NMF, NMU
 from conftest import record_criterion
 from golden import GOLDEN_CMS, GOLDEN_INITIAL_WAIT, GOLDEN_TUPLE_COUNT
 from helpers import (
     APP,
-    LOOP_EXIT_ACTIONS,
     adversarial_scenario,
+    assert_overhead,
+    defect_cases,
     sp_cms,
     sp_language,
     sp_model,
-    im_script,
     inorder_scenario,
-    loop_model,
-    loop_scenario,
     run_sp,
     share_disabled_scenario,
     shuffled_scenario,
@@ -358,88 +349,16 @@ def test_criterion_6_random_models_agree_with_the_reference():
 
 @gate(7)
 def test_criterion_7_each_defect_class_has_a_mutant_that_elicits_it():
-    sp = sp_model()
     observed: dict[str, str] = {}
-
-    def elicit(expected_kind: str, result, note: str) -> list:
-        found = [v for v in result.verdicts if v.kind == expected_kind]
-        assert found, f"{note}: no {expected_kind} verdict"
-        observed[expected_kind] = note
-        return found
-
-    # forwards a known task without consulting its coordination model
-    early = Scenario(
-        model=sp,
-        environment=dict(ENV_BOTH_TRUE),
-        scripts=(
-            im_script(),
-            ScriptSpec(role=SPS, actions=(
-                Action("getFriends", UMS),
-                Action("getLocations", APP),
-                Action("startItin", NMU),
-            )),
-        ),
-    )
-    result = run_scenario(
-        early,
-        mutant_pair=Pair(SPS, NMU), mutant_cls=forward_without_check(),
-    )
-    elicit(UNDESIRED_TASK, result, "unchecked forward")
-
-    # takes the wrong branch of the shareEnabled alternative
-    wrong_branch = Scenario(
-        model=sp, environment=dict(ENV_SHARE_DISABLED), scripts=(im_script(),),
-    )
-    result = run_scenario(
-        wrong_branch,
-        mutant_pair=Pair(IM, UMS), mutant_cls=skip_guard_check(sp.states),
-    )
-    elicit(INVALID_ALTERNATIVE, result, "inverted alternative guard")
-
-    # enters a loop whose guard is false
-    result = run_scenario(
-        loop_scenario({"p": False}, (Action("init", "B"), Action("work", "B"))),
-        mutant_pair=Pair("A", "B"),
-        mutant_cls=ignore_loop_guard(loop_model().states),
-    )
-    elicit(INVALID_LOOP, result, "loop entered on a false guard")
-
-    # leaves a loop whose guard still holds; the run even completes,
-    # only the verdict gives the defect away
-    result = run_scenario(
-        loop_scenario({"p": True}, LOOP_EXIT_ACTIONS),
-        mutant_pair=Pair("A", "B"),
-        mutant_cls=ignore_loop_guard(loop_model().states),
-    )
-    elicit(MISSED_LOOP, result, "loop exited on a true guard")
-
-    # crosses the join without waiting for the sibling notification
-    rushed = Scenario(
-        model=sp,
-        environment=dict(ENV_BOTH_TRUE),
-        scripts=(
-            im_script(),
-            ScriptSpec(role=SPS, actions=(
-                Action("getFriends", UMS),
-                Action("getLocations", APP),
-                Action("notifyFriend", NMF),
-                Action("startItin", NMF),
-            )),
-        ),
-    )
-    result = run_scenario(
-        rushed, mutant_pair=Pair(SPS, NMF), mutant_cls=skip_wait(),
-    )
-    elicit(MISSED_JOIN, result, "join crossed without waiting")
-
-    # never notifies the sibling branch: the run stalls silently and
-    # only the post-run scan of suspended delegates can say why
-    result = run_sp(
-        inorder_scenario(), mutant_pair=Pair(SPS, NMF), mutant_cls=skip_notify(),
-    )
-    assert result.outcome == DEADLOCKED, result.outcome
-    findings = elicit(DEADLOCKING_JOIN, result, "suppressed notification")
-    assert findings[0].seq == -1 and findings[0].state == "S15"
+    for kind, note, scenario, pair, cls in defect_cases():
+        result = run_scenario(scenario, mutant_pair=pair, mutant_cls=cls)
+        found = [v for v in result.verdicts if v.kind == kind]
+        assert found, f"{note}: no {kind} verdict"
+        observed[kind] = note
+        if kind == DEADLOCKING_JOIN:
+            assert_overhead(result)
+            assert result.outcome == DEADLOCKED, result.outcome
+            assert found[0].seq == -1 and found[0].state == "S15"
 
     assert set(observed) == {
         UNDESIRED_TASK,

@@ -8,12 +8,14 @@ import pytest
 from chorenforce.cli import main
 from chorenforce.interpreter import Language
 from chorenforce.model import save_model
-from chorenforce.participants import save_scenario
+from chorenforce.participants import Action, Scenario, ScriptSpec, save_scenario
 from helpers import (
     chain_scenario,
     inorder_scenario,
     share_disabled_scenario,
+    silent_loop_model,
     sp_model,
+    twin_fork_model,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -64,6 +66,42 @@ def test_gen_cm_writes_files(tmp_path, capsys):
 def test_bootstrap_prints_updates(model_path, capsys):
     assert main(["bootstrap", str(model_path)]) == 0
     assert "update S5 -> (IM,UMS)" in capsys.readouterr().out
+
+
+def test_bootstrap_ambiguous_activation_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "twin_fork.json"
+    save_model(twin_fork_model(), path)
+    assert main(["bootstrap", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "several initially reachable" in err
+
+
+def test_run_ambiguous_activation_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "twin_fork.json"
+    scenario = Scenario(
+        model=twin_fork_model(),
+        environment={},
+        scripts=(ScriptSpec("A", (Action("t0", "B"), Action("t1", "B"))),),
+    )
+    save_scenario(scenario, path)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "several initially reachable" in err
+
+
+def test_run_loop_without_operation_is_a_clean_error(tmp_path, capsys):
+    # with p true the loop would come back to itself forever, no one acting
+    path = tmp_path / "silent_loop.json"
+    scenario = Scenario(
+        model=silent_loop_model(),
+        environment={"p": True},
+        scripts=(ScriptSpec("A", (Action("init", "B"),)),),
+    )
+    save_scenario(scenario, path)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "loop-without-operation" in err
 
 
 def test_run_writes_trace_and_report(scenario_path, tmp_path, capsys):

@@ -23,7 +23,6 @@ from chorenforce.delegate import (
     UpdateEmission,
 )
 from chorenforce.model import EPS, Choreography, Flow, Guard, Operation, StateKind
-from chorenforce.participants import default_priorities
 from chorenforce.predicate import TRUE, Var
 from chorenforce.socialprox import ENV_BOTH_TRUE
 from mutants import forward_without_check
@@ -38,12 +37,7 @@ SPS_NMF = Pair("SPS", "NMF")
 
 def make(pair, env=None, cms=None, cls=Delegate):
     cms = cms or sp_cms()
-    return cls(
-        pair,
-        cms[pair],
-        env or dict(ENV_BOTH_TRUE),
-        default_priorities(cms),
-    )
+    return cls(pair, cms[pair], env or dict(ENV_BOTH_TRUE))
 
 
 def kinds(ems):
@@ -149,7 +143,7 @@ def test_buffered_update_consumed_by_request():
     bc = Pair("B", "C")
     # the body entry E1 is reachable from the delegate's own walk (around
     # the loop), so it is not an activation state: a bare update parks
-    d = Delegate(bc, cms[bc], {"p": True}, default_priorities(cms))
+    d = Delegate(bc, cms[bc], {"p": True})
     assert initial_wait_states(cms[bc]) == frozenset()
     assert d.handle_update("E1") == []
     assert d.update_buffer == ["E1"]
@@ -165,7 +159,7 @@ def test_buffered_update_consumed_by_request():
 def test_pending_request_wants_buffered_state():
     cms = generate_all(relay_loop_model())
     bc = Pair("B", "C")
-    d = Delegate(bc, cms[bc], {"p": True}, default_priorities(cms))
+    d = Delegate(bc, cms[bc], {"p": True})
     status, _ = d.handle_request(3, "work")
     assert status == BLOCKED
     ems = d.handle_update("E1")
@@ -247,7 +241,7 @@ def test_no_enabled_tuple_raises():
         CoordTuple("S", "go", "T", frozenset(), TRUE, frozenset(), frozenset()),
         CoordTuple("T", None, "U", frozenset(), Var("x"), frozenset(), frozenset()),
     })
-    d = Delegate(pair, cm, {"x": False}, {pair: 0})
+    d = Delegate(pair, cm, {"x": False})
     d.handle_update("S")
     with pytest.raises(NoEnabledTupleError):
         d.handle_request(0, "go")
@@ -260,7 +254,7 @@ def test_divergent_walk_raises():
         CoordTuple("T", None, "U", frozenset(), TRUE, frozenset(), frozenset()),
         CoordTuple("U", None, "T", frozenset(), TRUE, frozenset(), frozenset()),
     })
-    d = Delegate(pair, cm, {}, {pair: 0})
+    d = Delegate(pair, cm, {})
     d.handle_update("S")
     with pytest.raises(DivergentWalkError):
         d.handle_request(0, "go")
@@ -268,10 +262,7 @@ def test_divergent_walk_raises():
 
 def test_thread_retires_at_final_state():
     cms = generate_all(loop_model())
-    d = Delegate(
-        Pair("A", "C"), cms[Pair("A", "C")], {"p": False},
-        default_priorities(cms),
-    )
+    d = Delegate(Pair("A", "C"), cms[Pair("A", "C")], {"p": False})
     d.handle_update("X1")
     status, _ = d.handle_request(0, "finish")
     assert status == FORWARDED

@@ -1,11 +1,9 @@
-from chorenforce.decompose import Pair
 from chorenforce.participants import (
     Action,
     Injection,
     Participant,
     Scenario,
     ScriptSpec,
-    default_priorities,
     dumps_scenario,
     load_scenario,
     ordered_actions,
@@ -13,7 +11,8 @@ from chorenforce.participants import (
     scenario_from_json,
     scenario_to_json,
 )
-from helpers import adversarial_scenario, shuffled_scenario
+from chorenforce.runner import run_scenario
+from helpers import adversarial_scenario, inorder_scenario, shuffled_scenario
 
 ACTIONS = tuple(Action(f"t{i}", "B") for i in range(5))
 SPEC = ScriptSpec(role="A", actions=ACTIONS, reorder_groups=((1, 2, 3),))
@@ -68,7 +67,7 @@ def test_injection_arming():
     p = Participant(spec)
     assert p.ready_injections() == []
     p.on_forwarded()
-    assert p.ready_injections() == []  # completed == 1 == after: not yet
+    assert p.ready_injections() == []  # ptr == 1 == after: not yet
     p.on_forwarded()
     assert p.ready_injections() == [0]
     p.issued_injections.add(0)
@@ -78,22 +77,12 @@ def test_injection_arming():
     assert p.done()
 
 
-def test_default_priorities_rank_sorted_pairs():
-    pairs = [Pair("B", "C"), Pair("A", "B"), Pair("C", "A")]
-    prios = default_priorities(pairs)
-    assert prios == {Pair("A", "B"): 0, Pair("B", "C"): 1, Pair("C", "A"): 2}
-
-
 def test_scenario_json_round_trip():
     for scenario in (shuffled_scenario(), adversarial_scenario()):
-        scenario.priorities = default_priorities(
-            {Pair("IM", "UMS"), Pair("SPS", "NMU")}
-        )
         again = scenario_from_json(scenario_to_json(scenario))
         assert again.model == scenario.model
         assert again.environment == scenario.environment
         assert again.scripts == scenario.scripts
-        assert again.priorities == scenario.priorities
         assert (again.mode, again.seed, again.policy) == (
             scenario.mode, scenario.seed, scenario.policy,
         )
@@ -105,3 +94,14 @@ def test_scenario_file_round_trip(tmp_path):
     save_scenario(scenario, path)
     again = load_scenario(path)
     assert dumps_scenario(again) == dumps_scenario(scenario)
+
+
+def test_a_priorities_key_is_ignored():
+    # join ranks follow from the pair order; a document that still names
+    # some ranks, here fewer than the model has pairs, loads and runs as
+    # if it named none
+    data = scenario_to_json(inorder_scenario())
+    data["priorities"] = [["SPS", "NMU", 1]]
+    scenario = scenario_from_json(data)
+    assert run_scenario(scenario).ok()
+    assert dumps_scenario(scenario) == dumps_scenario(inorder_scenario())

@@ -16,7 +16,7 @@ import pytest
 from chorenforce import runner
 from chorenforce.decompose import generate_all
 from chorenforce.delegate import Delegate
-from chorenforce.participants import Scenario, default_priorities, load_scenario
+from chorenforce.participants import Scenario, load_scenario
 from chorenforce.randgen import random_case, scripts_for_word
 from chorenforce.runner import run_scenario, trace_lines
 from chorenforce.simulator import COMPLETED, RoundRobin, SimulationError, Simulator
@@ -220,14 +220,14 @@ def test_simulator_is_fast_on_a_long_chain_over_many_roles(monkeypatch, policy):
 
 
 def test_delegates_are_cheap_to_build_on_a_long_chain_over_many_roles():
-    # 796 pairs: a priority table copied per delegate would cost O(pairs^2)
+    # 796 pairs: a delegate whose set-up grew with the number of pairs
+    # would make building them all O(pairs^2)
     scenario = chain_model_scenario(random_chain_ops(seed=3, n_ops=800, n_roles=400))
     model = scenario.model
     cms = generate_all(model)
-    priorities = default_priorities(cms)
     t0 = time.perf_counter()
     delegates = {
-        pair: Delegate(pair, cms[pair], scenario.environment, priorities)
+        pair: Delegate(pair, cms[pair], scenario.environment)
         for pair in sorted(cms)
     }
     elapsed = time.perf_counter() - t0

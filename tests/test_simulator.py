@@ -3,7 +3,6 @@ from pathlib import Path
 import pytest
 
 from chorenforce.decompose import Pair, generate_all
-from chorenforce.model import EPS, Choreography, Flow, Operation, StateKind
 from chorenforce.participants import load_scenario
 from chorenforce.runner import run_scenario, trace_lines
 from chorenforce.simulator import (
@@ -25,6 +24,7 @@ from helpers import (
     run_sp,
     share_disabled_scenario,
     shuffled_scenario,
+    twin_fork_model,
     LOOP_BODY_ACTIONS,
     LOOP_EXIT_ACTIONS,
 )
@@ -39,34 +39,7 @@ def test_bootstrap_targets():
 
 def test_bootstrap_rejects_ambiguity():
     # two operations of the same pair both reachable before any move
-    m = Choreography(
-        states={
-            "Initial": StateKind.INITIAL,
-            "F": StateKind.FORK,
-            "P1": StateKind.PLAIN,
-            "P2": StateKind.PLAIN,
-            "Q1": StateKind.PLAIN,
-            "Q2": StateKind.PLAIN,
-            "J": StateKind.JOIN,
-            "Z": StateKind.PLAIN,
-            "Final": StateKind.FINAL,
-        },
-        initial="Initial",
-        final="Final",
-        roles={"A", "B"},
-        variables={},
-        flows=[
-            Flow("Initial", EPS, "F"),
-            Flow("F", EPS, "P1"),
-            Flow("F", EPS, "Q1"),
-            Flow("P1", Operation("A", "t0", "B"), "P2"),
-            Flow("Q1", Operation("A", "t1", "B"), "Q2"),
-            Flow("P2", EPS, "J"),
-            Flow("Q2", EPS, "J"),
-            Flow("J", EPS, "Z"),
-            Flow("Z", EPS, "Final"),
-        ],
-    )
+    m = twin_fork_model()
     with pytest.raises(AmbiguousActivationError):
         enactment_bootstrap(m, generate_all(m))
 

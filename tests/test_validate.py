@@ -11,7 +11,7 @@ from chorenforce.model import EPS, Choreography, Flow, Guard, Operation, StateKi
 from chorenforce.predicate import Not, Var
 from chorenforce.socialprox import social_proximity
 from chorenforce.validate import validate_cefm
-from helpers import loop_model
+from helpers import loop_model, silent_loop_model
 
 A_B = Operation("A", "t", "B")
 
@@ -213,6 +213,47 @@ def test_loop_back():
         variables={"x": (False, True)},
     )
     assert "loop-back" in rules_of(validate_cefm(m))
+
+
+def test_loop_without_operation():
+    # LP --p--> E1 --eps--> LP: the body comes back with no operation
+    report = validate_cefm(silent_loop_model())
+    assert rules_of(report) == {"loop-without-operation"}
+    assert str(report).startswith("LP: loop-without-operation: ")
+
+
+def test_loop_whose_body_is_a_loop_that_may_not_run():
+    # the outer body is an inner loop around A.t.B; when y is false the
+    # inner loop exits at once and the outer one comes back silently
+    m = build(
+        {
+            "P0": StateKind.PLAIN,
+            "L": StateKind.LOOP,
+            "M": StateKind.PLAIN,
+            "L2": StateKind.LOOP,
+            "B1": StateKind.PLAIN,
+            "B2": StateKind.PLAIN,
+            "X2": StateKind.PLAIN,
+            "X": StateKind.PLAIN,
+        },
+        [
+            Flow("Initial", EPS, "P0"),
+            Flow("P0", EPS, "L"),
+            Flow("L", Guard(Var("x")), "M"),
+            Flow("M", EPS, "L2"),
+            Flow("L2", Guard(Var("y")), "B1"),
+            Flow("B1", A_B, "B2"),
+            Flow("B2", EPS, "L2"),
+            Flow("L2", EPS, "X2"),
+            Flow("X2", EPS, "L"),
+            Flow("L", EPS, "X"),
+            Flow("X", EPS, "Final"),
+        ],
+        variables={"x": (False, True), "y": (False, True)},
+    )
+    report = validate_cefm(m)
+    assert rules_of(report) == {"loop-without-operation"}
+    assert [v.state for v in report.violations] == ["L"]
 
 
 def test_unreachable_warning():
