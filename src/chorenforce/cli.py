@@ -11,7 +11,7 @@ from .decompose import InvalidModelError, cm_warnings, dumps_cm, generate_all
 from .interpreter import reference_traces
 from .model import ModelFormatError, load_model
 from .oracle import ALLOWED, RuntimeChecker, check_conformance, projection
-from .participants import ScenarioFormatError, load_scenario
+from .participants import POLICIES, ScenarioFormatError, load_scenario
 from .randgen import fuzz
 from .runner import (
     TraceFormatError,
@@ -129,7 +129,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("run", help="execute a scenario and check the trace")
     p.add_argument("scenario")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--policy", choices=["roundrobin", "random"], default=None)
+    p.add_argument("--policy", choices=POLICIES, default=None)
     p.add_argument("--max-events", type=int, default=10000)
     p.add_argument("--out-dir", default="runs")
     p.set_defaults(func=_cmd_run)

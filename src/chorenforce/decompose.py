@@ -12,11 +12,14 @@ enabling condition, notifications to send when the target is a join,
 notifications to wait for at that join.
 
 Generation makes one pass over the flows, grouping the operation flows
-by pair and recording which pairs' operations leave each state and which
-reach it through epsilon flows, then one walk per pair. The walk goes
+by pair and the other flows by source state, and recording which pairs'
+operations leave each state; then one walk per pair. The walk goes
 forward from every target of an owned operation flow, emitting one
 tuple per epsilon or guard flow encountered, and stopping where another
-pair's operation takes over.
+pair's operation takes over. It fills the pair's lookup tables as it
+emits the tuples. Which pairs' operations reach a state through epsilon
+flows matters only for the notify/wait sets of a flow into a join, and
+is worked out when a walk first crosses one.
 The epsilon flow leaving a loop state gets the complement of the entry
 guard as its condition, so exactly one of entry/exit is enabled per
 evaluation.
@@ -25,11 +28,11 @@ evaluation.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
-from .model import Choreography, Flow, Guard, Operation, StateKind
+from .model import Choreography, Epsilon, Flow, Guard, Operation, StateKind
 from .predicate import Not, Pred, TRUE, to_text
 from .validate import validate_cefm
 
@@ -50,8 +53,11 @@ class Pair(NamedTuple):
         return f"({self.initiator},{self.receiver})"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CoordTuple:
+    """One tuple of a coordination model. A value: it is never changed
+    after it is built, and equal tuples hash alike."""
+
     src: str
     op: str | None  # task name; None for an epsilon step
     trg: str
@@ -59,6 +65,11 @@ class CoordTuple:
     cond: Pred
     to_be_notified: frozenset[tuple[str, Pair]]
     to_be_waited: frozenset[tuple[str, Pair]]
+
+    def __hash__(self) -> int:
+        # equal tuples agree on these three fields; hashing the rest
+        # (a predicate tree among them) buys nothing
+        return hash((self.src, self.op, self.trg))
 
     @property
     def is_op(self) -> bool:
@@ -73,43 +84,64 @@ class CoordTuple:
         return f"<{self.src}, {op}, {self.trg}, {allowed}, {to_text(self.cond)}>"
 
 
-class CoordModel:
-    """One pair's tuples, with lookup tables that are each built on first
-    use: a recheck reads only tuples_from, ops_from and waits_at."""
+# no pairs, no notify/wait entries: one shared empty set
+_NONE: frozenset = frozenset()
+# An Enum member read off its class costs about 0.1 us on Python 3.11;
+# the walk compares with these instead.
+_LOOP, _JOIN = StateKind.LOOP, StateKind.JOIN
 
-    def __init__(self, owner: Pair, tuples):
+
+class CoordModel:
+    """One pair's tuples and the lookup tables its delegate and the
+    checker read.
+
+    `generate_all` fills the tables while it emits the tuples. Built from
+    tuples in any order, the model derives them in one pass over the
+    tuples sorted by CoordTuple.sort_key, and its entry states with
+    initial_wait_states.
+    """
+
+    __slots__ = ("owner", "tuples", "by_src", "op_states", "initial_wait", "_op_sources", "_waits")
+
+    def __init__(self, owner: Pair, tuples: Iterable[CoordTuple]):
         self.owner = owner
         self.tuples = frozenset(tuples)
+        # by source state, each list in sort_key order
+        self.by_src: dict[str, list[CoordTuple]] = {}
+        # by task, the sources of its operation tuples, in sorted order
+        self._op_sources: dict[str, list[str]] = {}
+        # by join, every notification to collect before passing it
+        self._waits: dict[str, frozenset[tuple[str, Pair]]] = {}
+        for t in sorted(self.tuples, key=CoordTuple.sort_key):
+            self.by_src.setdefault(t.src, []).append(t)
+            if t.op is not None:
+                self._op_sources.setdefault(t.op, []).append(t.src)
+            if t.to_be_waited:
+                self._waits[t.trg] = self._waits.get(t.trg, _NONE) | t.to_be_waited
+        self.op_states = frozenset(t.src for t in self.tuples if t.op is not None)
+        self.initial_wait = initial_wait_states(self)
+
+    @classmethod
+    def _filled(cls, owner, tuples, by_src, op_sources, waits, op_states, initial_wait):
+        """A model whose tables its maker filled already."""
+        cm = cls.__new__(cls)
+        cm.owner = owner
+        cm.tuples = frozenset(tuples)
+        cm.by_src = by_src
+        cm._op_sources = op_sources
+        cm._waits = waits
+        cm.op_states = op_states
+        cm.initial_wait = initial_wait
+        return cm
 
     def sorted_tuples(self) -> list[CoordTuple]:
         return sorted(self.tuples, key=CoordTuple.sort_key)
-
-    @cached_property
-    def by_src(self) -> dict[str, list[CoordTuple]]:
-        """Tuples by source state, each list in sorted_tuples order."""
-        out: dict[str, list[CoordTuple]] = {}
-        for t in self.tuples:
-            out.setdefault(t.src, []).append(t)
-        for group in out.values():
-            if len(group) > 1:
-                group.sort(key=CoordTuple.sort_key)
-        return out
 
     def tuples_from(self, src: str) -> list[CoordTuple]:
         return self.by_src.get(src, [])
 
     def ops_from(self, src: str) -> set[str]:
-        return {t.op for t in self.tuples_from(src) if t.is_op}
-
-    @cached_property
-    def _op_sources(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for t in self.tuples:
-            if t.is_op:
-                out.setdefault(t.op, []).append(t.src)
-        for sources in out.values():
-            sources.sort()
-        return out
+        return {t.op for t in self.tuples_from(src) if t.op is not None}
 
     def has_op(self, task: str) -> bool:
         return task in self._op_sources
@@ -117,52 +149,14 @@ class CoordModel:
     def op_sources(self, task: str) -> list[str]:
         return self._op_sources.get(task, [])
 
-    @cached_property
-    def op_states(self) -> frozenset[str]:
-        """The states with an operation tuple of this pair out of them."""
-        return frozenset(t.src for t in self.tuples if t.is_op)
-
-    @cached_property
-    def initial_wait(self) -> frozenset[str]:
-        return initial_wait_states(self)
-
-    @cached_property
-    def _waits(self) -> dict[str, frozenset[tuple[str, Pair]]]:
-        out: dict[str, set[tuple[str, Pair]]] = {}
-        for t in self.tuples:
-            if t.to_be_waited:
-                out.setdefault(t.trg, set()).update(t.to_be_waited)
-        return {join: frozenset(entries) for join, entries in out.items()}
-
     def waits_at(self, join: str) -> frozenset[tuple[str, Pair]]:
         """All notifications this delegate must collect before passing `join`."""
-        return self._waits.get(join, frozenset())
+        return self._waits.get(join, _NONE)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoordModel):
             return NotImplemented
         return self.owner == other.owner and self.tuples == other.tuples
-
-
-def _join_entries(
-    model: Choreography,
-    owners: dict[str, set[Pair]],
-    src: str,
-    trg: str,
-) -> tuple[frozenset, frozenset]:
-    """Notify/wait sets for a tuple src -> trg; empty unless trg is a join."""
-    if model.kind(trg) is not StateKind.JOIN:
-        return frozenset(), frozenset()
-    notified = set()
-    waited = set()
-    for f in model.in_flows(trg):
-        sibling = f.src
-        if sibling == src:
-            continue
-        for pair in owners[sibling]:
-            notified.add((src, pair))
-            waited.add((sibling, pair))
-    return frozenset(notified), frozenset(waited)
 
 
 def _loop_exit_cond(model: Choreography, src: str) -> Pred:
@@ -174,63 +168,160 @@ def _loop_exit_cond(model: Choreography, src: str) -> Pred:
     return pred.inner if isinstance(pred, Not) else Not(pred)
 
 
-def _generate(
-    model: Choreography,
-    owner: Pair,
-    op_flows: list[Flow],
-    owners: dict[str, set[Pair]],
-    leaving: dict[str, set[Pair]],
-) -> CoordModel:
-    # A tuple updates the pairs whose operation leaves its target directly;
-    # the owner never updates itself.
-    def tuple_to(src: str, op: str | None, trg: str, cond: Pred) -> CoordTuple:
-        notified, waited = _join_entries(model, owners, src, trg)
-        return CoordTuple(
-            src=src, op=op, trg=trg,
-            allowed_services=frozenset(leaving[trg] - {owner}),
-            cond=cond, to_be_notified=notified, to_be_waited=waited,
-        )
+class _Decomposition:
+    """What every pair's walk reads off one model: the flows other than
+    operations out of each state, the pairs whose operation leaves each
+    state, and the notify/wait sets of each flow into a join, worked out
+    the first time a walk crosses that flow."""
 
-    tuples = {tuple_to(f.src, f.label.task, f.trg, TRUE) for f in op_flows}
-    frontier = [f.trg for f in op_flows]
-    seen: set[str] = set()
-    while frontier:
-        s = frontier.pop()
-        if s in seen:
-            continue
-        seen.add(s)
-        for f in model.out_flows(s):
-            if isinstance(f.label, Operation):
-                continue  # another pair's move; this walk stops here
-            if isinstance(f.label, Guard):
-                cond = f.label.pred
-            elif model.kind(s) is StateKind.LOOP:
-                cond = _loop_exit_cond(model, s)
+    def __init__(self, model: Choreography):
+        self.model = model
+        self.op_flows: dict[Pair, list[Flow]] = {}
+        self.steps: dict[str, list[Flow]] = {}
+        leaving: dict[str, set[Pair]] = {}
+        for f in model.flows:
+            label = f.label
+            if isinstance(label, Operation):
+                pair = Pair(label.initiator, label.receiver)
+                self.op_flows.setdefault(pair, []).append(f)
+                leaving.setdefault(f.src, set()).add(pair)
             else:
-                cond = TRUE
-            tuples.add(tuple_to(s, None, f.trg, cond))
-            frontier.append(f.trg)
+                self.steps.setdefault(f.src, []).append(f)
+        self.leaving = {s: frozenset(pairs) for s, pairs in leaving.items()}
+        self._join_entries: dict[tuple[str, str], tuple[frozenset, frozenset]] = {}
+        self._owners: dict[str, set[Pair]] = {}
 
-    return CoordModel(owner, tuples)
+    def owners(self, state: str) -> set[Pair]:
+        """The pairs owning `state`: those with an operation whose target
+        reaches it by epsilon flows alone, so that their operation chain
+        leads there."""
+        found = self._owners.get(state)
+        if found is None:
+            found = self._owners[state] = set()
+            seen = {state}
+            stack = [state]
+            while stack:
+                for f in self.model.in_flows(stack.pop()):
+                    label = f.label
+                    if isinstance(label, Operation):
+                        found.add(Pair(label.initiator, label.receiver))
+                    elif isinstance(label, Epsilon) and f.src not in seen:
+                        seen.add(f.src)
+                        stack.append(f.src)
+        return found
+
+    def join_entries(self, src: str, join: str) -> tuple[frozenset, frozenset]:
+        """Notify/wait sets of a tuple from src into a join: notify every
+        owner of each other state entering the join, and wait for each."""
+        key = (src, join)
+        entries = self._join_entries.get(key)
+        if entries is None:
+            notified = set()
+            waited = set()
+            for f in self.model.in_flows(join):
+                sibling = f.src
+                if sibling == src:
+                    continue
+                for pair in self.owners(sibling):
+                    notified.add((src, pair))
+                    waited.add((sibling, pair))
+            entries = self._join_entries[key] = (frozenset(notified), frozenset(waited))
+        return entries
+
+    def generate(self, owner: Pair) -> CoordModel:
+        """The pair's tuples, filling its lookup tables as they are emitted.
+
+        Operation tuples come first, one per owned operation flow, in
+        flow order: an operation leaves only a plain or the initial
+        state, by its one flow, so each has a source of its own, and
+        sources come in sorted order. Then the walk goes forward from
+        their targets over the other flows, and stops where another
+        operation takes over. It emits the tuples out of one state
+        together, in the order of the state's flows, which is sort_key
+        order: in a valid model two flows out of one state share a target
+        only when both are guards, sorted by their text, or when they are
+        the same epsilon flow twice, which gives one tuple. The walk first
+        stops at tuples that wait at a join, so the states it has reached
+        by then are those initial_wait_states reaches; then it goes on
+        from the joins.
+        """
+        states = self.model.states
+        steps = self.steps
+        leaving = self.leaving
+        tuples: list[CoordTuple] = []
+        by_src: dict[str, list[CoordTuple]] = {}
+        op_sources: dict[str, list[str]] = {}
+        waits: dict[str, frozenset] = {}
+        seen: set[str] = set()  # states the walk has reached or queued
+        frontier: list[str] = []
+        for src, label, trg in self.op_flows[owner]:
+            allowed = leaving.get(trg, _NONE)
+            if owner in allowed:
+                allowed = allowed - {owner}  # the owner never updates itself
+            # an operation never enters a join: its tuple notifies no one
+            t = CoordTuple(src, label.task, trg, allowed, TRUE, _NONE, _NONE)
+            tuples.append(t)
+            by_src[src] = [t]
+            op_sources.setdefault(label.task, []).append(src)
+            if trg not in seen:
+                seen.add(trg)
+                if trg in steps:
+                    frontier.append(trg)
+        op_states = frozenset(by_src)
+
+        initial_wait = None
+        past_joins: list[str] = []
+        while True:
+            while frontier:
+                s = frontier.pop()
+                group: list[CoordTuple] = []
+                for src, label, trg in steps[s]:
+                    if isinstance(label, Guard):
+                        cond = label.pred
+                    elif states[src] is _LOOP:
+                        cond = _loop_exit_cond(self.model, src)
+                    else:
+                        cond = TRUE
+                    notified = waited = _NONE
+                    if states[trg] is _JOIN:
+                        notified, waited = self.join_entries(src, trg)
+                    allowed = leaving.get(trg, _NONE)
+                    if owner in allowed:
+                        allowed = allowed - {owner}
+                    t = CoordTuple(src, None, trg, allowed, cond, notified, waited)
+                    if group and group[-1] == t:
+                        continue  # the same flow twice
+                    group.append(t)
+                    if waited:
+                        waits[trg] = waits.get(trg, _NONE) | waited
+                        past_joins.append(trg)
+                    elif trg not in seen:
+                        seen.add(trg)
+                        if trg in steps:
+                            frontier.append(trg)
+                by_src[s] = group
+                tuples += group
+            if initial_wait is None:
+                initial_wait = op_states - seen
+            if not past_joins:
+                break
+            for join in past_joins:
+                if join not in seen:
+                    seen.add(join)
+                    if join in steps:
+                        frontier.append(join)
+            past_joins = []
+        return CoordModel._filled(
+            owner, tuples, by_src, op_sources, waits, op_states, initial_wait
+        )
 
 
 def generate_all(model: Choreography) -> dict[Pair, CoordModel]:
     report = validate_cefm(model)
     if not report.ok:
         raise InvalidModelError(str(report))
-    op_flows: dict[Pair, list[Flow]] = {}
-    leaving: dict[str, set[Pair]] = {s: set() for s in model.states}
-    # a pair owns every state in the epsilon closure of one of its
-    # operations' targets: the states its operation chain reaches
-    owners: dict[str, set[Pair]] = {s: set() for s in model.states}
-    for f in model.flows:
-        if isinstance(f.label, Operation):
-            pair = Pair(f.label.initiator, f.label.receiver)
-            op_flows.setdefault(pair, []).append(f)
-            leaving[f.src].add(pair)
-            for s in model.eps_closure(f.trg):
-                owners[s].add(pair)
-    return {p: _generate(model, p, op_flows[p], owners, leaving) for p in sorted(op_flows)}
+    walks = _Decomposition(model)
+    return {pair: walks.generate(pair) for pair in sorted(walks.op_flows)}
 
 
 def initial_wait_states(cm: CoordModel) -> frozenset[str]:

@@ -15,8 +15,9 @@ yields identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .predicate import Pred, Value, parse_predicate, to_text
 
@@ -35,8 +36,7 @@ class StateKind(str, Enum):
     FINAL = "final"
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(NamedTuple):
     initiator: str
     task: str
     receiver: str
@@ -49,8 +49,7 @@ class Operation:
         return self.label
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(NamedTuple):
     pred: Pred
 
 
@@ -65,23 +64,21 @@ EPS = Epsilon()
 Label = Operation | Guard | Epsilon
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(NamedTuple):
     src: str
     label: Label
     trg: str
 
 
-def _label_sort_key(label: Label) -> tuple[int, str]:
-    if isinstance(label, Epsilon):
-        return (0, "")
-    if isinstance(label, Guard):
-        return (1, to_text(label.pred))
-    return (2, label.label)
-
-
 def flow_sort_key(f: Flow) -> tuple:
-    return (f.src, f.trg, *_label_sort_key(f.label))
+    """Flows sort by source, target, then label: epsilon before guards
+    (by their text) before operations (by their label)."""
+    label = f.label
+    if isinstance(label, Operation):
+        return (f.src, f.trg, 2, label.label)
+    if isinstance(label, Guard):
+        return (f.src, f.trg, 1, to_text(label.pred))
+    return (f.src, f.trg, 0, "")
 
 
 class Choreography:
@@ -107,11 +104,13 @@ class Choreography:
         self.flows = sorted(flows, key=flow_sort_key)
         self._out: dict[str, list[Flow]] = {s: [] for s in self.states}
         self._in: dict[str, list[Flow]] = {s: [] for s in self.states}
+        out, into = self._out, self._in
         for f in self.flows:
-            if f.src not in self.states or f.trg not in self.states:
-                raise ModelFormatError(f"flow endpoint missing from states: {f.src}->{f.trg}")
-            self._out[f.src].append(f)
-            self._in[f.trg].append(f)
+            src, _, trg = f
+            if src not in out or trg not in out:
+                raise ModelFormatError(f"flow endpoint missing from states: {src}->{trg}")
+            out[src].append(f)
+            into[trg].append(f)
 
     def out_flows(self, s: str) -> list[Flow]:
         return self._out[s]
@@ -162,16 +161,20 @@ def _label_to_json(label: Label):
     return {"op": {"from": label.initiator, "task": label.task, "to": label.receiver}}
 
 
+_OP_KEYS = frozenset({"from", "task", "to"})
+
+
 def _label_from_json(data) -> Label:
     if data == "eps":
         return EPS
-    if isinstance(data, dict) and set(data) == {"guard"}:
-        return Guard(parse_predicate(data["guard"]))
-    if isinstance(data, dict) and set(data) == {"op"}:
-        op = data["op"]
-        if set(op) != {"from", "task", "to"}:
-            raise ModelFormatError(f"bad operation label: {data!r}")
-        return Operation(op["from"], op["task"], op["to"])
+    if isinstance(data, dict) and len(data) == 1:
+        if "op" in data:
+            op = data["op"]
+            if (op.keys() if type(op) is dict else set(op)) != _OP_KEYS:
+                raise ModelFormatError(f"bad operation label: {data!r}")
+            return Operation(op["from"], op["task"], op["to"])
+        if "guard" in data:
+            return Guard(parse_predicate(data["guard"]))
     raise ModelFormatError(f"unrecognized flow label: {data!r}")
 
 
@@ -196,9 +199,17 @@ def model_to_json(model: Choreography) -> dict:
     }
 
 
+_KINDS = {kind.value: kind for kind in StateKind}
+
+
 def model_from_json(data: dict) -> Choreography:
     try:
-        states = {s: StateKind(k) for s, k in data["states"].items()}
+        raw_states = data["states"]
+        try:
+            states = {s: _KINDS[k] for s, k in raw_states.items()}
+        except (KeyError, TypeError):
+            # StateKind(k) names the value that is no kind
+            states = {s: StateKind(k) for s, k in raw_states.items()}
         flows = [
             Flow(f["from"], _label_from_json(f["label"]), f["to"])
             for f in data["flows"]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Choreography, Guard, Operation, model_from_json, model_to_json
 from .predicate import Value, free_vars, strict_eq, to_text
@@ -25,21 +26,23 @@ class ScenarioFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Action:
+# the orders a scenario's actions run in, and the scheduling policies
+MODES = ("inorder", "shuffled")
+POLICIES = ("roundrobin", "random")
+
+
+class Action(NamedTuple):
     task: str
     target: str  # receiver role; the pair is (own role, target)
 
 
-@dataclass(frozen=True)
-class Injection:
+class Injection(NamedTuple):
     after: int  # index into the main action list, by completion order
     task: str
     target: str
 
 
-@dataclass(frozen=True)
-class ScriptSpec:
+class ScriptSpec(NamedTuple):
     role: str
     actions: tuple[Action, ...]
     reorder_groups: tuple[tuple[int, ...], ...] = ()
@@ -135,20 +138,18 @@ def scenario_to_json(scenario: Scenario) -> dict:
 
 def scenario_from_json(data: dict) -> Scenario:
     try:
-        scripts = tuple(
+        scripts = tuple([
             ScriptSpec(
-                role=s["role"],
-                actions=tuple(Action(task, target) for task, target in s["actions"]),
-                reorder_groups=tuple(
-                    tuple(g) for g in s.get("reorderable", [])
-                ),
-                injections=tuple(
+                s["role"],
+                tuple([Action(task, target) for task, target in s["actions"]]),
+                tuple([tuple(g) for g in s.get("reorderable", [])]),
+                tuple([
                     Injection(inj["after"], inj["task"], inj["target"])
                     for inj in s.get("injections", [])
-                ),
+                ]),
             )
             for s in data["participants"]
-        )
+        ])
         scenario = Scenario(
             model=model_from_json(data["cefm"]),
             environment=dict(data["environment"]),
@@ -159,8 +160,58 @@ def scenario_from_json(data: dict) -> Scenario:
         )
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ScenarioFormatError(f"bad scenario document: {exc}") from exc
+    _check_fields(scenario)
     _check_runnable(scenario)
     return scenario
+
+
+def _is_index(value, length: int) -> bool:
+    return type(value) is int and 0 <= value < length
+
+
+def _check_fields(scenario: Scenario) -> None:
+    """Reject run and participant fields a run would misread: an unknown
+    mode or policy, a seed that is no integer, a role, task or target
+    that is no string, a role played twice, and a reorder group or
+    injection that names no index of its participant's actions."""
+    if scenario.mode not in MODES:
+        raise ScenarioFormatError(
+            f"unknown mode {scenario.mode!r}, expected {' or '.join(MODES)}"
+        )
+    if scenario.policy not in POLICIES:
+        raise ScenarioFormatError(
+            f"unknown policy {scenario.policy!r}, expected {' or '.join(POLICIES)}"
+        )
+    if type(scenario.seed) is not int:
+        raise ScenarioFormatError(f"seed {scenario.seed!r} is no integer")
+    roles: set[str] = set()
+    for spec in scenario.scripts:
+        role = spec.role
+        if type(role) is not str:
+            raise ScenarioFormatError(f"participant role {role!r} is no string")
+        if role in roles:
+            raise ScenarioFormatError(f"two participants play role {role}")
+        roles.add(role)
+        for request in (*spec.actions, *spec.injections):
+            if type(request.task) is not str or type(request.target) is not str:
+                raise ScenarioFormatError(
+                    f"participant {role} requests task {request.task!r} of "
+                    f"{request.target!r}; both must be strings"
+                )
+        count = len(spec.actions)
+        for group in spec.reorder_groups:
+            for index in group:
+                if not _is_index(index, count):
+                    raise ScenarioFormatError(
+                        f"participant {role}: reorder group {list(group)} names "
+                        f"{index!r}, no index of its {count} actions"
+                    )
+        for inj in spec.injections:
+            if not _is_index(inj.after, count):
+                raise ScenarioFormatError(
+                    f"participant {role}: injection {inj.task} after {inj.after!r} "
+                    f"names no index of its {count} actions"
+                )
 
 
 def _check_runnable(scenario: Scenario) -> None:
@@ -168,11 +219,8 @@ def _check_runnable(scenario: Scenario) -> None:
     model lacks, or a guard over a variable the environment leaves unset
     or binds to a value outside the variable's declared domain."""
     model = scenario.model
-    operations = {
-        (op.initiator, op.task, op.receiver)
-        for op in (f.label for f in model.flows)
-        if isinstance(op, Operation)
-    }
+    # an Operation is the tuple (initiator, task, receiver)
+    operations = {f.label for f in model.flows if isinstance(f.label, Operation)}
     for spec in scenario.scripts:
         for request in (*spec.actions, *spec.injections):
             if (spec.role, request.task, request.target) not in operations:

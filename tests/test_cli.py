@@ -242,6 +242,29 @@ def _value_outside_int_domain(data):
     data["environment"]["n"] = 5
 
 
+def _injection_after(after):
+    def edit(data):
+        data["participants"][1]["injections"] = [
+            {"after": after, "task": "startItin", "target": "NMU"}
+        ]
+    return edit
+
+
+def _shuffled_group(group):
+    def edit(data):
+        data["mode"] = "shuffled"
+        data["participants"][1]["reorderable"] = [group]
+    return edit
+
+
+def _second_participant_for_role(data):
+    data["participants"].append(json.loads(json.dumps(data["participants"][0])))
+
+
+def _list_for_task(data):
+    data["participants"][0]["actions"][0] = [["getUserPref"], "UMS"]
+
+
 @pytest.mark.parametrize(
     "edit, named",
     [
@@ -250,6 +273,21 @@ def _value_outside_int_domain(data):
         (_unbound_guard_variable, "friendFound"),
         (_int_for_bool_variable, "shareEnabled"),
         (_value_outside_int_domain, "n to 5"),
+        (lambda data: data.update(policy="bogus"), "unknown policy 'bogus'"),
+        (lambda data: data.update(mode="bogus"), "unknown mode 'bogus'"),
+        (lambda data: data.update(seed=[1], policy="random"), "seed [1] is no integer"),
+        (lambda data: data.update(seed=None), "seed None is no integer"),
+        (
+            lambda data: data["participants"][0].update(role=["IM"]),
+            "participant role ['IM'] is no string",
+        ),
+        (_list_for_task, "task ['getUserPref'] of 'UMS'"),
+        (_injection_after("0"), "after '0' names no index of its 6 actions"),
+        (_injection_after(6), "after 6 names no index of its 6 actions"),
+        (_injection_after(-1), "after -1 names no index of its 6 actions"),
+        (_shuffled_group([0, 99]), "reorder group [0, 99] names 99"),
+        (_shuffled_group(["0", "1"]), "reorder group ['0', '1'] names '0'"),
+        (_second_participant_for_role, "two participants play role IM"),
     ],
     ids=[
         "unknown-action",
@@ -257,6 +295,18 @@ def _value_outside_int_domain(data):
         "unbound-guard-variable",
         "int-for-bool-variable",
         "value-outside-domain",
+        "unknown-policy",
+        "unknown-mode",
+        "list-seed",
+        "null-seed",
+        "list-role",
+        "list-task",
+        "string-injection-index",
+        "injection-index-past-the-actions",
+        "negative-injection-index",
+        "reorder-index-past-the-actions",
+        "string-reorder-index",
+        "role-played-twice",
     ],
 )
 def test_run_unrunnable_scenario_is_a_clean_error(tmp_path, capsys, edit, named):

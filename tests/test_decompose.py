@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -10,14 +11,23 @@ from chorenforce.decompose import (
     CoordTuple,
     InvalidModelError,
     Pair,
+    dumps_cm,
     generate_all,
     initial_wait_states,
 )
-from chorenforce.model import EPS, Choreography, Flow, Operation, StateKind
+from chorenforce.model import (
+    EPS,
+    Choreography,
+    Flow,
+    Operation,
+    StateKind,
+    dumps_model,
+    loads_model,
+)
 from chorenforce.predicate import TRUE, Not, Var, eval_pred, free_vars
 from chorenforce.randgen import random_case
 from golden import GOLDEN_CMS, GOLDEN_INITIAL_WAIT, GOLDEN_TUPLE_COUNT
-from helpers import loop_model, random_chain_model, sp_cms, sp_model
+from helpers import fork_model, loop_model, random_chain_model, sp_cms, sp_model
 
 
 def test_pairs_discovered():
@@ -265,3 +275,39 @@ def test_lookup_tables_agree_with_the_scans_they_replace():
             assert_tables_match_scans(cm)
             checked += 1
     assert checked > 400
+
+
+# -- pinned decomposition bytes --------------------------------------------------
+
+# sha256 over each model's pairs in sorted order, each as its name, a
+# newline and dumps_cm; recorded while the lookup tables were still built
+# on first use, before the decomposition filled them as it emits tuples
+CM_SHA256 = {
+    "chain160": "2748890d1674e40f299955e1bbcf41c99f38c6986218e309048f99d4857ffd12",
+    "fork6": "6454f82e4bf0b35c70e224b121f2c621c58da718caad83242636a0295d894773",
+    "random_case": "2c5919fc5a825e5cf6b86ada058a1872f324aaad7ed27505569fe1dfbe9263c8",
+    "socialprox": "c05beaa00985a1a261521cc0a7f1c45aeacfef164885a83fd22c8844a62648d1",
+}
+
+
+def pinned_models(name: str) -> list[Choreography]:
+    if name == "socialprox":
+        return [sp_model()]
+    if name == "random_case":
+        rng = random.Random(0)
+        return [random_case(rng).model for _ in range(200)]
+    if name == "chain160":
+        return [random_chain_model(seed=3, n_ops=160, n_roles=45)]
+    return [fork_model(6)]
+
+
+@pytest.mark.parametrize("name", sorted(CM_SHA256))
+def test_decomposition_bytes_are_pinned(name):
+    digest = hashlib.sha256()
+    for model in pinned_models(name):
+        cms = generate_all(model)
+        for pair in sorted(cms):
+            digest.update(f"{pair}\n{dumps_cm(cms[pair])}".encode())
+        # equal models have equal flow lists, in the same order
+        assert loads_model(dumps_model(model)) == model
+    assert digest.hexdigest() == CM_SHA256[name]
