@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .decompose import InvalidModelError, cm_warnings, dumps_cm, generate_all
+from .decompose import InvalidModelError, dumps_cm, generate_all
 from .interpreter import reference_traces
 from .model import ModelFormatError, load_model
 from .oracle import ALLOWED, RuntimeChecker, check_conformance, projection
@@ -42,8 +42,6 @@ def _cmd_gen_cm(args) -> int:
         path.write_text(dumps_cm(cm))
         entry = ",".join(sorted(cm.initial_wait))
         print(f"{pair}: {len(cm.tuples)} tuples, entry states {{{entry}}} -> {path}")
-        for line in cm_warnings(cm):
-            print(f"  warning: {line}")
     return 0
 
 

@@ -160,11 +160,9 @@ class CoordModel:
 
 
 def _loop_exit_cond(model: Choreography, src: str) -> Pred:
-    # The exit epsilon of a loop fires exactly when the entry guard fails.
-    entry = [f for f in model.out_flows(src) if isinstance(f.label, Guard)]
-    if len(entry) != 1:
-        return TRUE
-    pred = entry[0].label.pred
+    # The exit epsilon of a loop fires exactly when the entry guard, its
+    # one guard flow, fails.
+    pred = next(f.label.pred for f in model.out_flows(src) if isinstance(f.label, Guard))
     return pred.inner if isinstance(pred, Not) else Not(pred)
 
 
@@ -239,8 +237,7 @@ class _Decomposition:
         operation takes over. It emits the tuples out of one state
         together, in the order of the state's flows, which is sort_key
         order: in a valid model two flows out of one state share a target
-        only when both are guards, sorted by their text, or when they are
-        the same epsilon flow twice, which gives one tuple. The walk first
+        only when both are guards, sorted by their text. The walk first
         stops at tuples that wait at a join, so the states it has reached
         by then are those initial_wait_states reaches; then it goes on
         from the joins.
@@ -289,8 +286,6 @@ class _Decomposition:
                     if owner in allowed:
                         allowed = allowed - {owner}
                     t = CoordTuple(src, None, trg, allowed, cond, notified, waited)
-                    if group and group[-1] == t:
-                        continue  # the same flow twice
                     group.append(t)
                     if waited:
                         waits[trg] = waits.get(trg, _NONE) | waited
@@ -344,17 +339,6 @@ def initial_wait_states(cm: CoordModel) -> frozenset[str]:
                 continue
             frontier.append(t.trg)
     return cm.op_states - reached
-
-
-def cm_warnings(cm: CoordModel) -> list[str]:
-    """Ambiguities the runtime rules cannot resolve deterministically."""
-    out = []
-    joins = {t.trg for t in cm.tuples if t.to_be_waited}
-    for j in sorted(joins):
-        exits = cm.tuples_from(j)
-        if len(exits) > 1:
-            out.append(f"{cm.owner}: join {j} has {len(exits)} outgoing tuples")
-    return out
 
 
 def _pair_to_json(p: Pair) -> list[str]:

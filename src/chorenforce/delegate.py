@@ -120,20 +120,6 @@ class Delegate:
         self.notify_buffer: list[tuple[str, Pair, str]] = []
         self._next_tid = 0
 
-    # -- hooks; faulty implementations override these -----------------------
-
-    def _cond_holds(self, t: CoordTuple) -> bool:
-        return bool(eval_pred(t.cond, self.env))
-
-    def _notify_entries(self, t: CoordTuple):
-        return t.to_be_notified
-
-    def _wait_entries(self, t: CoordTuple):
-        return t.to_be_waited
-
-    def _winner(self, join: str, others: list[Pair]) -> bool:
-        return all(self.pair > p for p in others)
-
     # -- rule 1: request -----------------------------------------------------
 
     def handle_request(self, request_id: int, task: str) -> tuple[str, list]:
@@ -227,7 +213,7 @@ class Delegate:
                 continue
             if thread.state in self.cm.op_states:
                 continue
-            live = [t for t in outs if self._cond_holds(t)]
+            live = [t for t in outs if eval_pred(t.cond, self.env)]
             if not live:
                 raise NoEnabledTupleError(
                     f"{self.pair}: no enabled tuple out of {thread.state}"
@@ -249,15 +235,13 @@ class Delegate:
 
     def _traverse(self, thread: Thread, t: CoordTuple, ems: list) -> bool:
         """Apply one tuple to a thread; True when the thread advanced."""
-        notified = self._notify_entries(t)
-        if notified:
-            for pred, pair in sorted(notified):
+        if t.to_be_notified:
+            for pred, pair in sorted(t.to_be_notified):
                 ems.append(NotifyEmission(dst=pair, pred=pred, join=t.trg))
-        waits = self._wait_entries(t)
-        if waits:
+        if t.to_be_waited:
             thread.join = t.trg
             thread.pending_tuple = t
-            thread.awaited = set(waits)
+            thread.awaited = set(t.to_be_waited)
             self._drain_notify_buffer(thread)
             if thread.awaited:
                 return False
@@ -289,8 +273,7 @@ class Delegate:
         first crosses and the rest retire when it does.
         """
         t = thread.pending_tuple
-        others = sorted({p for _, p in t.to_be_waited if p != self.pair})
-        if not self._winner(t.trg, others):
+        if any(p > self.pair for _, p in t.to_be_waited):
             self._retire(thread)
             return False
         for sibling in list(self.threads):

@@ -66,8 +66,7 @@ class Language:
         self._silent: dict[str, tuple | None] = {}
         # join -> the entry places that must all hold a token for it to fire
         self._entries = {
-            j: tuple(dict.fromkeys((f.src, j) for f in model.in_flows(j)))
-            for j in self._joins
+            j: tuple((f.src, j) for f in model.in_flows(j)) for j in self._joins
         }
         self._budget = 16 * (len(model.states) + 2) * (len(model.flows) + 2)
         self._reached: dict[tuple, frozenset] = {}

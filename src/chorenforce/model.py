@@ -245,10 +245,19 @@ def save_model(model: Choreography, path) -> None:
         fh.write(dumps_model(model))
 
 
-def load_model(path) -> Choreography:
+def read_json(path, error: type[ValueError], what: str):
+    """The JSON document in a file. A file that is not text, or nests too
+    deeply for json to read, raises `error`, naming the file as `what`."""
     with open(path) as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
-            raise ModelFormatError(f"model is not text: {exc}") from None
-    return loads_model(text)
+            raise error(f"{what} is not text: {exc}") from None
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise error(f"{what} nests too deeply to read") from None
+
+
+def load_model(path) -> Choreography:
+    return model_from_json(read_json(path, ModelFormatError, "model"))

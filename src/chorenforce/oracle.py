@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .decompose import CoordModel, Pair, generate_all
 from .interpreter import Language
-from .model import Choreography, Guard, StateKind
+from .model import Choreography, Guard, Operation, StateKind
 from .predicate import Value, eval_pred
 
 ALLOWED = "Allowed"
@@ -218,7 +218,8 @@ def coordination_overhead(events: list[dict], model: Choreography) -> tuple[int,
     """Delivered coordination messages versus the static bound
     |operation labels| * |roles|."""
     count = sum(1 for e in events if e["kind"] in ("Update", "Notify"))
-    bound = len({op.label for op in model.operations()}) * len(model.roles)
+    labels = {f.label.label for f in model.flows if isinstance(f.label, Operation)}
+    bound = len(labels) * len(model.roles)
     return count, bound
 
 

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import Choreography, Guard, Operation, model_from_json, model_to_json
+from .model import Choreography, Guard, Operation, model_from_json, model_to_json, read_json
 from .predicate import Value, free_vars, strict_eq, to_text
 
 
@@ -254,12 +254,7 @@ def dumps_scenario(scenario: Scenario) -> str:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ScenarioFormatError(f"scenario is not text: {exc}") from None
-    return scenario_from_json(json.loads(text))
+    return scenario_from_json(read_json(path, ScenarioFormatError, "scenario"))
 
 
 def save_scenario(scenario: Scenario, path) -> None:

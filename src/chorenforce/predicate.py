@@ -81,10 +81,26 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+# The deepest nesting parse_predicate accepts: a variable test is one
+# level; `not`, `and`, `or` and parentheses each add one above their
+# operands. The parser and every walk over a predicate recurse per level.
+MAX_DEPTH = 100
+
+
+def _above(*depths: int) -> int:
+    depth = max(depths) + 1
+    if depth > MAX_DEPTH:
+        raise PredicateError(f"predicate nests deeper than {MAX_DEPTH} levels")
+    return depth
+
+
 class _Parser:
+    # each rule returns its node and the node's depth
+
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0  # `not`s and parentheses around the current token
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -97,46 +113,53 @@ class _Parser:
         return tok
 
     def parse(self) -> Pred:
-        node = self.or_expr()
+        node, _ = self.or_expr()
         if self.peek() is not None:
             raise PredicateError(f"trailing tokens after predicate: {self.tokens[self.pos:]}")
         return node
 
-    def or_expr(self) -> Pred:
-        node = self.and_expr()
+    def or_expr(self) -> tuple[Pred, int]:
+        node, depth = self.and_expr()
         while self.peek() == "or":
             self.take()
-            node = Or(node, self.and_expr())
-        return node
+            right, right_depth = self.and_expr()
+            node, depth = Or(node, right), _above(depth, right_depth)
+        return node, depth
 
-    def and_expr(self) -> Pred:
-        node = self.unary()
+    def and_expr(self) -> tuple[Pred, int]:
+        node, depth = self.unary()
         while self.peek() == "and":
             self.take()
-            node = And(node, self.unary())
-        return node
+            right, right_depth = self.unary()
+            node, depth = And(node, right), _above(depth, right_depth)
+        return node, depth
 
-    def unary(self) -> Pred:
+    def unary(self) -> tuple[Pred, int]:
         if self.peek() == "not":
             self.take()
-            return Not(self.unary())
+            self.open = _above(self.open)
+            inner, depth = self.unary()
+            self.open -= 1
+            return Not(inner), _above(depth)
         return self.atom()
 
-    def atom(self) -> Pred:
+    def atom(self) -> tuple[Pred, int]:
         tok = self.take()
         if tok == "(":
-            node = self.or_expr()
+            self.open = _above(self.open)
+            node, depth = self.or_expr()
             if self.take() != ")":
                 raise PredicateError("unbalanced parenthesis")
-            return node
+            self.open -= 1
+            return node, _above(depth)
         if tok == "true":
-            return TRUE
+            return TRUE, 1
         if tok in _KEYWORDS or tok in {"==", ")"} or re.fullmatch(r"-?\d+", tok):
             raise PredicateError(f"unexpected token {tok!r}")
         if self.peek() == "==":
             self.take()
-            return Eq(tok, self._literal())
-        return Var(tok)
+            return Eq(tok, self._literal()), 1
+        return Var(tok), 1
 
     def _literal(self) -> Value:
         tok = self.take()

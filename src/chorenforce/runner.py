@@ -75,17 +75,14 @@ def run_scenario(
     policy: str | None = None,
     seed: int | None = None,
     max_events: int = 10000,
-    mutant_pair: Pair | None = None,
-    mutant_cls: type[Delegate] | None = None,
 ) -> RunResult:
     policy_name = policy if policy is not None else scenario.policy
     run_seed = seed if seed is not None else scenario.seed
     cms = generate_all(scenario.model)
 
-    delegates: dict[Pair, Delegate] = {}
-    for pair in sorted(cms):
-        cls = mutant_cls if (mutant_cls and pair == mutant_pair) else Delegate
-        delegates[pair] = cls(pair, cms[pair], scenario.environment)
+    delegates = {
+        pair: Delegate(pair, cms[pair], scenario.environment) for pair in sorted(cms)
+    }
     participants = {
         spec.role: Participant(spec, mode=scenario.mode, seed=run_seed)
         for spec in scenario.scripts

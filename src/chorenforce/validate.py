@@ -8,6 +8,7 @@ shapes (unreachable states, states that cannot reach the final state).
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -68,6 +69,7 @@ def _label_name(f: Flow) -> str:
 
 def validate_cefm(model: Choreography) -> ValidationReport:
     report = ValidationReport()
+    _check_duplicate_flows(model, report)
     _check_degrees(model, report)
     _check_guard_placement(model, report)
     _check_guard_variables(model, report)
@@ -75,6 +77,14 @@ def validate_cefm(model: Choreography) -> ValidationReport:
     _check_loops(model, report)
     _check_reachability(model, report)
     return report
+
+
+def _check_duplicate_flows(model: Choreography, report: ValidationReport) -> None:
+    # The flows of a model are a relation: a flow is there or it is not.
+    for f, n in Counter(model.flows).items():
+        if n > 1:
+            report.add(f.src, "duplicate-flow",
+                       f"{_label_name(f)} to {f.trg} is listed {n} times")
 
 
 def _check_degrees(model: Choreography, report: ValidationReport) -> None:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
+from unittest import mock
 
-from chorenforce import RunResult, generate_all, reference_traces, run_scenario
+from chorenforce import RunResult, generate_all, reference_traces, run_scenario, runner
 from chorenforce.decompose import Pair
 from chorenforce.delegate import Delegate
 from chorenforce.interpreter import Language
@@ -97,7 +98,8 @@ def share_disabled_scenario() -> Scenario:
 
 def defect_cases() -> list[tuple[str, str, Scenario, Pair, type[Delegate]]]:
     """One run per misbehaviour class, each with the faulty delegate that
-    elicits it: (verdict kind, note, scenario, mutant pair, mutant class)."""
+    elicits it: (verdict kind, note, scenario, faulty pair, faulty class).
+    Run each case inside faulty_delegate(pair, cls)."""
     sp = sp_model()
     # forwards a known task without consulting its coordination model
     early = Scenario(
@@ -152,6 +154,16 @@ def defect_cases() -> list[tuple[str, str, Scenario, Pair, type[Delegate]]]:
         (DEADLOCKING_JOIN, "suppressed notification",
          inorder_scenario(), Pair(SPS, NMF), skip_notify()),
     ]
+
+
+def faulty_delegate(pair: Pair, cls: type[Delegate]):
+    """A context in which run_scenario gives `pair` a `cls` delegate and
+    every other pair an honest one."""
+
+    def build(p: Pair, cm, env) -> Delegate:
+        return (cls if p == pair else Delegate)(p, cm, env)
+
+    return mock.patch.object(runner, "Delegate", build)
 
 
 def run_sp(scenario: Scenario, *, policy="roundrobin", seed=0, **kw) -> RunResult:
@@ -245,6 +257,28 @@ def twin_fork_model() -> Choreography:
         Flow("Q2", EPS, "J"),
         Flow("J", EPS, "Z"),
         Flow("Z", EPS, "Final"),
+    ]
+    return Choreography(states, "Initial", "Final", {"A", "B"}, {}, flows)
+
+
+def duplicate_flow_model() -> Choreography:
+    """A fork whose two branches are the same flow, F -eps-> J, listed
+    twice, then A.t.B."""
+    states = {
+        "Initial": StateKind.INITIAL,
+        "F": StateKind.FORK,
+        "J": StateKind.JOIN,
+        "P": StateKind.PLAIN,
+        "Q": StateKind.PLAIN,
+        "Final": StateKind.FINAL,
+    }
+    flows = [
+        Flow("Initial", EPS, "F"),
+        Flow("F", EPS, "J"),
+        Flow("F", EPS, "J"),
+        Flow("J", EPS, "P"),
+        Flow("P", Operation("A", "t", "B"), "Q"),
+        Flow("Q", EPS, "Final"),
     ]
     return Choreography(states, "Initial", "Final", {"A", "B"}, {}, flows)
 

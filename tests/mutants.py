@@ -1,17 +1,24 @@
 """Faulty delegate variants used to exercise the runtime checker.
 
-Each factory returns a Delegate subclass with exactly one rule broken.
-Most override one of the delegate's hook methods. The unchecked forward
-overrides request handling and the retry of blocked requests instead, so
-the honest delegate carries no code for it. The variants that misread
-guards take a state-kind map because the bug being modeled is
-kind-specific (a delegate that mishandles branching is a different
-defect from one that mishandles loops); an honest delegate needs no
-such map.
+Each factory returns a Delegate subclass with exactly one fault. Most
+enforce a faulty coordination model: the honest model's tuples with
+the guards, the notifications or the waits of a join got wrong. The
+faulty model keeps the honest model's entry states, so the delegate is
+activated exactly where an honest one is. The wrong priority and the
+unchecked forward break a runtime rule instead, by overriding the
+method that applies it, so the honest delegate carries no code for
+either. The variants that misread guards take a state-kind map because
+the bug being modeled is kind-specific (a delegate that mishandles
+branching is a different defect from one that mishandles loops); an
+honest delegate needs no such map.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from dataclasses import replace
+
+from chorenforce.decompose import CoordModel, CoordTuple
 from chorenforce.delegate import (
     BLOCKED,
     FORWARDED,
@@ -20,6 +27,20 @@ from chorenforce.delegate import (
     UnblockEmission,
 )
 from chorenforce.model import StateKind
+from chorenforce.predicate import Not
+
+
+def _faulty_model(fault: Callable[[CoordTuple], CoordTuple]) -> type[Delegate]:
+    """A delegate enforcing the honest model with `fault` applied to each
+    tuple."""
+
+    class FaultyModel(Delegate):
+        def __init__(self, pair, cm, env):
+            faulty = CoordModel(cm.owner, map(fault, cm.tuples))
+            faulty.initial_wait = cm.initial_wait
+            super().__init__(pair, faulty, env)
+
+    return FaultyModel
 
 
 def forward_without_check() -> type[Delegate]:
@@ -51,14 +72,12 @@ def forward_without_check() -> type[Delegate]:
 
 
 def _guard_inverter(kind: StateKind, state_kinds: dict[str, StateKind]) -> type[Delegate]:
-    class GuardInverter(Delegate):
-        def _cond_holds(self, t):
-            holds = super()._cond_holds(t)
-            if state_kinds.get(t.src) is kind:
-                return not holds
-            return holds
+    def invert(t: CoordTuple) -> CoordTuple:
+        if state_kinds.get(t.src) is kind:
+            return replace(t, cond=Not(t.cond))
+        return t
 
-    return GuardInverter
+    return _faulty_model(invert)
 
 
 def skip_guard_check(state_kinds: dict[str, StateKind]) -> type[Delegate]:
@@ -73,22 +92,12 @@ def ignore_loop_guard(state_kinds: dict[str, StateKind]) -> type[Delegate]:
 
 def skip_wait() -> type[Delegate]:
     """Walks straight through joins without collecting notifications."""
-
-    class SkipWait(Delegate):
-        def _wait_entries(self, t):
-            return frozenset()
-
-    return SkipWait
+    return _faulty_model(lambda t: replace(t, to_be_waited=frozenset()))
 
 
 def skip_notify() -> type[Delegate]:
     """Never tells the sibling branch that its own branch arrived."""
-
-    class SkipNotify(Delegate):
-        def _notify_entries(self, t):
-            return frozenset()
-
-    return SkipNotify
+    return _faulty_model(lambda t: replace(t, to_be_notified=frozenset()))
 
 
 def wrong_priority() -> type[Delegate]:
@@ -97,7 +106,8 @@ def wrong_priority() -> type[Delegate]:
     nobody crosses and the run stalls."""
 
     class WrongPriority(Delegate):
-        def _winner(self, join, others):
+        def _resolve_join(self, thread, ems):
+            self._retire(thread)
             return False
 
     return WrongPriority

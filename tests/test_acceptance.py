@@ -38,6 +38,7 @@ from helpers import (
     adversarial_scenario,
     assert_overhead,
     defect_cases,
+    faulty_delegate,
     sp_cms,
     sp_language,
     sp_model,
@@ -351,7 +352,8 @@ def test_criterion_6_random_models_agree_with_the_reference():
 def test_criterion_7_each_defect_class_has_a_mutant_that_elicits_it():
     observed: dict[str, str] = {}
     for kind, note, scenario, pair, cls in defect_cases():
-        result = run_scenario(scenario, mutant_pair=pair, mutant_cls=cls)
+        with faulty_delegate(pair, cls):
+            result = run_scenario(scenario)
         found = [v for v in result.verdicts if v.kind == kind]
         assert found, f"{note}: no {kind} verdict"
         observed[kind] = note

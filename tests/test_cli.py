@@ -11,6 +11,7 @@ from chorenforce.model import save_model
 from chorenforce.participants import Action, Scenario, ScriptSpec, save_scenario
 from helpers import (
     chain_scenario,
+    duplicate_flow_model,
     inorder_scenario,
     share_disabled_scenario,
     silent_loop_model,
@@ -104,6 +105,19 @@ def test_run_loop_without_operation_is_a_clean_error(tmp_path, capsys):
     assert err.startswith("error: ") and "loop-without-operation" in err
 
 
+def test_run_duplicate_flow_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "duplicate_flow.json"
+    scenario = Scenario(
+        model=duplicate_flow_model(),
+        environment={},
+        scripts=(ScriptSpec("A", (Action("t", "B"),)),),
+    )
+    save_scenario(scenario, path)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "F: duplicate-flow" in err
+
+
 def test_run_writes_trace_and_report(scenario_path, tmp_path, capsys):
     out = tmp_path / "runs"
     assert main([
@@ -169,7 +183,9 @@ def test_fuzz_small(capsys):
 
 
 @pytest.mark.parametrize(
-    "text", [None, json.dumps({"participants": 5})], ids=["missing", "malformed"]
+    "text",
+    [None, json.dumps({"participants": 5}), "[" * 100_000],
+    ids=["missing", "malformed", "deeply-nested-json"],
 )
 def test_run_missing_or_malformed_scenario_is_a_clean_error(tmp_path, capsys, text):
     path = tmp_path / "scenario.json"
@@ -185,13 +201,48 @@ def test_check_trace_missing_trace_is_a_clean_error(scenario_path, tmp_path, cap
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _wrap_first_guard(cefm: dict, wrap) -> dict:
+    """The model JSON with its first guard's text passed through wrap."""
+    label = next(
+        f["label"] for f in cefm["flows"]
+        if isinstance(f["label"], dict) and "guard" in f["label"]
+    )
+    label["guard"] = wrap(label["guard"])
+    return cefm
+
+
+# a guard nested 5,000 levels deep, three ways
+def _deep_not(guard: str) -> str:
+    return "not " * 5000 + guard
+
+
+def _deep_and(guard: str) -> str:
+    return guard + " and true" * 5000
+
+
+def _deep_parentheses(guard: str) -> str:
+    return "(" * 5000 + guard + ")" * 5000
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         lambda text: text[: len(text) // 2],
         lambda text: json.dumps({**json.loads(text), "flows": 5}),
+        lambda text: "[" * 100_000,
+        *(
+            lambda text, wrap=wrap: json.dumps(_wrap_first_guard(json.loads(text), wrap))
+            for wrap in (_deep_not, _deep_and, _deep_parentheses)
+        ),
     ],
-    ids=["truncated-json", "flows-number"],
+    ids=[
+        "truncated-json",
+        "flows-number",
+        "deeply-nested-json",
+        "deep-not-guard",
+        "deep-and-guard",
+        "deep-parenthesised-guard",
+    ],
 )
 def test_validate_corrupted_model_is_a_clean_error(tmp_path, capsys, corrupt):
     path = tmp_path / "corrupted.json"
@@ -288,6 +339,10 @@ def _list_for_task(data):
         (_shuffled_group([0, 99]), "reorder group [0, 99] names 99"),
         (_shuffled_group(["0", "1"]), "reorder group ['0', '1'] names '0'"),
         (_second_participant_for_role, "two participants play role IM"),
+        (
+            lambda data: _wrap_first_guard(data["cefm"], _deep_not),
+            "predicate nests deeper than 100 levels",
+        ),
     ],
     ids=[
         "unknown-action",
@@ -307,6 +362,7 @@ def _list_for_task(data):
         "reorder-index-past-the-actions",
         "string-reorder-index",
         "role-played-twice",
+        "deep-not-guard",
     ],
 )
 def test_run_unrunnable_scenario_is_a_clean_error(tmp_path, capsys, edit, named):

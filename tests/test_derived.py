@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from chorenforce.decompose import generate_all
+from chorenforce.decompose import CoordTuple, generate_all
 from chorenforce.delegate import Delegate
 from chorenforce.model import Epsilon, Guard, Operation, StateKind
 from chorenforce.oracle import (
@@ -26,11 +26,11 @@ from chorenforce.oracle import (
     Verdict,
     _roles,
 )
-from chorenforce.predicate import eval_pred
+from chorenforce.predicate import TRUE, eval_pred
 from chorenforce.randgen import random_case, scripts_for_word
 from chorenforce.participants import Scenario
 from chorenforce.runner import run_scenario
-from helpers import defect_cases, fixture_scenario, sp_model
+from helpers import defect_cases, faulty_delegate, fixture_scenario, sp_model
 from mutants import (
     forward_without_check,
     ignore_loop_guard,
@@ -161,7 +161,8 @@ def test_classify_matches_the_five_tables_on_the_fixtures():
 def test_classify_matches_the_five_tables_on_the_defect_runs():
     kinds: dict[str, int] = {}
     for _, _, scenario, pair, cls in defect_cases():
-        result = run_scenario(scenario, mutant_pair=pair, mutant_cls=cls)
+        with faulty_delegate(pair, cls):
+            result = run_scenario(scenario)
         _compare(scenario, result.events, kinds)
     # DeadlockingJoin is found after a run, not in its trace
     assert set(kinds) == {
@@ -195,9 +196,8 @@ def test_classify_matches_the_five_tables_on_random_models():
                 skip_wait(),
                 skip_notify(),
             ):
-                result = run_scenario(
-                    scenario, mutant_pair=rng.choice(pairs), mutant_cls=cls
-                )
+                with faulty_delegate(rng.choice(pairs), cls):
+                    result = run_scenario(scenario)
                 _compare(scenario, result.events, kinds)
     assert set(kinds) == {
         ALLOWED,
@@ -209,18 +209,33 @@ def test_classify_matches_the_five_tables_on_random_models():
     }
 
 
+def _crosses(pair, cm, waited) -> bool:
+    """Whether a thread of the pair's delegate, waiting before join J on
+    a notification from each pair in `waited`, crosses J once they all
+    arrived."""
+    delegate = Delegate(pair, cm, {})
+    thread = delegate._spawn("W", [])
+    thread.join = "J"
+    thread.pending_tuple = CoordTuple(
+        "W", None, "J", frozenset(), TRUE, frozenset(),
+        frozenset(("W", p) for p in waited),
+    )
+    return delegate._resolve_join(thread, [])
+
+
 def test_join_winner_is_the_pair_the_rank_table_put_highest():
-    # the old rank table numbered a run's pairs in sorted order
+    # the old rank table numbered a run's pairs in sorted order; a wait
+    # entry naming the thread's own pair is a sibling thread of its own
+    # delegate, which does not outrank it
     rng = random.Random(198)
     models = [sp_model()] + [random_case(rng).model for _ in range(200)]
     for model in models:
         cms = generate_all(model)
         rank = {pair: r for r, pair in enumerate(sorted(cms))}
         for pair, cm in cms.items():
-            delegate = Delegate(pair, cm, {})
             for other in cms:
-                assert delegate._winner("J", [other]) == (rank[pair] > rank[other])
+                assert _crosses(pair, cm, [other]) == (rank[pair] >= rank[other])
             others = sorted(p for p in cms if p != pair)
-            assert delegate._winner("J", others) == all(
+            assert _crosses(pair, cm, others) == all(
                 rank[pair] > rank[p] for p in others
             )

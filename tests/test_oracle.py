@@ -42,6 +42,7 @@ from mutants import (
 )
 from helpers import (
     APP,
+    faulty_delegate,
     sp_language,
     sp_model,
     im_script,
@@ -88,10 +89,8 @@ def test_forward_without_check_is_undesired_task():
             )),
         ),
     )
-    result = run_scenario(
-        scenario,
-        mutant_pair=SPS_NMU, mutant_cls=forward_without_check(),
-    )
+    with faulty_delegate(SPS_NMU, forward_without_check()):
+        result = run_scenario(scenario)
     bad = [v for v in result.verdicts if v.kind == UNDESIRED_TASK]
     assert len(bad) == 1
     assert bad[0].task == "startItin" and bad[0].state == "S14"
@@ -105,11 +104,8 @@ def test_skip_guard_check_is_invalid_alternative():
         environment=dict(ENV_SHARE_DISABLED),
         scripts=(im_script(),),
     )
-    result = run_scenario(
-        scenario,
-        mutant_pair=IM_UMS,
-        mutant_cls=skip_guard_check(sp_model().states),
-    )
+    with faulty_delegate(IM_UMS, skip_guard_check(sp_model().states)):
+        result = run_scenario(scenario)
     bad = [v for v in result.verdicts if v.kind == INVALID_ALTERNATIVE]
     assert len(bad) == 1
     assert bad[0].task == "matchGPS" and bad[0].state == "S9"
@@ -120,11 +116,8 @@ def test_ignore_loop_guard_is_invalid_loop():
     scenario = loop_scenario(
         {"p": False}, (Action("init", "B"), Action("work", "B"))
     )
-    result = run_scenario(
-        scenario,
-        mutant_pair=Pair("A", "B"),
-        mutant_cls=ignore_loop_guard(loop_model().states),
-    )
+    with faulty_delegate(Pair("A", "B"), ignore_loop_guard(loop_model().states)):
+        result = run_scenario(scenario)
     bad = [v for v in result.verdicts if v.kind == INVALID_LOOP]
     assert len(bad) == 1
     assert bad[0].task == "work" and bad[0].state == "E1"
@@ -132,11 +125,8 @@ def test_ignore_loop_guard_is_invalid_loop():
 
 def test_ignore_loop_guard_is_missed_loop_when_it_should_repeat():
     scenario = loop_scenario({"p": True}, LOOP_EXIT_ACTIONS)
-    result = run_scenario(
-        scenario,
-        mutant_pair=Pair("A", "B"),
-        mutant_cls=ignore_loop_guard(loop_model().states),
-    )
+    with faulty_delegate(Pair("A", "B"), ignore_loop_guard(loop_model().states)):
+        result = run_scenario(scenario)
     bad = [v for v in result.verdicts if v.kind == MISSED_LOOP]
     assert len(bad) == 1
     assert bad[0].task == "finish" and bad[0].state == "X1"
@@ -159,10 +149,8 @@ def test_skip_wait_is_missed_join():
             )),
         ),
     )
-    result = run_scenario(
-        scenario,
-        mutant_pair=SPS_NMF, mutant_cls=skip_wait(),
-    )
+    with faulty_delegate(SPS_NMF, skip_wait()):
+        result = run_scenario(scenario)
     bad = [v for v in result.verdicts if v.kind == MISSED_JOIN]
     assert len(bad) == 1
     assert bad[0].task == "startItin" and bad[0].state == "S21"
@@ -170,9 +158,8 @@ def test_skip_wait_is_missed_join():
 
 
 def test_skip_notify_deadlocks_the_join():
-    result = run_sp(
-        inorder_scenario(), mutant_pair=SPS_NMF, mutant_cls=skip_notify()
-    )
+    with faulty_delegate(SPS_NMF, skip_notify()):
+        result = run_sp(inorder_scenario())
     assert result.outcome == DEADLOCKED
     findings = [v for v in result.verdicts if v.kind == DEADLOCKING_JOIN]
     assert len(findings) == 1
@@ -186,9 +173,8 @@ def test_skip_notify_deadlocks_the_join():
 
 
 def test_wrong_priority_stalls_without_a_finding():
-    result = run_sp(
-        inorder_scenario(), mutant_pair=SPS_NMU, mutant_cls=wrong_priority()
-    )
+    with faulty_delegate(SPS_NMU, wrong_priority()):
+        result = run_sp(inorder_scenario())
     assert result.outcome == DEADLOCKED
     # both sides retire their join threads, so nothing is left suspended:
     # the defect shows up as the outcome, not as a classified forward

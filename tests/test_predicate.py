@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chorenforce.predicate import (
+    MAX_DEPTH,
     TRUE,
     And,
     Eq,
@@ -79,6 +80,26 @@ def test_parse_samples():
 def test_parse_rejects(text):
     with pytest.raises(PredicateError):
         parse_predicate(text)
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda n: "not " * (n - 1) + "a",
+        lambda n: "a" + " and a" * (n - 1),
+        lambda n: "(" * (n - 1) + "a" + ")" * (n - 1),
+    ],
+    ids=["not", "and", "parentheses"],
+)
+def test_parse_refuses_nesting_past_the_limit(nest):
+    # each form is n levels deep; the parser and every walk over a
+    # predicate recurse once or more per level
+    p = parse_predicate(nest(MAX_DEPTH))
+    assert free_vars(p) == {"a"}
+    assert eval_pred(p, {"a": True}) in (True, False)
+    assert parse_predicate(to_text(p)) == p
+    with pytest.raises(PredicateError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse_predicate(nest(MAX_DEPTH + 1))
 
 
 def test_eval_bool_int_distinct():

@@ -1,11 +1,12 @@
 import random
 
-from chorenforce.delegate import Delegate
+from chorenforce import runner
 from chorenforce.model import StateKind
 from chorenforce.participants import Scenario
 from chorenforce.randgen import GeneratedCase, fuzz, random_case, scripts_for_word
 from chorenforce.runner import run_scenario
 from chorenforce.validate import validate_cefm
+from mutants import wrong_priority
 
 
 def cases(n, seed=0):
@@ -88,5 +89,5 @@ def test_case_is_reproducible():
 def test_fuzz_catches_a_delegate_that_never_crosses_a_join(monkeypatch):
     # fork cases end with an operation of a branch pair, which only a
     # delegate that crosses the join can forward
-    monkeypatch.setattr(Delegate, "_winner", lambda self, join, others: False)
+    monkeypatch.setattr(runner, "Delegate", wrong_priority())
     assert fuzz(40, 0, False) == 1

@@ -11,7 +11,7 @@ from chorenforce.model import EPS, Choreography, Flow, Guard, Operation, StateKi
 from chorenforce.predicate import Not, Var
 from chorenforce.socialprox import social_proximity
 from chorenforce.validate import validate_cefm
-from helpers import loop_model, silent_loop_model
+from helpers import duplicate_flow_model, loop_model, silent_loop_model
 
 A_B = Operation("A", "t", "B")
 
@@ -146,6 +146,13 @@ def test_loop_degree():
         variables={"x": (False, True)},
     )
     assert "loop-degree" in rules_of(validate_cefm(m))
+
+
+def test_duplicate_flow():
+    # flows form a relation: F -eps-> J listed twice is one flow, so the
+    # fork has one branch and the join one entry
+    report = validate_cefm(duplicate_flow_model())
+    assert [(v.state, v.rule) for v in report.violations] == [("F", "duplicate-flow")]
 
 
 def test_guard_placement():
