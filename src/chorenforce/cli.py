@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .decompose import InvalidModelError, dumps_cm, generate_all
-from .interpreter import reference_traces
+from .interpreter import InterpreterError, reference_traces
 from .model import ModelFormatError, load_model
 from .oracle import ALLOWED, RuntimeChecker, check_conformance, projection
 from .participants import POLICIES, ScenarioFormatError, load_scenario
@@ -154,6 +154,7 @@ def main(argv=None) -> int:
         InvalidModelError,
         TraceFormatError,
         AmbiguousActivationError,
+        InterpreterError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

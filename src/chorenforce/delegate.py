@@ -13,22 +13,24 @@ each pinned to one state of the model. It reacts to three inputs:
   retires: of the pairs meeting at a join, the one that sorts last
   crosses).
 
-Handlers return emissions rather than performing I/O; the caller decides
-how forwards, updates, notifications and unblocks travel. That keeps the
-rule logic transport-free and lets tests drive a delegate directly.
+A delegate reports what it does to its transport, `out`: each state
+change, forward and unblock, and each update and notification for
+another delegate, as one call of `out.state_change`, `out.forward`,
+`out.unblock`, `out.update` or `out.notify`, in the order it happens.
+The simulator is the transport of a run; tests attach a recorder and
+drive a delegate directly.
 
 A delegate keeps only threads that can still move. Each one either sits
 at a state with an own operation tuple, waiting for the initiator, or is
-suspended before a join, which is exactly when its `join` is set. A
-thread at a state with no tuple out of it (the final state, or a local
-dead end where only other pairs act next) can never move again and is
-retired, as is one that loses a join.
+suspended before a join, which is exactly when its `pending_tuple` (the
+tuple into the join) is set. A thread at a state with no tuple out of it
+(the final state, or a local dead end where only other pairs act next)
+can never move again and is retired, as is one that loses a join.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .decompose import CoordModel, CoordTuple, Pair
 from .predicate import Value, eval_pred
@@ -53,60 +55,18 @@ class DivergentWalkError(CoordinationError):
     """The epsilon walk did not settle; the model cycles without operations."""
 
 
-@dataclass(frozen=True)
-class ForwardEmission:
-    task: str
-    src: str
-    trg: str | None
-
-
-@dataclass(frozen=True)
-class UpdateEmission:
-    dst: Pair
-    state: str
-
-
-@dataclass(frozen=True)
-class NotifyEmission:
-    dst: Pair
-    pred: str
-    join: str
-
-
-@dataclass(frozen=True)
-class UnblockEmission:
-    request_id: int
-    task: str
-
-
-@dataclass(frozen=True)
-class StateChangeEmission:
-    thread_id: int
-    src: str | None
-    trg: str
-
-
-Emission = (
-    ForwardEmission
-    | UpdateEmission
-    | NotifyEmission
-    | UnblockEmission
-    | StateChangeEmission
-)
-
-
 class Thread:
-    __slots__ = ("id", "state", "awaited", "join", "pending_tuple")
+    __slots__ = ("id", "state", "awaited", "pending_tuple")
 
     def __init__(self, tid: int, state: str):
         self.id = tid
         self.state = state
         self.awaited: set[tuple[str, Pair]] = set()
-        self.join: str | None = None
         self.pending_tuple: CoordTuple | None = None
 
     def __repr__(self) -> str:
-        return f"Thread(id={self.id}, state={self.state!r}, join={self.join!r})"
+        join = None if self.pending_tuple is None else self.pending_tuple.trg
+        return f"Thread(id={self.id}, state={self.state!r}, join={join!r})"
 
 
 class Delegate:
@@ -119,81 +79,78 @@ class Delegate:
         self.update_buffer: list[str] = []
         self.notify_buffer: list[tuple[str, Pair, str]] = []
         self._next_tid = 0
+        self.out = None  # the transport; a simulator attaches itself
 
     # -- rule 1: request -----------------------------------------------------
 
-    def handle_request(self, request_id: int, task: str) -> tuple[str, list]:
+    def handle_request(self, request_id: int, task: str) -> str:
         if not self.cm.has_op(task):
             raise UnknownTaskError(f"{self.pair}: no coordination tuple for task {task!r}")
-        ems: list[Emission] = []
         match = self._match_request(task)
         if match is None:
-            match = self._activate_from_buffer(task, ems)
+            match = self._activate_from_buffer(task)
         if match is not None:
             thread, tup = match
-            self._fire_op(thread, tup, ems)
-            self._retry_pendings(ems)
-            return FORWARDED, ems
+            self._fire_op(thread, tup)
+            self._retry_pendings()
+            return FORWARDED
         self.pending.append((request_id, task))
-        return BLOCKED, ems
+        return BLOCKED
 
     def _match_request(self, task: str) -> tuple[Thread, CoordTuple] | None:
         for thread in self.threads:
-            if thread.join is not None:
+            if thread.pending_tuple is not None:
                 continue
             for t in self.cm.tuples_from(thread.state):
                 if t.op == task:
                     return thread, t
         return None
 
-    def _activate_from_buffer(self, task: str, ems: list):
+    def _activate_from_buffer(self, task: str):
         # A state update can outrun the request it enables; consume it now.
         for i, state in enumerate(self.update_buffer):
             if state in self.cm.op_sources(task):
                 del self.update_buffer[i]
-                thread = self._spawn(state, ems)
-                self._walk([thread], ems)
+                thread = self._spawn(state)
+                self._walk([thread])
                 return self._match_request(task)
         return None
 
-    def _fire_op(self, thread: Thread, t: CoordTuple, ems: list) -> None:
-        ems.append(ForwardEmission(task=t.op, src=t.src, trg=t.trg))
-        if self._traverse(thread, t, ems):
-            self._walk([thread], ems)
+    def _fire_op(self, thread: Thread, t: CoordTuple) -> None:
+        self.out.forward(self.pair, t.op, t.src, t.trg)
+        if self._traverse(thread, t):
+            self._walk([thread])
 
     # -- rule 2: state update ------------------------------------------------
 
-    def handle_update(self, state: str) -> list:
-        ems: list[Emission] = []
+    def handle_update(self, state: str) -> None:
         if state in self.cm.initial_wait or self._pending_wants(state):
-            thread = self._spawn(state, ems)
-            self._walk([thread], ems)
-            self._retry_pendings(ems)
-            return ems
+            thread = self._spawn(state)
+            self._walk([thread])
+            self._retry_pendings()
+            return
         self.update_buffer.append(state)
-        return ems
 
     def _pending_wants(self, state: str) -> bool:
         return any(state in self.cm.op_sources(task) for _, task in self.pending)
 
     # -- rule 3: join notification --------------------------------------------
 
-    def handle_notify(self, pred: str, sender: Pair, join: str) -> list:
-        ems: list[Emission] = []
+    def handle_notify(self, pred: str, sender: Pair, join: str) -> None:
         for thread in self.threads:
-            if thread.join == join and (pred, sender) in thread.awaited:
+            t = thread.pending_tuple
+            if t is not None and t.trg == join and (pred, sender) in thread.awaited:
                 thread.awaited.discard((pred, sender))
                 if not thread.awaited:
-                    if self._resolve_join(thread, ems):
-                        self._walk([thread], ems)
-                    self._retry_pendings(ems)
-                return ems
+                    if self._resolve_join(thread):
+                        self._walk([thread])
+                    self._retry_pendings()
+                return
         self.notify_buffer.append((pred, sender, join))
-        return ems
 
     # -- epsilon walk ----------------------------------------------------------
 
-    def _walk(self, threads: list[Thread], ems: list) -> None:
+    def _walk(self, threads: list[Thread]) -> None:
         """Advance threads through epsilon tuples until each settles.
 
         A settled thread is at an own operation state, waiting before a
@@ -225,46 +182,45 @@ class Delegate:
                 )
             branches = []
             for t in live[1:]:
-                child = self._spawn(thread.state, ems)
+                child = self._spawn(thread.state)
                 branches.append((child, t))
-            if self._traverse(thread, live[0], ems):
+            if self._traverse(thread, live[0]):
                 queue.append(thread)
             for child, t in branches:
-                if self._traverse(child, t, ems):
+                if self._traverse(child, t):
                     queue.append(child)
 
-    def _traverse(self, thread: Thread, t: CoordTuple, ems: list) -> bool:
+    def _traverse(self, thread: Thread, t: CoordTuple) -> bool:
         """Apply one tuple to a thread; True when the thread advanced."""
         if t.to_be_notified:
             for pred, pair in sorted(t.to_be_notified):
-                ems.append(NotifyEmission(dst=pair, pred=pred, join=t.trg))
+                self.out.notify(self.pair, pair, pred, t.trg)
         if t.to_be_waited:
-            thread.join = t.trg
             thread.pending_tuple = t
             thread.awaited = set(t.to_be_waited)
             self._drain_notify_buffer(thread)
             if thread.awaited:
                 return False
-            return self._resolve_join(thread, ems)
-        self._advance(thread, t, ems)
+            return self._resolve_join(thread)
+        self._advance(thread, t)
         return True
 
-    def _advance(self, thread: Thread, t: CoordTuple, ems: list) -> None:
+    def _advance(self, thread: Thread, t: CoordTuple) -> None:
         for pair in sorted(t.allowed_services):
-            ems.append(UpdateEmission(dst=pair, state=t.trg))
-        ems.append(StateChangeEmission(thread.id, thread.state, t.trg))
+            self.out.update(self.pair, pair, t.trg)
+        self.out.state_change(self.pair, thread.id, thread.state, t.trg)
         thread.state = t.trg
 
     def _drain_notify_buffer(self, thread: Thread) -> None:
         remaining = []
         for pred, sender, join in self.notify_buffer:
-            if join == thread.join and (pred, sender) in thread.awaited:
+            if join == thread.pending_tuple.trg and (pred, sender) in thread.awaited:
                 thread.awaited.discard((pred, sender))
             else:
                 remaining.append((pred, sender, join))
         self.notify_buffer = remaining
 
-    def _resolve_join(self, thread: Thread, ems: list) -> bool:
+    def _resolve_join(self, thread: Thread) -> bool:
         """All awaited notifications arrived; cross the join or retire.
 
         The crossing thread is the one whose pair sorts after every other
@@ -277,17 +233,17 @@ class Delegate:
             self._retire(thread)
             return False
         for sibling in list(self.threads):
-            if sibling is not thread and sibling.join == t.trg:
+            entering = sibling.pending_tuple
+            if sibling is not thread and entering is not None and entering.trg == t.trg:
                 self._retire(sibling)
-        thread.join = None
         thread.pending_tuple = None
         thread.awaited = set()
-        self._advance(thread, t, ems)
+        self._advance(thread, t)
         return True
 
     # -- blocked requests -------------------------------------------------------
 
-    def _retry_pendings(self, ems: list) -> None:
+    def _retry_pendings(self) -> None:
         progress = True
         while progress and self.pending:
             progress = False
@@ -295,25 +251,25 @@ class Delegate:
                 match = self._match_request(task)
                 if match is not None:
                     del self.pending[i]
-                    ems.append(UnblockEmission(request_id=request_id, task=task))
-                    self._fire_op(match[0], match[1], ems)
+                    self.out.unblock(self.pair, request_id, task)
+                    self._fire_op(match[0], match[1])
                     progress = True
                     break
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def _spawn(self, state: str, ems: list) -> Thread:
+    def _spawn(self, state: str) -> Thread:
         thread = Thread(self._next_tid, state)
         self._next_tid += 1
         self.threads.append(thread)
-        ems.append(StateChangeEmission(thread.id, None, state))
+        self.out.state_change(self.pair, thread.id, None, state)
         return thread
 
     def _retire(self, thread: Thread) -> None:
         self.threads.remove(thread)
 
     def suspended_threads(self) -> list[Thread]:
-        return [t for t in self.threads if t.join is not None]
+        return [t for t in self.threads if t.pending_tuple is not None]
 
     def pending_tasks(self) -> list[str]:
         return [task for _, task in self.pending]

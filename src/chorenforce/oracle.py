@@ -188,7 +188,7 @@ def post_hoc_deadlock(delegates: dict[Pair, object]) -> list[Verdict]:
                     (pair.initiator, pair.receiver),
                     None,
                     thread.state,
-                    f"thread {thread.id} awaits {awaited} before {thread.join}; "
+                    f"thread {thread.id} awaits {awaited} before {thread.pending_tuple.trg}; "
                     f"pending requests {delegate.pending_tasks()}",
                 )
             )

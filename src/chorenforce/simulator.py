@@ -15,6 +15,11 @@ re-derived at bootstrap, after the role issues a request, and when a
 request of its script is unblocked. Policies see the set as a sorted
 list, so the schedule depends only on which items are ready.
 
+The simulator is every delegate's transport: a delegate reports each
+state change, forward and unblock, which the simulator logs at once,
+and each update and notification, which it queues on the channel to
+the receiving delegate.
+
 Every observable fact of a run becomes one trace event with a strictly
 increasing sequence number. Message events are logged at delivery, so
 the trace reflects what each delegate knew and when. Two runs with the
@@ -24,19 +29,12 @@ same scenario, seed and policy produce byte-identical traces.
 from __future__ import annotations
 
 import random
+import weakref
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 
 from .decompose import CoordModel, Pair
-from .delegate import (
-    BLOCKED,
-    Delegate,
-    ForwardEmission,
-    NotifyEmission,
-    StateChangeEmission,
-    UnblockEmission,
-    UpdateEmission,
-)
+from .delegate import BLOCKED, Delegate
 from .model import Choreography
 from .participants import Participant
 
@@ -145,6 +143,11 @@ class Simulator:
         # the role of each participant request; injected ones unblock nobody
         self._request_role: dict[int, str] = {}
         self._next_request = 0
+        # a weak reference, so that delegates kept after the run do not
+        # keep the simulator, and with it the run's events, in a cycle
+        out = weakref.proxy(self)
+        for delegate in delegates.values():
+            delegate.out = out
 
     # -- transport --------------------------------------------------------
 
@@ -179,7 +182,7 @@ class Simulator:
                     "state": state,
                 }
             )
-            emissions = delegate.handle_update(state)
+            delegate.handle_update(state)
         else:
             _, pred, join = message
             assert src is not None
@@ -193,57 +196,58 @@ class Simulator:
                     "join": join,
                 }
             )
-            emissions = delegate.handle_notify(pred, src, join)
-        self._process(dst, emissions)
+            delegate.handle_notify(pred, src, join)
 
-    def _process(self, origin: Pair, emissions: list) -> None:
-        """Log or route each emission; kinds are tested most frequent first."""
+    # -- what delegates report ----------------------------------------------
+
+    def state_change(self, origin: Pair, thread_id: int, src: str | None, trg: str) -> None:
         events = self.events
-        for em in emissions:
-            kind = type(em)
-            if kind is StateChangeEmission:
-                events.append(
-                    {
-                        "kind": "StateChange",
-                        "seq": len(events),
-                        "cd": list(origin),
-                        "thread": em.thread_id,
-                        "from": em.src,
-                        "to": em.trg,
-                    }
-                )
-            elif kind is ForwardEmission:
-                events.append(
-                    {
-                        "kind": "Forward",
-                        "seq": len(events),
-                        "cd": list(origin),
-                        "task": em.task,
-                        "src": em.src,
-                        "trg": em.trg,
-                        "receiver": origin.receiver,
-                    }
-                )
-            elif kind is UnblockEmission:
-                events.append(
-                    {
-                        "kind": "Unblock",
-                        "seq": len(events),
-                        "cd": list(origin),
-                        "request_id": em.request_id,
-                        "task": em.task,
-                    }
-                )
-                role = self._request_role.get(em.request_id)
-                if role is not None:
-                    self.participants[role].on_unblocked()
-                    self._refresh(role)
-            elif kind is UpdateEmission:
-                self._send(origin, em.dst, ("update", em.state))
-            elif kind is NotifyEmission:
-                self._send(origin, em.dst, ("notify", em.pred, em.join))
-            else:
-                raise SimulationError(f"unknown emission {em!r}")
+        events.append(
+            {
+                "kind": "StateChange",
+                "seq": len(events),
+                "cd": list(origin),
+                "thread": thread_id,
+                "from": src,
+                "to": trg,
+            }
+        )
+
+    def forward(self, origin: Pair, task: str, src: str, trg: str | None) -> None:
+        events = self.events
+        events.append(
+            {
+                "kind": "Forward",
+                "seq": len(events),
+                "cd": list(origin),
+                "task": task,
+                "src": src,
+                "trg": trg,
+                "receiver": origin.receiver,
+            }
+        )
+
+    def unblock(self, origin: Pair, request_id: int, task: str) -> None:
+        events = self.events
+        events.append(
+            {
+                "kind": "Unblock",
+                "seq": len(events),
+                "cd": list(origin),
+                "request_id": request_id,
+                "task": task,
+            }
+        )
+        role = self._request_role.get(request_id)
+        if role is not None:
+            self.participants[role].on_unblocked()
+            self._refresh(role)
+
+    def update(self, origin: Pair, dst: Pair, state: str) -> None:
+        self._send(origin, dst, ("update", state))
+
+    def notify(self, origin: Pair, dst: Pair, pred: str, join: str) -> None:
+        self._send(origin, dst, ("notify", pred, join))
 
     # -- requests ----------------------------------------------------------
 
@@ -274,9 +278,7 @@ class Simulator:
                 "injected": injected,
             }
         )
-        reply, emissions = self.delegates[pair].handle_request(request_id, action.task)
-        self._process(pair, emissions)
-        if reply == BLOCKED:
+        if self.delegates[pair].handle_request(request_id, action.task) == BLOCKED:
             events.append(
                 {
                     "kind": "Block",

@@ -166,6 +166,30 @@ def faulty_delegate(pair: Pair, cls: type[Delegate]):
     return mock.patch.object(runner, "Delegate", build)
 
 
+class Outbox:
+    """A delegate's transport that records what the delegate reports: one
+    tuple per call, the method's name and then its arguments after
+    `origin` (the delegate's own pair)."""
+
+    def __init__(self):
+        self.calls: list[tuple] = []
+
+    def state_change(self, origin, thread_id, src, trg):
+        self.calls.append(("state_change", thread_id, src, trg))
+
+    def forward(self, origin, task, src, trg):
+        self.calls.append(("forward", task, src, trg))
+
+    def unblock(self, origin, request_id, task):
+        self.calls.append(("unblock", request_id, task))
+
+    def update(self, origin, dst, state):
+        self.calls.append(("update", dst, state))
+
+    def notify(self, origin, dst, pred, join):
+        self.calls.append(("notify", dst, pred, join))
+
+
 def run_sp(scenario: Scenario, *, policy="roundrobin", seed=0, **kw) -> RunResult:
     """Run a social proximity scenario.
 
@@ -281,6 +305,38 @@ def duplicate_flow_model() -> Choreography:
         Flow("Q", EPS, "Final"),
     ]
     return Choreography(states, "Initial", "Final", {"A", "B"}, {}, flows)
+
+
+def exclusive_join_model() -> Choreography:
+    """A join whose two entries lie on the exclusive branches of an
+    alternative: A.a.B, then C -[g]-> P or C -[not g]-> Q, both into
+    join J, then B.b.A. Only one branch ever reaches J."""
+    g = Var("g")
+    states = {
+        "Initial": StateKind.INITIAL,
+        "S0": StateKind.PLAIN,
+        "S1": StateKind.PLAIN,
+        "C": StateKind.ALTERNATIVE,
+        "P": StateKind.PLAIN,
+        "Q": StateKind.PLAIN,
+        "J": StateKind.JOIN,
+        "K": StateKind.PLAIN,
+        "K2": StateKind.PLAIN,
+        "Final": StateKind.FINAL,
+    }
+    flows = [
+        Flow("Initial", EPS, "S0"),
+        Flow("S0", Operation("A", "a", "B"), "S1"),
+        Flow("S1", EPS, "C"),
+        Flow("C", Guard(g), "P"),
+        Flow("C", Guard(Not(g)), "Q"),
+        Flow("P", EPS, "J"),
+        Flow("Q", EPS, "J"),
+        Flow("J", EPS, "K"),
+        Flow("K", Operation("B", "b", "A"), "K2"),
+        Flow("K2", EPS, "Final"),
+    ]
+    return Choreography(states, "Initial", "Final", {"A", "B"}, {"g": (False, True)}, flows)
 
 
 def loop_scenario(env: dict, actions: tuple[Action, ...]) -> Scenario:

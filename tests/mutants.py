@@ -19,13 +19,7 @@ from collections.abc import Callable
 from dataclasses import replace
 
 from chorenforce.decompose import CoordModel, CoordTuple
-from chorenforce.delegate import (
-    BLOCKED,
-    FORWARDED,
-    Delegate,
-    ForwardEmission,
-    UnblockEmission,
-)
+from chorenforce.delegate import BLOCKED, FORWARDED, Delegate
 from chorenforce.model import StateKind
 from chorenforce.predicate import Not
 
@@ -51,22 +45,22 @@ def forward_without_check() -> type[Delegate]:
 
     class ForwardWithoutCheck(Delegate):
         def handle_request(self, request_id, task):
-            status, ems = super().handle_request(request_id, task)
+            status = super().handle_request(request_id, task)
             if status == BLOCKED and self.threads:
                 self.pending.pop()
-                ems.append(ForwardEmission(task, self.threads[0].state, None))
-                return FORWARDED, ems
-            return status, ems
+                self.out.forward(self.pair, task, self.threads[0].state, None)
+                return FORWARDED
+            return status
 
-        def _retry_pendings(self, ems):
+        def _retry_pendings(self):
             while self.pending and self.threads:
                 request_id, task = self.pending.pop(0)
-                ems.append(UnblockEmission(request_id=request_id, task=task))
+                self.out.unblock(self.pair, request_id, task)
                 match = self._match_request(task)
                 if match is None:
-                    ems.append(ForwardEmission(task, self.threads[0].state, None))
+                    self.out.forward(self.pair, task, self.threads[0].state, None)
                 else:
-                    self._fire_op(*match, ems)
+                    self._fire_op(*match)
 
     return ForwardWithoutCheck
 
@@ -106,7 +100,7 @@ def wrong_priority() -> type[Delegate]:
     nobody crosses and the run stalls."""
 
     class WrongPriority(Delegate):
-        def _resolve_join(self, thread, ems):
+        def _resolve_join(self, thread):
             self._retire(thread)
             return False
 

@@ -12,6 +12,7 @@ from chorenforce.participants import Action, Scenario, ScriptSpec, save_scenario
 from helpers import (
     chain_scenario,
     duplicate_flow_model,
+    exclusive_join_model,
     inorder_scenario,
     share_disabled_scenario,
     silent_loop_model,
@@ -116,6 +117,42 @@ def test_run_duplicate_flow_is_a_clean_error(tmp_path, capsys):
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "F: duplicate-flow" in err
+
+
+def _exclusive_join_scenario(tmp_path) -> Path:
+    path = tmp_path / "exclusive_join.json"
+    scenario = Scenario(
+        model=exclusive_join_model(),
+        environment={"g": True},
+        scripts=(
+            ScriptSpec("A", (Action("a", "B"),)),
+            ScriptSpec("B", (Action("b", "A"),)),
+        ),
+    )
+    save_scenario(scenario, path)
+    return path
+
+
+def test_run_stuck_tokens_is_a_clean_error(tmp_path, capsys):
+    # validate passes the model, but the reference token game strands the
+    # token of the taken branch at the join
+    path = _exclusive_join_scenario(tmp_path)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tokens stuck" in err
+
+
+def test_check_trace_stuck_tokens_is_a_clean_error(tmp_path, capsys):
+    path = _exclusive_join_scenario(tmp_path)
+    trace = tmp_path / "trace.jsonl"
+    forward = {
+        "kind": "Forward", "seq": 0, "cd": ["A", "B"], "task": "a",
+        "src": "S0", "trg": "S1", "receiver": "B",
+    }
+    trace.write_text(json.dumps(forward, sort_keys=True) + "\n")
+    assert main(["check-trace", str(path), str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tokens stuck" in err
 
 
 def test_run_writes_trace_and_report(scenario_path, tmp_path, capsys):

@@ -30,7 +30,7 @@ from chorenforce.predicate import TRUE, eval_pred
 from chorenforce.randgen import random_case, scripts_for_word
 from chorenforce.participants import Scenario
 from chorenforce.runner import run_scenario
-from helpers import defect_cases, faulty_delegate, fixture_scenario, sp_model
+from helpers import Outbox, defect_cases, faulty_delegate, fixture_scenario, sp_model
 from mutants import (
     forward_without_check,
     ignore_loop_guard,
@@ -214,13 +214,13 @@ def _crosses(pair, cm, waited) -> bool:
     a notification from each pair in `waited`, crosses J once they all
     arrived."""
     delegate = Delegate(pair, cm, {})
-    thread = delegate._spawn("W", [])
-    thread.join = "J"
+    delegate.out = Outbox()
+    thread = delegate._spawn("W")
     thread.pending_tuple = CoordTuple(
         "W", None, "J", frozenset(), TRUE, frozenset(),
         frozenset(("W", p) for p in waited),
     )
-    return delegate._resolve_join(thread, [])
+    return delegate._resolve_join(thread)
 
 
 def test_join_winner_is_the_pair_the_rank_table_put_highest():

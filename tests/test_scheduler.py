@@ -7,6 +7,7 @@ set and the round-robin rotation against straightforward references.
 """
 
 import hashlib
+import json
 import random
 import time
 from pathlib import Path
@@ -20,7 +21,14 @@ from chorenforce.participants import Scenario, load_scenario
 from chorenforce.randgen import random_case, scripts_for_word
 from chorenforce.runner import run_scenario, trace_lines
 from chorenforce.simulator import COMPLETED, RoundRobin, SimulationError, Simulator
-from helpers import chain_model_scenario, chain_scenario, fork_model, random_chain_ops
+from helpers import (
+    chain_model_scenario,
+    chain_scenario,
+    defect_cases,
+    faulty_delegate,
+    fork_model,
+    random_chain_ops,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = ("inorder", "shuffled", "adversarial", "share_disabled")
@@ -83,6 +91,31 @@ def pinned_scenario(name: str) -> Scenario:
 def test_trace_bytes_are_pinned(name, policy, seed):
     digest = sha256_of_trace(pinned_scenario(name), policy, seed)
     assert digest == TRACE_SHA256[(name, policy, seed)]
+
+
+# sha256 over each defect case's runs inside faulty_delegate, at seeds 0
+# and 1 under both policies: the trace bytes, then report() as sorted JSON
+FAULTY_TRACE_SHA256 = {
+    "unchecked forward": "1b827526c1aba01adeacf42531c41cc8fbc78f7fceb3041f8dd01823bc8e25fe",
+    "inverted alternative guard": "894355ee78b13ad24dd088c160052262bed61e7a04d21a45729936e18819d769",
+    "loop entered on a false guard": "9016bcb25c4601e408a091f8831e553c0fc8dafa69bd85cb6ff142dafef10020",
+    "loop exited on a true guard": "7002464dd3b3e4c7b0746abe6e4d183f52bdcc65bd6ba21a980426a70684aed7",
+    "join crossed without waiting": "671ca097451aa0bdf1dcb34e45c9404a257f8d63f7f232f3f3c4cd9dcc5c955b",
+    "suppressed notification": "0887cf1746bc50e7861213947d0de75aa2b5132a4b5656894bf7f8a1aad473e6",
+}
+
+
+@pytest.mark.parametrize("case", defect_cases(), ids=lambda case: case[1])
+def test_faulty_trace_bytes_are_pinned(case):
+    _, note, scenario, pair, cls = case
+    digest = hashlib.sha256()
+    for policy in POLICIES:
+        for seed in (0, 1):
+            with faulty_delegate(pair, cls):
+                result = run_scenario(scenario, policy=policy, seed=seed)
+            digest.update(trace_lines(result.events).encode())
+            digest.update(json.dumps(result.report(), sort_keys=True).encode())
+    assert digest.hexdigest() == FAULTY_TRACE_SHA256[note]
 
 
 # -- the ready set against a from-scratch rebuild ------------------------------

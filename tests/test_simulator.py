@@ -1,3 +1,4 @@
+import gc
 from pathlib import Path
 
 import pytest
@@ -166,3 +167,20 @@ def test_completed_run_leaves_no_delegate_thread(name, policy):
     assert result.outcome == COMPLETED
     held = {str(pair): d.threads for pair, d in result.delegates.items() if d.threads}
     assert held == {}
+
+
+def test_a_run_leaves_no_cyclic_garbage():
+    # delegates report to the simulator; a strong reference back to it
+    # would keep each run's simulator and events alive until the cyclic
+    # collector runs
+    scenario = chain_scenario(20)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_scenario(scenario)
+        del result
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
