@@ -24,6 +24,14 @@ from .simulator import AmbiguousActivationError, enactment_bootstrap
 from .validate import validate_cefm
 
 
+def positive_int(text: str) -> int:
+    """An argparse type for a count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_validate(args) -> int:
     model = load_model(args.model)
     report = validate_cefm(model)
@@ -128,7 +136,7 @@ def main(argv=None) -> int:
     p.add_argument("scenario")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--policy", choices=POLICIES, default=None)
-    p.add_argument("--max-events", type=int, default=10000)
+    p.add_argument("--max-events", type=positive_int, default=10000)
     p.add_argument("--out-dir", default="runs")
     p.set_defaults(func=_cmd_run)
 
@@ -138,7 +146,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_check_trace)
 
     p = sub.add_parser("fuzz", help="compare enforcement against the reference")
-    p.add_argument("--models", type=int, default=50)
+    p.add_argument("--models", type=positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_fuzz)

@@ -121,7 +121,8 @@ def run_scenario(
 
 
 # json.dumps(event, sort_keys=True) builds this C encoder, with these
-# arguments, on every call; here it is built once. Its markers dict (the
+# arguments, on every call; here it is built once. trace_lines sends it
+# every event that no template below serves. Its markers dict (the
 # circular-reference check) keeps the entries of a failed encode, so
 # trace_lines empties it afterwards.
 _MARKERS: dict = {}
@@ -138,14 +139,143 @@ _ENCODE = json.encoder.c_make_encoder(
 )
 _SCAN = json.JSONDecoder().scan_once
 
+# One line template per event kind the simulator writes, keys in sorted
+# order. A template raises TypeError for a value of another type than the
+# simulator writes there, and KeyError for a missing key. Accepted are: a
+# str (a subclass is written by its content, as json does), a role pair
+# as a list of exactly two strs, an int or bool of exactly that type (a
+# bool is not an int here, nor is an IntEnum), and None only where the
+# simulator writes it.
+_str = json.encoder.encode_basestring_ascii
+
+
+def _pair(value) -> str:
+    if type(value) is not list or len(value) != 2:
+        raise TypeError("not a role pair")
+    return f"[{_str(value[0])}, {_str(value[1])}]"
+
+
+def _request(e: dict) -> str:
+    seq, request_id, injected = e["seq"], e["request_id"], e["injected"]
+    if type(seq) is not int or type(request_id) is not int or type(injected) is not bool:
+        raise TypeError("not a Request")
+    return (
+        f'{{"cd": {_pair(e["cd"])}, "injected": {"true" if injected else "false"}, '
+        f'"kind": "Request", "participant": {_str(e["participant"])}, '
+        f'"request_id": {request_id}, "seq": {seq}, "task": {_str(e["task"])}}}\n'
+    )
+
+
+def _block(e: dict) -> str:
+    seq, request_id = e["seq"], e["request_id"]
+    if type(seq) is not int or type(request_id) is not int:
+        raise TypeError("not a Block")
+    return (
+        f'{{"cd": {_pair(e["cd"])}, "kind": "Block", '
+        f'"participant": {_str(e["participant"])}, '
+        f'"request_id": {request_id}, "seq": {seq}, "task": {_str(e["task"])}}}\n'
+    )
+
+
+def _unblock(e: dict) -> str:
+    seq, request_id = e["seq"], e["request_id"]
+    if type(seq) is not int or type(request_id) is not int:
+        raise TypeError("not an Unblock")
+    return (
+        f'{{"cd": {_pair(e["cd"])}, "kind": "Unblock", '
+        f'"request_id": {request_id}, "seq": {seq}, "task": {_str(e["task"])}}}\n'
+    )
+
+
+def _forward(e: dict) -> str:
+    seq, trg = e["seq"], e["trg"]
+    if type(seq) is not int:
+        raise TypeError("not a Forward")
+    return (
+        f'{{"cd": {_pair(e["cd"])}, "kind": "Forward", '
+        f'"receiver": {_str(e["receiver"])}, "seq": {seq}, '
+        f'"src": {_str(e["src"])}, "task": {_str(e["task"])}, '
+        f'"trg": {"null" if trg is None else _str(trg)}}}\n'
+    )
+
+
+def _update(e: dict) -> str:
+    seq, sender = e["seq"], e["from"]
+    if type(seq) is not int:
+        raise TypeError("not an Update")
+    return (
+        f'{{"from": {"null" if sender is None else _pair(sender)}, '
+        f'"kind": "Update", "seq": {seq}, '
+        f'"state": {_str(e["state"])}, "to": {_pair(e["to"])}}}\n'
+    )
+
+
+def _notify(e: dict) -> str:
+    seq = e["seq"]
+    if type(seq) is not int:
+        raise TypeError("not a Notify")
+    return (
+        f'{{"from": {_pair(e["from"])}, "join": {_str(e["join"])}, '
+        f'"kind": "Notify", "pred": {_str(e["pred"])}, '
+        f'"seq": {seq}, "to": {_pair(e["to"])}}}\n'
+    )
+
+
+def _state_change(e: dict) -> str:
+    seq, thread, src = e["seq"], e["thread"], e["from"]
+    if type(seq) is not int or type(thread) is not int:
+        raise TypeError("not a StateChange")
+    return (
+        f'{{"cd": {_pair(e["cd"])}, "from": {"null" if src is None else _str(src)}, '
+        f'"kind": "StateChange", "seq": {seq}, '
+        f'"thread": {thread}, "to": {_str(e["to"])}}}\n'
+    )
+
+
+# kind -> (number of keys, template)
+_TEMPLATES = {
+    "Request": (7, _request),
+    "Block": (6, _block),
+    "Unblock": (5, _unblock),
+    "Forward": (7, _forward),
+    "Update": (5, _update),
+    "Notify": (6, _notify),
+    "StateChange": (6, _state_change),
+}
+
 
 def trace_lines(events: list[dict]) -> str:
     """One JSON object per event and line: keys sorted, ASCII-escaped,
-    the same bytes as json.dumps(event, sort_keys=True) + "\n"."""
+    the same bytes as json.dumps(event, sort_keys=True) + "\n".
+
+    An event of the seven kinds the simulator writes is written from its
+    kind's template when it is a dict with exactly that kind's keys, all
+    of them exactly str (json sorts a str subclass by its own order), and
+    values of the simulator's types. Every other event, and one that
+    raises as json.dumps would, goes through json's C encoder."""
+    lines = []
+    append = lines.append
     try:
-        return "".join(["".join(_ENCODE(e, 0)) + "\n" for e in events])
+        for event in events:
+            try:
+                if type(event) is not dict:
+                    raise TypeError("not a dict")
+                kind = event["kind"]
+                # a str subclass can hash and compare as another kind
+                if type(kind) is not str:
+                    raise TypeError("not a kind")
+                size, template = _TEMPLATES[kind]
+                if len(event) != size:
+                    raise KeyError("not this kind's keys")
+                for key in event:
+                    if type(key) is not str:
+                        raise TypeError("not a str key")
+                append(template(event))
+            except (KeyError, TypeError):
+                append("".join(_ENCODE(event, 0)) + "\n")
     finally:
         _MARKERS.clear()
+    return "".join(lines)
 
 
 def write_trace(events: list[dict], path) -> None:

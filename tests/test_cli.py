@@ -219,6 +219,21 @@ def test_fuzz_small(capsys):
     assert "ok (equality" in printed and "ok (prefix" in printed
 
 
+@pytest.mark.parametrize("count", ["-3", "-1", "0"])
+@pytest.mark.parametrize("option", ["--models", "--max-events"])
+def test_a_count_below_one_is_a_usage_error(scenario_path, tmp_path, capsys, option, count):
+    argv = {
+        "--models": ["fuzz", "--models", count],
+        "--max-events": [
+            "run", str(scenario_path), "--max-events", count, "--out-dir", str(tmp_path),
+        ],
+    }[option]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"{option}: must be at least 1, got {count}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text",
     [None, json.dumps({"participants": 5}), "[" * 100_000],

@@ -2,12 +2,17 @@
 bytes, and read_trace reads them back the way the per-line reader did,
 with a typed error for a line that is not exactly one JSON object."""
 
+import enum
 import json
 import random
+from collections import UserDict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chorenforce import runner
 from chorenforce.participants import Scenario, load_scenario
 from chorenforce.randgen import random_case, scripts_for_word
 from chorenforce.runner import (
@@ -17,7 +22,7 @@ from chorenforce.runner import (
     trace_lines,
     write_trace,
 )
-from helpers import chain_scenario
+from helpers import chain_scenario, defect_cases, faulty_delegate, fork_model
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = ("inorder", "shuffled", "adversarial", "share_disabled")
@@ -178,3 +183,152 @@ def test_reader_refuses_a_file_that_is_not_text(tmp_path):
     path.write_bytes(b'\xff\xfe{"kind": "Request"}\n')
     with pytest.raises(TraceFormatError, match="^trace is not text: "):
         read_trace(path)
+
+
+# -- the per-kind line templates ------------------------------------------------
+
+# each kind's fields (besides "kind") and the type the simulator writes there
+FIELDS = {
+    "Request": {
+        "seq": "int", "participant": "str", "cd": "pair", "task": "str",
+        "request_id": "int", "injected": "bool",
+    },
+    "Block": {
+        "seq": "int", "participant": "str", "cd": "pair", "task": "str",
+        "request_id": "int",
+    },
+    "Unblock": {"seq": "int", "cd": "pair", "request_id": "int", "task": "str"},
+    "Forward": {
+        "seq": "int", "cd": "pair", "task": "str", "src": "str",
+        "trg": "str?", "receiver": "str",
+    },
+    "Update": {"seq": "int", "from": "pair?", "to": "pair", "state": "str"},
+    "Notify": {
+        "seq": "int", "from": "pair", "to": "pair", "pred": "str", "join": "str",
+    },
+    "StateChange": {
+        "seq": "int", "cd": "pair", "thread": "int", "from": "str?", "to": "str",
+    },
+}
+
+
+class Text(str):
+    """A str subclass: json writes its content."""
+
+
+class Backwards(str):
+    """A str subclass that sorts backwards, so json.dumps(sort_keys=True)
+    orders keys of this type differently."""
+
+    def __lt__(self, other):
+        return str.__gt__(self, other)
+
+    def __gt__(self, other):
+        return str.__lt__(self, other)
+
+
+class Posing(str):
+    """A str that hashes and compares as "Request", whatever it holds."""
+
+    def __hash__(self):
+        return hash("Request")
+
+    def __eq__(self, other):
+        return other == "Request"
+
+
+class Number(enum.IntEnum):
+    THREE = 3
+
+
+TEXT = st.text(
+    st.characters() | st.sampled_from('\x00\x1f\x7f\x85\u2028\u2029"\\/\u00e9\U0001f600'),
+    max_size=6,
+)
+TEXT = TEXT | st.builds(Text, TEXT)
+PAIR = st.lists(TEXT, min_size=2, max_size=2)
+BAD_PAIR = st.tuples(TEXT, TEXT) | st.lists(TEXT, min_size=3, max_size=3) | st.just([1, "b"])
+GOOD = {
+    "int": st.integers(),
+    "str": TEXT,
+    "str?": st.none() | TEXT,
+    "pair": PAIR,
+    "pair?": st.none() | PAIR,
+    "bool": st.booleans(),
+}
+NEAR_MISS = {
+    "int": st.sampled_from([True, False, 1.0, "3", Number.THREE]),
+    "str": st.none() | PAIR,
+    "str?": PAIR | st.integers(),
+    "pair": BAD_PAIR | st.none(),
+    "pair?": BAD_PAIR,
+    "bool": st.sampled_from([0, 1, None, "true"]),
+    "kind": st.sampled_from(
+        ["Unknown", "request", Text("Request"), Posing("Forward"), None, 1]
+    ),
+}
+
+
+@st.composite
+def events_and_near_misses(draw) -> tuple[dict, dict, tuple]:
+    """An event of one of the seven kinds with values of the simulator's
+    types, a near miss for each of its keys, and a key and value to add."""
+    kind = draw(st.sampled_from(sorted(FIELDS)))
+    event = {"kind": kind}
+    misses = {"kind": draw(NEAR_MISS["kind"])}
+    for key, type_name in FIELDS[kind].items():
+        event[key] = draw(GOOD[type_name])
+        misses[key] = draw(NEAR_MISS[type_name])
+    extra = (draw(TEXT | st.integers()), draw(st.integers() | TEXT | st.builds(object)))
+    return event, misses, extra
+
+
+def variants(event: dict, misses: dict, extra: tuple):
+    """The event, then each change of one thing: a mapping that is not a
+    dict, a key added, and for each key its value's near miss, the key
+    dropped, or the key swapped for a Backwards one."""
+    yield event
+    yield UserDict(event)
+    yield {**event, extra[0]: extra[1]}
+    for key in event:
+        yield {**event, key: misses[key]}
+        yield {k: v for k, v in event.items() if k != key}
+        yield {(Backwards(k) if k == key else k): v for k, v in event.items()}
+
+
+@given(events_and_near_misses())
+@settings(max_examples=100, deadline=None)
+def test_trace_lines_matches_json_dumps_on_near_miss_events(drawn):
+    for event in variants(*drawn):
+        try:
+            expected = json.dumps(event, sort_keys=True) + "\n"
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                trace_lines([event])
+        else:
+            assert trace_lines([event]) == expected
+
+
+def _more_run_events():
+    model = fork_model(6)
+    word = tuple(op.label for op in model.operations())
+    fork = Scenario(model=model, environment={}, scripts=scripts_for_word(model, word))
+    yield run_scenario(fork, policy="random", seed=0).events
+    for _, _, scenario, pair, cls in defect_cases():
+        with faulty_delegate(pair, cls):
+            yield run_scenario(scenario, policy="roundrobin", seed=0).events
+
+
+def test_simulator_events_never_reach_the_generic_encoder(runs, monkeypatch):
+    # an event field the templates do not know would make every run slower
+    every_run = runs + list(_more_run_events())
+
+    def refuse(event, level):
+        raise AssertionError(f"no template for {event!r}")
+
+    monkeypatch.setattr(runner, "_ENCODE", refuse)
+    kinds = set()
+    for events in every_run:
+        assert trace_lines(events) == dumps_lines(events)
+        kinds.update(e["kind"] for e in events)
+    assert kinds == set(FIELDS)
