@@ -7,8 +7,8 @@ boolean expressions in a deliberately small language:
           | expr 'and' expr | expr 'or' expr | '(' expr ')'
 
 Literals are integers or the keywords true/false. Bare variables must be
-bound to booleans. Domains are finite, so satisfiability questions
-(mutual exclusion, exhaustiveness) are settled by enumeration.
+bound to booleans. Domains are finite, so every assignment of a guard's
+variables can be enumerated.
 """
 
 from __future__ import annotations
@@ -250,24 +250,19 @@ def free_vars(p: Pred) -> frozenset[str]:
     return frozenset()
 
 
+def bool_vars(p: Pred) -> frozenset[str]:
+    """The variables p tests as booleans: bare, not compared with `==`."""
+    if isinstance(p, Var):
+        return frozenset([p.name])
+    if isinstance(p, Not):
+        return bool_vars(p.inner)
+    if isinstance(p, (And, Or)):
+        return bool_vars(p.left) | bool_vars(p.right)
+    return frozenset()
+
+
 def assignments(domains: dict[str, tuple[Value, ...]]) -> Iterator[dict[str, Value]]:
     """All total assignments over the given finite domains, in a stable order."""
     names = sorted(domains)
     for combo in itertools.product(*(domains[n] for n in names)):
         yield dict(zip(names, combo))
-
-
-def satisfiable_together(preds: list[Pred], domains: dict[str, tuple[Value, ...]]) -> dict[str, Value] | None:
-    """Return a witnessing assignment under which all preds hold, or None."""
-    for env in assignments(domains):
-        if all(eval_pred(p, env) for p in preds):
-            return env
-    return None
-
-
-def covers_all(preds: list[Pred], domains: dict[str, tuple[Value, ...]]) -> dict[str, Value] | None:
-    """Return an assignment no pred covers, or None when the disjunction is a tautology."""
-    for env in assignments(domains):
-        if not any(eval_pred(p, env) for p in preds):
-            return env
-    return None

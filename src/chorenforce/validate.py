@@ -3,7 +3,7 @@
 Every rule violation is collected rather than raised, so a report lists
 everything wrong with a model at once. An empty violation list means the
 model is structurally sound; warnings flag suspicious but tolerated
-shapes (unreachable states, states that cannot reach the final state).
+shapes (unreachable and dead-end states) when a caller first reads them.
 """
 
 from __future__ import annotations
@@ -11,10 +11,12 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 from operator import attrgetter
 
 from .model import Choreography, Epsilon, Flow, Guard, Operation, StateKind
-from .predicate import covers_all, free_vars, satisfiable_together, to_text
+from .predicate import assignments, bool_vars, eval_pred, free_vars, to_text
 
 # An Enum member read off its class costs about 0.1 us on Python 3.11,
 # more than the rest of a state's check; the per-state loops use these.
@@ -36,18 +38,19 @@ class Violation:
 
 @dataclass
 class ValidationReport:
+    model: Choreography = field(repr=False)
     violations: list[Violation] = field(default_factory=list)
-    warnings: list[Violation] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
+    @cached_property
+    def warnings(self) -> list[Violation]:
+        return _reachability_warnings(self.model)
+
     def add(self, state: str, rule: str, detail: str) -> None:
         self.violations.append(Violation(state, rule, detail))
-
-    def warn(self, state: str, rule: str, detail: str) -> None:
-        self.warnings.append(Violation(state, rule, detail))
 
     def __str__(self) -> str:
         lines = [str(v) for v in self.violations]
@@ -68,14 +71,12 @@ def _label_name(f: Flow) -> str:
 
 
 def validate_cefm(model: Choreography) -> ValidationReport:
-    report = ValidationReport()
+    report = ValidationReport(model)
     _check_duplicate_flows(model, report)
     _check_degrees(model, report)
     _check_guard_placement(model, report)
-    _check_guard_variables(model, report)
-    _check_alternatives(model, report)
+    _check_guards(model, report)
     _check_loops(model, report)
-    _check_reachability(model, report)
     return report
 
 
@@ -158,45 +159,49 @@ def _check_guard_placement(model: Choreography, report: ValidationReport) -> Non
                            f"guard flow out of a {kind.value} state")
 
 
-def _check_guard_variables(model: Choreography, report: ValidationReport) -> None:
+def _check_guards(model: Choreography, report: ValidationReport) -> None:
+    # Each guard's variables are read once: for its rules and its alternative's table.
+    declared, tables = model.variables, {}
     for f in model.flows:
-        if isinstance(f.label, Guard):
-            missing = free_vars(f.label.pred) - set(model.variables)
-            if missing:
-                report.add(f.src, "guard-variables",
-                           f"undeclared variables {sorted(missing)} in {to_text(f.label.pred)}")
-
-
-def _guard_domains(model: Choreography, preds) -> dict | None:
-    names = set()
-    for p in preds:
-        names |= free_vars(p)
-    if names - set(model.variables):
-        return None  # undeclared vars reported elsewhere; skip enumeration
-    return {n: model.variables[n] for n in names}
-
-
-def _check_alternatives(model: Choreography, report: ValidationReport) -> None:
-    for s in sorted(s for s, kind in model.states.items() if kind is _ALTERNATIVE):
-        guards = [(f, f.label.pred) for f in model.out_flows(s)
-                  if isinstance(f.label, Guard)]
-        if len(guards) < 2:
-            continue  # degree rule already failed
-        preds = [p for _, p in guards]
-        domains = _guard_domains(model, preds)
-        if domains is None:
+        if not isinstance(f.label, Guard):
             continue
-        for i in range(len(preds)):
-            for j in range(i + 1, len(preds)):
-                witness = satisfiable_together([preds[i], preds[j]], domains)
-                if witness is not None:
-                    report.add(
-                        s, "guards-not-exclusive",
-                        f"{to_text(preds[i])} and {to_text(preds[j])} both hold at {witness}",
-                    )
-        uncovered = covers_all(preds, domains)
-        if uncovered is not None:
-            report.add(s, "guards-not-exhaustive", f"no guard holds at {uncovered}")
+        pred = f.label.pred
+        names = free_vars(pred)
+        missing = names - declared.keys()
+        if missing:
+            report.add(f.src, "guard-variables",
+                       f"undeclared variables {sorted(missing)} in {to_text(pred)}")
+        kind = model.kind(f.src)
+        if kind is not _ALTERNATIVE and kind is not _LOOP:
+            continue
+        typed = [n for n in sorted(bool_vars(pred) - missing)
+                 if not all(isinstance(v, bool) for v in declared[n])]
+        for n in typed:
+            report.add(f.src, "guard-type", f"{n} is tested as a boolean in "
+                       f"{to_text(pred)} but declared over {list(declared[n])}")
+        if kind is _ALTERNATIVE and tables.setdefault(f.src, []) is not None:
+            # a guard that cannot be evaluated leaves its alternative unchecked
+            tables[f.src] = None if missing or typed else tables[f.src] + [(pred, names)]
+
+    # One evaluation of each guard per assignment decides both rules: each
+    # pair's first assignment where both hold, and the first where none does.
+    for s in sorted(tables):
+        table = tables[s]
+        if table is None or len(table) < 2:
+            continue  # the degree rule already failed
+        preds = [p for p, _ in table]
+        overlaps, gap = {}, None
+        for env in assignments({n: declared[n] for _, names in table for n in names}):
+            held = [i for i, p in enumerate(preds) if eval_pred(p, env)]
+            for pair in combinations(held, 2):
+                overlaps.setdefault(pair, env)
+            if gap is None and not held:
+                gap = env
+        for (i, j), env in sorted(overlaps.items()):
+            report.add(s, "guards-not-exclusive",
+                       f"{to_text(preds[i])} and {to_text(preds[j])} both hold at {env}")
+        if gap is not None:
+            report.add(s, "guards-not-exhaustive", f"no guard holds at {gap}")
 
 
 def _check_loops(model: Choreography, report: ValidationReport) -> None:
@@ -236,11 +241,10 @@ def _reach(
     return seen
 
 
-def _check_reachability(model: Choreography, report: ValidationReport) -> None:
+def _reachability_warnings(model: Choreography) -> list[Violation]:
     from_initial = _reach(model.initial, model.out_flows, _TRG)
-    for s in sorted(model.states.keys() - from_initial):
-        report.warn(s, "unreachable", "not reachable from the initial state")
-
     reaches_final = _reach(model.final, model.in_flows, _SRC)
-    for s in sorted(from_initial - reaches_final):
-        report.warn(s, "dead-end", "cannot reach the final state")
+    return [Violation(s, "unreachable", "not reachable from the initial state")
+            for s in sorted(model.states.keys() - from_initial)] + [
+            Violation(s, "dead-end", "cannot reach the final state")
+            for s in sorted(from_initial - reaches_final)]

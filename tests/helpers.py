@@ -20,7 +20,7 @@ from chorenforce.oracle import (
     UNDESIRED_TASK,
 )
 from chorenforce.participants import Action, Scenario, ScriptSpec, load_scenario
-from chorenforce.predicate import Not, Var
+from chorenforce.predicate import Not, Pred, Var
 from chorenforce.randgen import scripts_for_word
 from chorenforce.socialprox import (
     ENV_BOTH_TRUE,
@@ -337,6 +337,44 @@ def exclusive_join_model() -> Choreography:
         Flow("K2", EPS, "Final"),
     ]
     return Choreography(states, "Initial", "Final", {"A", "B"}, {"g": (False, True)}, flows)
+
+
+def alternative_model(guards: list[Pred], variables: dict) -> Choreography:
+    """A.a.B, then the alternative C: guard j leads to B{j}, from where
+    A.t{j}.B runs on to Final."""
+    states = {
+        "Initial": StateKind.INITIAL,
+        "S0": StateKind.PLAIN,
+        "S1": StateKind.PLAIN,
+        "C": StateKind.ALTERNATIVE,
+        "Final": StateKind.FINAL,
+    }
+    flows = [
+        Flow("Initial", EPS, "S0"),
+        Flow("S0", Operation("A", "a", "B"), "S1"),
+        Flow("S1", EPS, "C"),
+    ]
+    for j, guard in enumerate(guards):
+        states[f"B{j}"] = states[f"E{j}"] = StateKind.PLAIN
+        flows += [
+            Flow("C", Guard(guard), f"B{j}"),
+            Flow(f"B{j}", Operation("A", f"t{j}", "B"), f"E{j}"),
+            Flow(f"E{j}", EPS, "Final"),
+        ]
+    return Choreography(states, "Initial", "Final", {"A", "B"}, variables, flows)
+
+
+def int_alternative_model() -> Choreography:
+    """An alternative guarded by x / not x, with x declared over [1, 2]."""
+    return alternative_model([Var("x"), Not(Var("x"))], {"x": (1, 2)})
+
+
+def int_loop_model() -> Choreography:
+    """loop_model with its entry guard p declared over [1, 2]."""
+    model = loop_model()
+    return Choreography(
+        model.states, model.initial, model.final, model.roles, {"p": (1, 2)}, model.flows
+    )
 
 
 def loop_scenario(env: dict, actions: tuple[Action, ...]) -> Scenario:

@@ -7,13 +7,16 @@ import pytest
 
 from chorenforce.cli import main
 from chorenforce.interpreter import Language
-from chorenforce.model import save_model
+from chorenforce.model import EPS, Choreography, Flow, Guard, StateKind, save_model
 from chorenforce.participants import Action, Scenario, ScriptSpec, save_scenario
+from chorenforce.predicate import Not, Var
 from helpers import (
     chain_scenario,
     duplicate_flow_model,
     exclusive_join_model,
     inorder_scenario,
+    int_alternative_model,
+    int_loop_model,
     share_disabled_scenario,
     silent_loop_model,
     sp_model,
@@ -49,6 +52,32 @@ def test_validate_broken(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["validate", str(path)]) == 1
     assert "join-degree" in capsys.readouterr().out
+
+
+def test_validate_prints_violations_then_warnings(tmp_path, capsys):
+    # Q leads nowhere and nothing leads to Orphan: each breaks a degree rule
+    # and draws a reachability warning
+    states = {
+        "Initial": StateKind.INITIAL, "Final": StateKind.FINAL,
+        "ALT": StateKind.ALTERNATIVE, "P": StateKind.PLAIN,
+        "Q": StateKind.PLAIN, "Orphan": StateKind.PLAIN,
+    }
+    flows = [
+        Flow("Initial", EPS, "ALT"),
+        Flow("ALT", Guard(Var("x")), "P"),
+        Flow("ALT", Guard(Not(Var("x"))), "Q"),
+        Flow("P", EPS, "Final"),
+        Flow("Orphan", EPS, "Final"),
+    ]
+    path = tmp_path / "model.json"
+    save_model(Choreography(states, "Initial", "Final", {"A", "B"}, {"x": (False, True)}, flows), path)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "Orphan: plain-degree: 0 incoming flows, expected 1\n"
+        "Q: plain-degree: 0 outgoing flows, expected 1\n"
+        "warning: Orphan: unreachable: not reachable from the initial state\n"
+        "warning: Q: dead-end: cannot reach the final state\n"
+    )
 
 
 def test_gen_cm_writes_files(tmp_path, capsys):
@@ -153,6 +182,44 @@ def test_check_trace_stuck_tokens_is_a_clean_error(tmp_path, capsys):
     assert main(["check-trace", str(path), str(trace)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "tokens stuck" in err
+
+
+# A guard tests a variable declared over [1, 2] as a boolean: in an
+# alternative, and as a loop's entry guard. A requests its first operation
+# to B, which the trace forwards.
+_MISTYPED_GUARDS = {
+    "alternative": (int_alternative_model, {"x": 1}, "a", ("S0", "S1"),
+                    "C: guard-type: x is tested as a boolean in x but declared over [1, 2]"),
+    "loop": (int_loop_model, {"p": 1}, "init", ("L1", "L2"),
+             "LP: guard-type: p is tested as a boolean in p but declared over [1, 2]"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_MISTYPED_GUARDS))
+def test_a_guard_testing_a_non_boolean_is_refused(tmp_path, capsys, shape):
+    build, env, task, (src, trg), violation = _MISTYPED_GUARDS[shape]
+    model_file = tmp_path / "model.json"
+    save_model(build(), model_file)
+    assert main(["validate", str(model_file)]) == 1
+    assert violation in capsys.readouterr().out.splitlines()
+
+    scenario_file = tmp_path / "scenario.json"
+    save_scenario(Scenario(build(), env, (ScriptSpec("A", (Action(task, "B"),)),)), scenario_file)
+    trace = tmp_path / "trace.jsonl"
+    forward = {
+        "kind": "Forward", "seq": 0, "cd": ["A", "B"], "task": task,
+        "src": src, "trg": trg, "receiver": "B",
+    }
+    trace.write_text(json.dumps(forward, sort_keys=True) + "\n")
+    for argv in (
+        ["gen-cm", str(model_file), "--out-dir", str(tmp_path / "cms")],
+        ["run", str(scenario_file), "--out-dir", str(tmp_path / "runs")],
+        ["check-trace", str(scenario_file), str(trace)],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and violation in err
 
 
 def test_run_writes_trace_and_report(scenario_path, tmp_path, capsys):

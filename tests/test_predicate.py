@@ -13,11 +13,10 @@ from chorenforce.predicate import (
     UnboundVariableError,
     Var,
     assignments,
-    covers_all,
+    bool_vars,
     eval_pred,
     free_vars,
     parse_predicate,
-    satisfiable_together,
     to_text,
 )
 
@@ -127,24 +126,16 @@ def test_free_vars():
     assert free_vars(TRUE) == frozenset()
 
 
+def test_bool_vars():
+    # b is only compared, never tested bare
+    p = And(Var("a"), Or(Not(Eq("b", 2)), Not(Var("c"))))
+    assert bool_vars(p) == frozenset({"a", "c"})
+    assert bool_vars(Eq("a", True)) == frozenset()
+
+
 def test_assignments_enumerates_product():
     envs = list(assignments({"x": (False, True), "y": (1, 2, 3)}))
     assert len(envs) == 6
     assert {tuple(sorted(e.items())) for e in envs} == {
         (("x", xv), ("y", yv)) for xv in (False, True) for yv in (1, 2, 3)
     }
-
-
-def test_satisfiable_together():
-    domains = {"x": (False, True), "y": (False, True)}
-    witness = satisfiable_together([Var("x"), Var("y")], domains)
-    assert witness == {"x": True, "y": True}
-    assert satisfiable_together([Var("x"), Not(Var("x"))], domains) is None
-
-
-def test_covers_all():
-    domains = {"x": (False, True), "y": (False, True)}
-    assert covers_all([Var("x"), Not(Var("x"))], domains) is None
-    # x alone and x-and-y together leave x=False uncovered
-    gap = covers_all([Var("x"), And(Var("x"), Var("y"))], domains)
-    assert gap is not None and gap["x"] is False

@@ -5,13 +5,41 @@ rule; the test asserts the rule id shows up (and nothing passes that
 should fail).
 """
 
-import pytest
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chorenforce import validate
+from chorenforce.decompose import generate_all
 from chorenforce.model import EPS, Choreography, Flow, Guard, Operation, StateKind
-from chorenforce.predicate import Not, Var
+from chorenforce.participants import load_scenario
+from chorenforce.predicate import (
+    TRUE,
+    And,
+    Eq,
+    Not,
+    Or,
+    Var,
+    assignments,
+    eval_pred,
+    free_vars,
+    to_text,
+)
 from chorenforce.socialprox import social_proximity
-from chorenforce.validate import validate_cefm
-from helpers import duplicate_flow_model, loop_model, silent_loop_model
+from chorenforce.validate import Violation, validate_cefm
+from helpers import (
+    alternative_model,
+    chain_scenario,
+    duplicate_flow_model,
+    int_alternative_model,
+    int_loop_model,
+    loop_model,
+    silent_loop_model,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 A_B = Operation("A", "t", "B")
 
@@ -200,6 +228,121 @@ def test_guards_not_exclusive_and_not_exhaustive():
     assert "guards-not-exhaustive" in rules
 
 
+def test_guard_type_alternative():
+    # x / not x over [1, 2]: evaluating a guard would raise, so the guard
+    # table skips the alternative and reports each guard instead
+    report = validate_cefm(int_alternative_model())
+    assert [str(v) for v in report.violations] == [
+        "C: guard-type: x is tested as a boolean in x but declared over [1, 2]",
+        "C: guard-type: x is tested as a boolean in not x but declared over [1, 2]",
+    ]
+
+
+def test_guard_type_loop():
+    report = validate_cefm(int_loop_model())
+    assert [str(v) for v in report.violations] == [
+        "LP: guard-type: p is tested as a boolean in p but declared over [1, 2]",
+    ]
+
+
+def test_a_variable_compared_with_a_value_may_hold_ints():
+    report = validate_cefm(alternative_model([Eq("n", 1), Not(Eq("n", 1))], {"n": (1, 2)}))
+    assert report.violations == []
+
+
+def _alternative_violations(guards, variables):
+    report = validate_cefm(alternative_model(guards, variables))
+    return [str(v) for v in report.violations]
+
+
+def test_overlapping_guards_name_their_first_common_assignment():
+    domains = {"x": (False, True), "y": (False, True)}
+    assert _alternative_violations([Var("x"), Var("y")], domains) == [
+        "C: guards-not-exclusive: x and y both hold at {'x': True, 'y': True}",
+        "C: guards-not-exhaustive: no guard holds at {'x': False, 'y': False}",
+    ]
+
+
+def test_a_guard_and_its_negation_are_exclusive_and_exhaustive():
+    domains = {"x": (False, True), "y": (False, True)}
+    assert _alternative_violations([Var("x"), Not(Var("x"))], domains) == []
+
+
+def test_a_gap_is_the_first_assignment_no_guard_covers():
+    # x alone and x-and-y together leave x=False uncovered
+    domains = {"x": (False, True), "y": (False, True)}
+    assert _alternative_violations([Var("x"), And(Var("x"), Var("y"))], domains) == [
+        "C: guards-not-exclusive: x and x and y both hold at {'x': True, 'y': True}",
+        "C: guards-not-exhaustive: no guard holds at {'x': False, 'y': False}",
+    ]
+
+
+def _pairwise_guard_violations(model, state):
+    """The guard rules as checked one guard pair at a time, then once
+    more for coverage, each by its own enumeration."""
+    preds = [f.label.pred for f in model.out_flows(state) if isinstance(f.label, Guard)]
+    domains = {n: model.variables[n] for p in preds for n in free_vars(p)}
+
+    def satisfiable_together(ps):
+        for env in assignments(domains):
+            if all(eval_pred(p, env) for p in ps):
+                return env
+        return None
+
+    def covers_all(ps):
+        for env in assignments(domains):
+            if not any(eval_pred(p, env) for p in ps):
+                return env
+        return None
+
+    found = []
+    for i in range(len(preds)):
+        for j in range(i + 1, len(preds)):
+            witness = satisfiable_together([preds[i], preds[j]])
+            if witness is not None:
+                found.append(Violation(
+                    state, "guards-not-exclusive",
+                    f"{to_text(preds[i])} and {to_text(preds[j])} both hold at {witness}",
+                ))
+    uncovered = covers_all(preds)
+    if uncovered is not None:
+        found.append(Violation(state, "guards-not-exhaustive", f"no guard holds at {uncovered}"))
+    return found
+
+
+_DOMAINS = [(False, True), (True, False), (0, 1), (1, 2, 3), (0,)]
+
+
+@st.composite
+def typed_alternatives(draw):
+    """2-4 guards over 1-3 declared variables; only variables declared
+    over booleans are tested bare, so guard-type never fires."""
+    names = ["u", "v", "w"][: draw(st.integers(1, 3))]
+    variables = {n: draw(st.sampled_from(_DOMAINS)) for n in names}
+    # a literal may lie outside the domain, or be a bool against ints
+    values = [False, True, 0, 1, 2, 3, 4]
+    leaves = [st.just(TRUE), st.builds(Eq, st.sampled_from(names), st.sampled_from(values))]
+    booleans = [n for n in names if all(isinstance(v, bool) for v in variables[n])]
+    if booleans:
+        leaves.append(st.builds(Var, st.sampled_from(booleans)))
+    guard = st.recursive(
+        st.one_of(leaves),
+        lambda kids: st.one_of(
+            st.builds(Not, kids), st.builds(And, kids, kids), st.builds(Or, kids, kids)
+        ),
+        max_leaves=5,
+    )
+    return alternative_model(draw(st.lists(guard, min_size=2, max_size=4)), variables)
+
+
+@given(typed_alternatives())
+@settings(max_examples=100, deadline=None)
+def test_guard_table_reports_what_the_pairwise_checks_report(model):
+    report = validate_cefm(model)
+    assert report.violations == _pairwise_guard_violations(model, "C")
+    assert report.warnings == []
+
+
 def test_loop_back():
     # the "body" never returns to the loop state
     m = build(
@@ -289,6 +432,20 @@ def test_dead_end_warning():
     )
     report = validate_cefm(m)
     assert "dead-end" in warnings_of(report)
+
+
+def test_decomposition_never_computes_warnings(monkeypatch):
+    def refuse(model):
+        raise AssertionError("reachability warnings computed")
+
+    monkeypatch.setattr(validate, "_reachability_warnings", refuse)
+    models = [load_scenario(p).model for p in sorted(FIXTURES.glob("scenario_*.json"))]
+    assert len(models) == 4
+    for model in models + [chain_scenario(160).model]:
+        generate_all(model)
+    report = validate_cefm(models[0])
+    with pytest.raises(AssertionError, match="warnings computed"):
+        report.warnings
 
 
 def test_report_string_lists_everything():
