@@ -10,7 +10,7 @@ from pathlib import Path
 from .decompose import InvalidModelError, dumps_cm, generate_all
 from .interpreter import InterpreterError, reference_traces
 from .model import ModelFormatError, load_model
-from .oracle import ALLOWED, RuntimeChecker, check_conformance, projection
+from .oracle import ALLOWED, RuntimeChecker, projection
 from .participants import POLICIES, ScenarioFormatError, load_scenario
 from .randgen import fuzz
 from .runner import (
@@ -97,8 +97,8 @@ def _cmd_check_trace(args) -> int:
     flagged = [v for v in verdicts if v.kind != ALLOWED]
     language = reference_traces(scenario.model, scenario.environment)
     word = projection(events)
-    member = check_conformance(events, language, completed=True)
-    prefix = check_conformance(events, language, completed=False)
+    member = language.is_member(word)
+    prefix = language.is_prefix(word)
     print(f"forwards: {len(word)}")
     print(f"verdicts: {len(verdicts)} checked, {len(flagged)} flagged")
     for v in flagged:

@@ -4,21 +4,27 @@ Each generated model is a chain of operations over distinct role pairs,
 optionally carrying one structural feature: a guarded branch to the
 final state, a guarded loop around one operation, or a concurrent split
 of two same-initiator operations that meet again at a join, followed by
-one more operation of the first branch's pair. Sizes stay
-small (at most 12 states) so the reference language is tiny and every
-word can be replayed as a directed run.
+one more operation of the first branch's pair. Sizes stay small (at
+most 12 states) so the reference language is tiny and every word can be
+replayed as a directed run.
 
 Loops under a fixed environment either never run (guard false) or never
-stop (guard true). A guard-false case checks language equality; a
-guard-true case scripts three iterations and checks that the enforced
-run is a prefix of the reference behaviour. `fuzz` runs both checks over
-a seeded stream of cases.
+stop (guard true). A guard-false case expects language equality; a
+guard-true case scripts three iterations and expects no run to complete.
+
+`sweep` is the one loop that runs generated cases against the reference:
+per model one round-robin run for each reference word, then 50
+random-policy runs cycling over the words. Every run must be unflagged,
+conformant, within the update+notify bound, and complete exactly when
+its case expects it to; an equality case's completed projections must
+be the whole reference language. `fuzz` prints a sweep, and acceptance
+criteria 6 and 8 read one.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .interpreter import Language, reference_traces
 from .model import EPS, Choreography, Flow, Guard, Operation, StateKind
@@ -59,55 +65,36 @@ class _Builder:
         self.states[name] = kind
         return name
 
-    def eps(self, src: str, trg: str) -> None:
-        self.flows.append(Flow(src, EPS, trg))
-
-    def guard(self, src: str, pred, trg: str) -> None:
-        self.flows.append(Flow(src, Guard(pred), trg))
-
-    def op(self, src: str, operation: Operation, trg: str) -> None:
-        self.flows.append(Flow(src, operation, trg))
+    def link(self, src: str, trg: str, label=EPS) -> None:
+        self.flows.append(Flow(src, label, trg))
 
     def build(self) -> Choreography:
-        roles = set()
-        for f in self.flows:
-            if isinstance(f.label, Operation):
-                roles.add(f.label.initiator)
-                roles.add(f.label.receiver)
+        ops = [label for _, label, _ in self.flows if isinstance(label, Operation)]
+        roles = {op.initiator for op in ops} | {op.receiver for op in ops}
         return Choreography(
             self.states, "Initial", "Final", roles, self.variables, self.flows
         )
 
 
-def _chain(b: _Builder, entry: str, ops: list[Operation], start: int) -> str:
-    """Append src-op-trg segments; returns the last target state."""
-    at = entry
-    for offset, operation in enumerate(ops):
-        i = start + offset
-        src = b.state(f"A{i}")
-        trg = b.state(f"B{i}")
-        if at == "Initial" and offset == 0:
-            b.eps("Initial", src)
-        else:
-            b.eps(at, src)
-        b.op(src, operation, trg)
-        at = trg
-    return at
+def _chain(b: _Builder, ops: list[Operation], start: int, src="A", trg="B"):
+    """Append one src-op-trg segment per operation, numbered from `start`
+    and joined by epsilon; returns (first src, last trg) for the caller
+    to link."""
+    for i, operation in enumerate(ops, start):
+        s, t = b.state(f"{src}{i}"), b.state(f"{trg}{i}")
+        if i > start:
+            b.link(f"{trg}{i - 1}", s)
+        b.link(s, t, operation)
+    return f"{src}{start}", t
 
 
 def random_case(rng: random.Random) -> GeneratedCase:
     feature = rng.choice(["none", "none", "alt", "loop", "fork"])
-    if feature == "fork":
-        k = rng.randint(2, 3)
-    elif feature == "none":
-        k = rng.randint(2, 5)
-    else:
-        k = rng.randint(2, 4)
+    k = rng.randint(2, {"fork": 3, "none": 5}.get(feature, 4))
 
     b = _Builder()
     env: dict[str, Value] = {}
     expect = "equality"
-    unroll: list[Operation] = []
 
     if feature == "fork":
         initiator = rng.choice(ROLES)
@@ -120,88 +107,71 @@ def random_case(rng: random.Random) -> GeneratedCase:
     ops = [Operation(i, f"t{n}", r) for n, (i, r) in enumerate(pairs)]
 
     if feature == "none":
-        end = _chain(b, "Initial", ops, 0)
-        b.eps(end, "Final")
-
+        pos = k
     elif feature == "alt":
         pos = rng.randrange(1, k)
-        end = _chain(b, "Initial", ops[:pos], 0)
+    elif feature == "loop":
+        pos = rng.randrange(1, k - 1) if k > 2 else 1
+    else:
+        pos = k - 2
+    # every operation before the feature, in one chain out of Initial
+    end = "Initial"
+    if pos:
+        first, end = _chain(b, ops[:pos], 0)
+        b.link("Initial", first)
+
+    if feature == "none":
+        b.link(end, "Final")
+
+    elif feature == "alt":
         alt = b.state("C1", StateKind.ALTERNATIVE)
-        b.eps(end, alt)
-        cont = b.state(f"A{pos}")
-        b.guard(alt, Var("g"), cont)
+        b.link(end, alt)
+        cont, last = _chain(b, ops[pos:], pos)
+        b.link(alt, cont, Guard(Var("g")))
         bail = b.state("D1")
-        b.guard(alt, Not(Var("g")), bail)
-        b.eps(bail, "Final")
-        at = cont
-        for i, operation in enumerate(ops[pos:], start=pos):
-            src = b.state(f"A{i}") if i > pos else cont
-            if i > pos:
-                b.eps(at, src)
-            trg = b.state(f"B{i}")
-            b.op(src, operation, trg)
-            at = trg
-        b.eps(at, "Final")
+        b.link(alt, bail, Guard(Not(Var("g"))))
+        b.link(bail, "Final")
+        b.link(last, "Final")
         b.variables["g"] = (False, True)
         env["g"] = rng.choice([False, True])
 
     elif feature == "loop":
-        pos = rng.randrange(1, k - 1) if k > 2 else 1
-        end = _chain(b, "Initial", ops[:pos], 0)
         loop = b.state("L1", StateKind.LOOP)
-        b.eps(end, loop)
-        body_src = b.state(f"A{pos}")
-        body_trg = b.state(f"B{pos}")
-        b.guard(loop, Var("g"), body_src)
-        b.op(body_src, ops[pos], body_trg)
-        b.eps(body_trg, loop)
-        tail = ops[pos + 1 :]
-        if tail:
-            exit_state = b.state(f"A{pos + 1}")
-            b.eps(loop, exit_state)
-            at = exit_state
-            for i, operation in enumerate(tail, start=pos + 1):
-                src = b.state(f"A{i}") if i > pos + 1 else exit_state
-                if i > pos + 1:
-                    b.eps(at, src)
-                trg = b.state(f"B{i}")
-                b.op(src, operation, trg)
-                at = trg
-            b.eps(at, "Final")
+        b.link(end, loop)
+        body_src, body_trg = _chain(b, ops[pos : pos + 1], pos)
+        b.link(loop, body_src, Guard(Var("g")))
+        b.link(body_trg, loop)
+        if ops[pos + 1 :]:
+            exit_state, last = _chain(b, ops[pos + 1 :], pos + 1)
         else:
-            exit_state = b.state("X1")
-            b.eps(loop, exit_state)
-            b.eps(exit_state, "Final")
+            exit_state = last = b.state("X1")
+        b.link(loop, exit_state)
+        b.link(last, "Final")
         b.variables["g"] = (False, True)
-        if rng.random() < 0.3:
-            env["g"] = True
+        env["g"] = rng.random() < 0.3
+        if env["g"]:
             expect = "prefix"
-            unroll = ops[:pos] + [ops[pos]] * 3
-        else:
-            env["g"] = False
 
     else:  # fork
-        pos = k - 2
-        end = "Initial" if pos == 0 else _chain(b, "Initial", ops[:pos], 0)
         fork = b.state("F1", StateKind.FORK)
-        b.eps(end, fork)
+        b.link(end, fork)
         join = b.state("J1", StateKind.JOIN)
         for n, operation in enumerate(ops[pos:]):
-            src = b.state(f"P{n}")
-            trg = b.state(f"Q{n}")
-            b.eps(fork, src)
-            b.op(src, operation, trg)
-            b.eps(trg, join)
+            src, trg = _chain(b, [operation], n, "P", "Q")
+            b.link(fork, src)
+            b.link(trg, join)
         # The first branch pair also owns the operation after the join, so
         # its delegate must cross the join before it may forward again.
         closing = Operation(initiator, f"t{k}", receivers[0])
-        tail = _chain(b, join, [closing], k)
-        b.eps(tail, "Final")
+        first, last = _chain(b, [closing], k)
+        b.link(join, first)
+        b.link(last, "Final")
 
     model = b.build()
     language = reference_traces(model, env)
     if expect == "prefix":
-        words = (tuple(op.label for op in unroll),)
+        # the loop body runs three times, after the operations before it
+        words = (tuple(op.label for op in ops[:pos] + [ops[pos]] * 3),)
     else:
         words = tuple(sorted(language.complete))
     return GeneratedCase(model, env, expect, language, words)
@@ -220,41 +190,68 @@ def scripts_for_word(model: Choreography, word: tuple[str, ...]) -> tuple[Script
     )
 
 
-def fuzz(models: int, seed: int, verbose: bool) -> int:
-    """Replay each case's words under enforcement; compare with the reference.
+RANDOM_RUNS = 50  # random-policy runs per model, at seeds 0..49
 
-    A case agrees when every run is unflagged and conformant; in an
-    equality case every run completes and the completed projections are
-    exactly the reference language, in a prefix case no run completes.
-    Prints one line per failing model (and per passing one if verbose)
-    and a summary; returns 0 when all models agree, else 1.
-    """
+
+@dataclass
+class Sweep:
+    """What `sweep` saw: per model (expect, number of words, problems),
+    the runs made, and the highest update+notify count against its bound."""
+
+    models: list[tuple[str, int, list[str]]] = field(default_factory=list)
+    runs: int = 0
+    worst: tuple[int, int] = (0, 1)
+
+    @property
+    def problems(self) -> list[str]:
+        return [f"model {n}: {p}" for n, (_, _, ps) in enumerate(self.models) for p in ps]
+
+
+def sweep(models: int, seed: int) -> Sweep:
+    """Run `models` cases from `random.Random(seed)` under enforcement and
+    check each run against the reference, as the module docstring says."""
     rng = random.Random(seed)
-    failures = 0
-    for n in range(models):
+    result = Sweep()
+    for _ in range(models):
         case = random_case(rng)
         should_complete = case.expect == "equality"
+        plan = [(word, "roundrobin", 0) for word in case.words]
+        plan += [(case.words[j % len(case.words)], "random", j) for j in range(RANDOM_RUNS)]
         completed: set[tuple[str, ...]] = set()
-        bad = []
-        for word in case.words:
-            scenario = Scenario(
-                model=case.model,
-                environment=case.env,
-                scripts=scripts_for_word(case.model, word),
-            )
-            result = run_scenario(scenario, policy="roundrobin", seed=0)
-            done = result.outcome == COMPLETED
+        problems = []
+        for word, policy, run_seed in plan:
+            scenario = Scenario(case.model, case.env, scripts_for_word(case.model, word))
+            run = run_scenario(scenario, policy=policy, seed=run_seed)
+            result.runs += 1
+            count, bound = run.overhead
+            result.worst = max(result.worst, run.overhead, key=lambda cb: cb[0] / cb[1])
+            faults = [f"flagged {v.kind}" for v in run.flagged]
+            if not run.conformant:
+                faults.append("non-conformant")
+            if count > bound:
+                faults.append(f"overhead {count} > {bound}")
+            done = run.outcome == COMPLETED
             if done:
-                completed.add(result.projection)
-            if result.flagged or not result.conformant or done != should_complete:
-                bad.append((word, result.outcome, [v.kind for v in result.flagged]))
+                completed.add(run.projection)
+            if faults or done != should_complete:
+                run_line = f"{policy}/{run_seed} replaying {' '.join(word)} ended {run.outcome}"
+                problems.append(", ".join([run_line, *faults]))
         if should_complete and completed != case.language.complete:
-            bad.append(("language-mismatch", sorted(completed),
-                        sorted(case.language.complete)))
-        if bad:
+            problems.append(f"completed {sorted(completed)} is not the reference language")
+        result.models.append((case.expect, len(case.words), problems))
+    return result
+
+
+def fuzz(models: int, seed: int, verbose: bool) -> int:
+    """Print `sweep(models, seed)`: one line per failing model (and per
+    passing one if verbose) and a summary; returns 0 when all models
+    agree with the reference, else 1."""
+    failures = 0
+    for n, (expect, words, problems) in enumerate(sweep(models, seed).models):
+        if problems:
             failures += 1
-            print(f"model {n}: FAIL {bad}")
+            print(f"model {n}: FAIL {problems}")
         elif verbose:
-            print(f"model {n}: ok ({case.expect}, {len(case.words)} words)")
+            print(f"model {n}: ok ({expect}, {words} words)")
     print(f"{models - failures}/{models} models agree with the reference")
     return 0 if failures == 0 else 1

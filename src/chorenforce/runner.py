@@ -34,7 +34,6 @@ class RunResult:
     seed: int
     policy: str
     delegates: dict[Pair, Delegate] = field(repr=False, default_factory=dict)
-    participants: dict[str, Participant] = field(repr=False, default_factory=dict)
 
     @property
     def flagged(self) -> list[Verdict]:
@@ -116,7 +115,6 @@ def run_scenario(
         seed=run_seed,
         policy=policy_name,
         delegates=delegates,
-        participants=participants,
     )
 
 

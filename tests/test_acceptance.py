@@ -14,10 +14,9 @@ to keep the gate inside its time budgets.
 from __future__ import annotations
 
 import functools
-import random
 import time
 
-from chorenforce.decompose import generate_all, initial_wait_states
+from chorenforce.decompose import generate_all
 from chorenforce.oracle import (
     DEADLOCKING_JOIN,
     INVALID_ALTERNATIVE,
@@ -26,8 +25,7 @@ from chorenforce.oracle import (
     MISSED_LOOP,
     UNDESIRED_TASK,
 )
-from chorenforce.participants import Scenario
-from chorenforce.randgen import random_case, scripts_for_word
+from chorenforce.randgen import sweep
 from chorenforce.runner import run_scenario, write_trace
 from chorenforce.simulator import COMPLETED, DEADLOCKED
 from chorenforce.socialprox import NMF, NMU
@@ -52,7 +50,8 @@ SEEDS = range(100)
 
 _CACHE: dict[str, object] = {}
 
-# (count, bound) for every enforced run that feeds the overhead bound.
+# (count, bound) for every social proximity run that feeds the overhead
+# bound; the random-model sweep reports its own worst run.
 _OVERHEADS: list[tuple[int, int]] = []
 
 
@@ -123,64 +122,12 @@ def _share_runs() -> list:
     return _CACHE["share"]
 
 
-def _random_model_sweep() -> dict:
-    """200 generated choreographies, every enforced run vs the reference.
-
-    Per model: one directed round-robin run per reference word, then 50
-    random-policy seeds cycling over the words. Equality cases must
-    reproduce the reference set exactly; unrolled-loop cases must stay a
-    strict prefix forever.
-    """
-    if "sweep" in _CACHE:
-        return _CACHE["sweep"]
-
-    rng = random.Random(198)
-    t0 = time.perf_counter()
-    models = runs = 0
-    problems: list[str] = []
-
-    for index in range(200):
-        case = random_case(rng)
-        models += 1
-        if len(case.model.states) > 12:
-            problems.append(f"model {index}: {len(case.model.states)} states")
-            continue
-        plan = [(word, "roundrobin", 0) for word in case.words]
-        plan += [(case.words[j % len(case.words)], "random", j) for j in range(50)]
-
-        completed: set[tuple[str, ...]] = set()
-        for word, policy, seed in plan:
-            scenario = Scenario(
-                model=case.model,
-                environment=dict(case.env),
-                scripts=scripts_for_word(case.model, word),
-            )
-            result = run_scenario(scenario, policy=policy, seed=seed)
-            runs += 1
-            _OVERHEADS.append(result.overhead)
-            count, bound = result.overhead
-            if count > bound:
-                problems.append(f"model {index}: overhead {count} > {bound}")
-            if result.flagged:
-                problems.append(f"model {index}: flagged {result.flagged[0].kind}")
-            if not result.conformant:
-                problems.append(f"model {index}: non-conformant at {policy}/{seed}")
-            if result.outcome == COMPLETED:
-                completed.add(result.projection)
-            elif case.expect == "equality":
-                problems.append(f"model {index}: {policy}/{seed} ended {result.outcome}")
-
-        if case.expect == "equality" and completed != set(case.language.complete):
-            problems.append(f"model {index}: enforced set differs from reference")
-        if case.expect == "prefix" and completed:
-            problems.append(f"model {index}: guard-true loop case completed")
-
-    _CACHE["sweep"] = {
-        "models": models,
-        "runs": runs,
-        "problems": problems,
-        "elapsed": time.perf_counter() - t0,
-    }
+def _sweep():
+    """The randgen sweep of 200 generated models, timed."""
+    if "sweep" not in _CACHE:
+        t0 = time.perf_counter()
+        result = sweep(200, 198)
+        _CACHE["sweep"] = (result, time.perf_counter() - t0)
     return _CACHE["sweep"]
 
 
@@ -206,7 +153,7 @@ def test_criterion_1_generated_coordination_models_match_golden():
 def test_criterion_2_delegate_wait_states_match_golden():
     cms = sp_cms()
     for pair, expected in GOLDEN_INITIAL_WAIT.items():
-        got = initial_wait_states(cms[pair])
+        got = cms[pair].initial_wait
         assert got == expected, f"wait set mismatch for {pair}: {sorted(got)}"
     return "all six delegate wait sets match the hand-checked ones"
 
@@ -336,13 +283,13 @@ def test_criterion_5_completed_traces_are_reference_members():
 
 @gate(6)
 def test_criterion_6_random_models_agree_with_the_reference():
-    sweep = _random_model_sweep()
-    assert not sweep["problems"], sweep["problems"][:5]
-    assert sweep["models"] == 200
-    assert sweep["elapsed"] < 300.0, f"sweep took {sweep['elapsed']:.0f}s"
+    result, elapsed = _sweep()
+    assert not result.problems, result.problems[:5]
+    assert len(result.models) == 200
+    assert elapsed < 300.0, f"sweep took {elapsed:.0f}s"
     return (
-        f"{sweep['models']} models, {sweep['runs']} enforced runs match the "
-        f"reference sets; {sweep['elapsed']:.1f}s"
+        f"{len(result.models)} models, {result.runs} enforced runs match the "
+        f"reference sets; {elapsed:.1f}s"
     )
 
 
@@ -382,14 +329,15 @@ def test_criterion_8_coordination_overhead_stays_under_the_bound():
     _ordering_runs()
     _prevention_runs()
     _share_runs()
-    _random_model_sweep()
+    result, _ = _sweep()
 
     assert _OVERHEADS
-    over = [(c, b) for c, b in _OVERHEADS if c > b]
+    overheads = _OVERHEADS + [result.worst]
+    over = [(c, b) for c, b in overheads if c > b]
     assert not over, over[:5]
-    worst = max(_OVERHEADS, key=lambda cb: cb[0] / cb[1])
+    worst = max(overheads, key=lambda cb: cb[0] / cb[1])
     return (
-        f"{len(_OVERHEADS)} runs, worst {worst[0]}/{worst[1]} "
+        f"{len(_OVERHEADS) + result.runs} runs, worst {worst[0]}/{worst[1]} "
         "update+notify messages against the tasks x roles bound"
     )
 

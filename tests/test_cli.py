@@ -251,18 +251,35 @@ def test_run_is_byte_deterministic(scenario_path, tmp_path):
     assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def _check_trace_lines(forwards: int, flagged: int, member: bool) -> list[str]:
+    return [
+        f"forwards: {forwards}",
+        f"verdicts: {forwards} checked, {flagged} flagged",
+        f"complete run of the reference behaviour: {member}",
+        "prefix of the reference behaviour: True",
+    ]
+
+
 def test_check_trace_accepts_honest_run(scenario_path, tmp_path, capsys):
     out = tmp_path / "runs"
     main(["run", str(scenario_path), "--out-dir", str(out)])
+    capsys.readouterr()
     trace = out / "scenario_roundrobin_0.trace.jsonl"
     assert main(["check-trace", str(scenario_path), str(trace)]) == 0
-    printed = capsys.readouterr().out
-    assert "0 flagged" in printed
+    assert capsys.readouterr().out.splitlines() == _check_trace_lines(8, 0, True)
+    # cut before the last forward, the run is a prefix but not a complete run
+    lines = trace.read_text().splitlines(keepends=True)
+    last = max(n for n, line in enumerate(lines) if json.loads(line)["kind"] == "Forward")
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join(lines[:last]))
+    assert main(["check-trace", str(scenario_path), str(cut)]) == 0
+    assert capsys.readouterr().out.splitlines() == _check_trace_lines(7, 0, False)
 
 
-def test_check_trace_rejects_corrupted_trace(scenario_path, tmp_path):
+def test_check_trace_rejects_corrupted_trace(scenario_path, tmp_path, capsys):
     out = tmp_path / "runs"
     main(["run", str(scenario_path), "--out-dir", str(out)])
+    capsys.readouterr()
     trace = out / "scenario_roundrobin_0.trace.jsonl"
     events = [json.loads(line) for line in trace.read_text().splitlines()]
     for e in events:
@@ -271,6 +288,9 @@ def test_check_trace_rejects_corrupted_trace(scenario_path, tmp_path):
     doctored = tmp_path / "doctored.jsonl"
     doctored.write_text("".join(json.dumps(e) + "\n" for e in events))
     assert main(["check-trace", str(scenario_path), str(doctored)]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:2] + printed[-2:] == _check_trace_lines(8, 2, True)
+    assert [line.split(" at ")[0] for line in printed[2:-2]] == ["  UndesiredTask"] * 2
 
 
 def test_run_share_disabled(tmp_path):

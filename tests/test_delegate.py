@@ -2,13 +2,7 @@
 
 import pytest
 
-from chorenforce.decompose import (
-    CoordModel,
-    CoordTuple,
-    Pair,
-    generate_all,
-    initial_wait_states,
-)
+from chorenforce.decompose import CoordModel, CoordTuple, Pair, generate_all
 from chorenforce.delegate import (
     BLOCKED,
     FORWARDED,
@@ -155,7 +149,7 @@ def test_buffered_update_consumed_by_request():
     # the body entry E1 is reachable from the delegate's own walk (around
     # the loop), so it is not an activation state: a bare update parks
     d = attach(Delegate(bc, cms[bc], {"p": True}))
-    assert initial_wait_states(cms[bc]) == frozenset()
+    assert cms[bc].initial_wait == frozenset()
     d.handle_update("E1")
     assert sent(d) == []
     assert d.update_buffer == ["E1"]
