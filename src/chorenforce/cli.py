@@ -20,7 +20,7 @@ from .runner import (
     write_report,
     write_trace,
 )
-from .simulator import AmbiguousActivationError, enactment_bootstrap
+from .simulator import enactment_bootstrap
 from .validate import validate_cefm
 
 
@@ -54,8 +54,11 @@ def _cmd_gen_cm(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
-    model = load_model(args.model)
-    updates = enactment_bootstrap(model, generate_all(model))
+    scenario = load_scenario(args.scenario)
+    report = validate_cefm(scenario.model)
+    if not report.ok:
+        raise InvalidModelError(str(report))
+    updates = enactment_bootstrap(scenario.model, scenario.environment)
     for pair, state in updates:
         print(f"update {state} -> {pair}")
     if not updates:
@@ -128,8 +131,8 @@ def main(argv=None) -> int:
     p.add_argument("--out-dir", default="cm")
     p.set_defaults(func=_cmd_gen_cm)
 
-    p = sub.add_parser("bootstrap", help="show the activation updates for a run")
-    p.add_argument("model")
+    p = sub.add_parser("bootstrap", help="show the updates that start a scenario's run")
+    p.add_argument("scenario")
     p.set_defaults(func=_cmd_bootstrap)
 
     p = sub.add_parser("run", help="execute a scenario and check the trace")
@@ -161,7 +164,6 @@ def main(argv=None) -> int:
         ScenarioFormatError,
         InvalidModelError,
         TraceFormatError,
-        AmbiguousActivationError,
         InterpreterError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -128,18 +128,6 @@ class Choreography:
                 seen.setdefault(f.label.label, f.label)
         return [seen[k] for k in sorted(seen)]
 
-    def eps_closure(self, start: str) -> set[str]:
-        """States reachable from start via epsilon flows only (start included)."""
-        seen = {start}
-        stack = [start]
-        while stack:
-            s = stack.pop()
-            for f in self._out[s]:
-                if isinstance(f.label, Epsilon) and f.trg not in seen:
-                    seen.add(f.trg)
-                    stack.append(f.trg)
-        return seen
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Choreography):
             return NotImplemented

@@ -89,7 +89,7 @@ def run_scenario(
 
     sim = Simulator(
         scenario.model,
-        cms,
+        scenario.environment,
         delegates,
         participants,
         make_policy(policy_name, run_seed),

@@ -33,42 +33,46 @@ import weakref
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 
-from .decompose import CoordModel, Pair
+from .decompose import Pair
 from .delegate import BLOCKED, Delegate
-from .model import Choreography
+from .model import Choreography, Guard, Operation, StateKind
 from .participants import Participant
+from .predicate import Value, eval_pred
 
 COMPLETED = "completed"
 DEADLOCKED = "deadlocked"
 BUDGET = "budget"
+_LOOP, _JOIN = StateKind.LOOP, StateKind.JOIN
 
 
 class SimulationError(RuntimeError):
     pass
 
 
-class AmbiguousActivationError(SimulationError):
-    """More than one initially reachable entry state for a single pair."""
-
-
-def enactment_bootstrap(
-    model: Choreography, cms: dict[Pair, CoordModel]
-) -> list[tuple[Pair, str]]:
-    """The updates that start a run: for each pair, the entry states of
-    its coordination model that the choreography can reach before any
-    operation happened. One state activates that pair; several would
-    leave the delegate unable to tell which activation is meant."""
-    reachable = model.eps_closure(model.initial)
-    out = []
-    for pair in sorted(cms):
-        candidates = sorted(cms[pair].initial_wait & reachable)
-        if len(candidates) > 1:
-            raise AmbiguousActivationError(
-                f"{pair}: several initially reachable entry states: {candidates}"
-            )
-        if candidates:
-            out.append((pair, candidates[0]))
-    return out
+def enactment_bootstrap(model: Choreography, env: dict[str, Value]) -> list[tuple[Pair, str]]:
+    """The updates that start a run, in sorted (pair, state) order: one for
+    each pair whose operation leaves a state reached before any operation.
+    The walk goes as a delegate's walk after an operation: under `env` it
+    takes the guards that hold, a loop's entry while its guard holds and
+    its exit otherwise, and every fork branch, crosses a join once it
+    reached all the join's entries, and stops at operations."""
+    start, stack = [], [model.initial]
+    arrived: dict[str, int] = {}  # by state, the flows into it taken so far
+    while stack:
+        s = stack.pop()
+        flows = [f for f in model.out_flows(s)
+                 if not isinstance(f.label, Guard) or eval_pred(f.label.pred, env)]
+        if model.states[s] is _LOOP and len(flows) == 2:  # its guard holds
+            flows = [f for f in flows if isinstance(f.label, Guard)]
+        for src, label, trg in flows:
+            if isinstance(label, Operation):
+                start.append((Pair(label.initiator, label.receiver), src))
+                continue
+            arrived[trg] = arrived.get(trg, 0) + 1
+            # a state is entered by its first flow in, a join by its last
+            if arrived[trg] == (len(model.in_flows(trg)) if model.states[trg] is _JOIN else 1):
+                stack.append(trg)
+    return sorted(start)
 
 
 class RoundRobin:
@@ -120,17 +124,19 @@ def _src_label(pair: Pair | None) -> str:
 
 
 class Simulator:
+    """One run, started by enactment_bootstrap's updates under `env`."""
+
     def __init__(
         self,
         model: Choreography,
-        cms: dict[Pair, CoordModel],
+        env: dict[str, Value],
         delegates: dict[Pair, Delegate],
         participants: dict[str, Participant],
         policy,
         max_events: int = 10000,
     ):
         self.model = model
-        self.cms = cms
+        self.env = env
         self.delegates = delegates
         self.participants = participants
         self.policy = policy
@@ -313,7 +319,7 @@ class Simulator:
     # -- main loop ------------------------------------------------------------
 
     def bootstrap(self) -> None:
-        for pair, state in enactment_bootstrap(self.model, self.cms):
+        for pair, state in enactment_bootstrap(self.model, self.env):
             self._send(None, pair, ("update", state))
         for role in self.participants:
             self._refresh(role)

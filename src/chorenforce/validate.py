@@ -74,7 +74,7 @@ def validate_cefm(model: Choreography) -> ValidationReport:
     report = ValidationReport(model)
     _check_duplicate_flows(model, report)
     _check_degrees(model, report)
-    _check_guard_placement(model, report)
+    _check_labels(model, report)
     _check_guards(model, report)
     _check_loops(model, report)
     return report
@@ -149,14 +149,18 @@ def _check_degrees(model: Choreography, report: ValidationReport) -> None:
                 )
 
 
-def _check_guard_placement(model: Choreography, report: ValidationReport) -> None:
+def _check_labels(model: Choreography, report: ValidationReport) -> None:
     # Guards may only label branches of a decision: alternative or loop source.
+    # Operations name declared roles: the overhead bound counts those.
     for f in model.flows:
         if isinstance(f.label, Guard):
             kind = model.kind(f.src)
             if kind is not _ALTERNATIVE and kind is not _LOOP:
                 report.add(f.src, "guard-placement",
                            f"guard flow out of a {kind.value} state")
+        elif isinstance(f.label, Operation):
+            for role in sorted({f.label.initiator, f.label.receiver} - model.roles):
+                report.add(f.src, "undeclared-role", f"{f.label} names undeclared role {role!r}")
 
 
 def _check_guards(model: Choreography, report: ValidationReport) -> None:

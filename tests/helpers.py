@@ -259,7 +259,8 @@ def silent_loop_model() -> Choreography:
 
 def twin_fork_model() -> Choreography:
     """A fork whose two branches are both A->B operations, so the pair
-    has two entry states reachable before any operation."""
+    begins at two states before any operation: P1 (A.t0.B) and Q1
+    (A.t1.B)."""
     states = {
         "Initial": StateKind.INITIAL,
         "F": StateKind.FORK,
@@ -283,6 +284,85 @@ def twin_fork_model() -> Choreography:
         Flow("Z", EPS, "Final"),
     ]
     return Choreography(states, "Initial", "Final", {"A", "B"}, {}, flows)
+
+
+def guarded_start_model() -> Choreography:
+    """An alternative before any operation: C -[v]-> P, where A.t.B runs,
+    or C -[not v]-> Q, where C.u.D runs; both go on to Final."""
+    v = Var("v")
+    states = {
+        "Initial": StateKind.INITIAL,
+        "S1": StateKind.PLAIN,
+        "C": StateKind.ALTERNATIVE,
+        "P": StateKind.PLAIN,
+        "P2": StateKind.PLAIN,
+        "Q": StateKind.PLAIN,
+        "Q2": StateKind.PLAIN,
+        "Final": StateKind.FINAL,
+    }
+    flows = [
+        Flow("Initial", EPS, "S1"),
+        Flow("S1", EPS, "C"),
+        Flow("C", Guard(v), "P"),
+        Flow("C", Guard(Not(v)), "Q"),
+        Flow("P", Operation("A", "t", "B"), "P2"),
+        Flow("Q", Operation("C", "u", "D"), "Q2"),
+        Flow("P2", EPS, "Final"),
+        Flow("Q2", EPS, "Final"),
+    ]
+    return Choreography(states, "Initial", "Final", set("ABCD"), {"v": (False, True)}, flows)
+
+
+def loop_first_model() -> Choreography:
+    """A loop before any operation: while g holds X.work.Y runs, then
+    X.go.Y. The pair's own walk comes back to both of its states, so
+    neither is an entry state of its coordination model."""
+    g = Var("g")
+    states = {
+        "Initial": StateKind.INITIAL,
+        "L": StateKind.LOOP,
+        "B1": StateKind.PLAIN,
+        "B2": StateKind.PLAIN,
+        "S": StateKind.PLAIN,
+        "T": StateKind.PLAIN,
+        "Final": StateKind.FINAL,
+    }
+    flows = [
+        Flow("Initial", EPS, "L"),
+        Flow("L", Guard(g), "B1"),
+        Flow("B1", Operation("X", "work", "Y"), "B2"),
+        Flow("B2", EPS, "L"),
+        Flow("L", EPS, "S"),
+        Flow("S", Operation("X", "go", "Y"), "T"),
+        Flow("T", EPS, "Final"),
+    ]
+    return Choreography(states, "Initial", "Final", {"X", "Y"}, {"g": (False, True)}, flows)
+
+
+def empty_branch_fork_model() -> Choreography:
+    """A fork of an empty branch, F -eps-> J, and C.t1.D, joined at J;
+    then A.t3.D."""
+    states = {
+        "Initial": StateKind.INITIAL,
+        "F": StateKind.FORK,
+        "P1": StateKind.PLAIN,
+        "P2": StateKind.PLAIN,
+        "J": StateKind.JOIN,
+        "K": StateKind.PLAIN,
+        "K2": StateKind.PLAIN,
+        "Final": StateKind.FINAL,
+    }
+    flows = [
+        Flow("Initial", EPS, "F"),
+        Flow("F", EPS, "J"),
+        Flow("F", EPS, "P1"),
+        Flow("P1", Operation("C", "t1", "D"), "P2"),
+        Flow("P2", EPS, "J"),
+        Flow("J", EPS, "K"),
+        Flow("K", Operation("A", "t3", "D"), "K2"),
+        Flow("K2", EPS, "Final"),
+    ]
+    return Choreography(states, "Initial", "Final", {"A", "C", "D"}, {}, flows)
 
 
 def duplicate_flow_model() -> Choreography:

@@ -94,31 +94,46 @@ def test_gen_cm_writes_files(tmp_path, capsys):
     assert "entry states" in capsys.readouterr().out
 
 
-def test_bootstrap_prints_updates(model_path, capsys):
-    assert main(["bootstrap", str(model_path)]) == 0
+def test_bootstrap_prints_updates(scenario_path, capsys):
+    assert main(["bootstrap", str(scenario_path)]) == 0
     assert "update S5 -> (IM,UMS)" in capsys.readouterr().out
 
 
-def test_bootstrap_ambiguous_activation_is_a_clean_error(tmp_path, capsys):
-    path = tmp_path / "twin_fork.json"
-    save_model(twin_fork_model(), path)
-    assert main(["bootstrap", str(path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and "several initially reachable" in err
-
-
-def test_run_ambiguous_activation_is_a_clean_error(tmp_path, capsys):
-    path = tmp_path / "twin_fork.json"
-    scenario = Scenario(
+def twin_fork_scenario() -> Scenario:
+    return Scenario(
         model=twin_fork_model(),
         environment={},
         scripts=(ScriptSpec("A", (Action("t0", "B"), Action("t1", "B"))),),
     )
-    save_scenario(scenario, path)
-    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+
+
+def test_bootstrap_starts_both_branches_of_a_twin_fork(tmp_path, capsys):
+    path = tmp_path / "twin_fork.json"
+    save_scenario(twin_fork_scenario(), path)
+    assert main(["bootstrap", str(path)]) == 0
+    assert capsys.readouterr().out == "update P1 -> (A,B)\nupdate Q1 -> (A,B)\n"
+
+
+def test_run_twin_fork_completes(tmp_path, capsys):
+    path = tmp_path / "twin_fork.json"
+    save_scenario(twin_fork_scenario(), path)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert "outcome: completed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["bootstrap", "run"])
+def test_undeclared_role_is_a_clean_error(tmp_path, capsys, command):
+    # the bundled scenario with IM the only role declared
+    data = json.loads((FIXTURES / "scenario_inorder.json").read_text())
+    data["cefm"]["roles"] = ["IM"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    args = [command, str(path)]
+    if command == "run":
+        args += ["--out-dir", str(tmp_path / "out")]
+    assert main(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "several initially reachable" in err
+    assert err.startswith("error: ") and "undeclared-role" in err
 
 
 def test_run_loop_without_operation_is_a_clean_error(tmp_path, capsys):
@@ -635,7 +650,7 @@ def test_check_trace_malformed_trace_is_a_clean_error(tmp_path, capsys, extra, n
 )
 def test_input_that_is_not_utf8_is_a_clean_error(tmp_path, capsys, command):
     # a UTF-16 byte order mark in front of an otherwise valid file
-    if command in ("run", "check-trace"):
+    if command in ("bootstrap", "run", "check-trace"):
         source = "scenario_inorder.json"
     else:
         source = "social_proximity.json"

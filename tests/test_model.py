@@ -45,14 +45,6 @@ def test_operation_label():
     assert str(op) == op.label
 
 
-def test_eps_closure_stops_at_guards_and_ops():
-    m = social_proximity()
-    assert m.eps_closure("S6") == {"S6", "S7"}
-    assert m.eps_closure("S13") == {"S13", "S11", "S14"}
-    assert m.eps_closure("S4") == {"S4", "S13", "S11", "S14"}
-    assert m.eps_closure("S10") == {"S10"}
-
-
 def test_operations_and_pairs():
     m = social_proximity()
     ops = m.operations()

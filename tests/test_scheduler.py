@@ -254,15 +254,19 @@ def test_simulator_is_fast_on_a_long_chain_over_many_roles(monkeypatch, policy):
 
 def test_delegates_are_cheap_to_build_on_a_long_chain_over_many_roles():
     # 796 pairs: a delegate whose set-up grew with the number of pairs
-    # would make building them all O(pairs^2)
+    # would make building them all O(pairs^2) and every build slow. The
+    # best of five builds is timed, so that one build slowed by the host
+    # does not fail the check.
     scenario = chain_model_scenario(random_chain_ops(seed=3, n_ops=800, n_roles=400))
     model = scenario.model
     cms = generate_all(model)
-    t0 = time.perf_counter()
-    delegates = {
-        pair: Delegate(pair, cms[pair], scenario.environment)
-        for pair in sorted(cms)
-    }
-    elapsed = time.perf_counter() - t0
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        delegates = {
+            pair: Delegate(pair, cms[pair], scenario.environment)
+            for pair in sorted(cms)
+        }
+        best = min(best, time.perf_counter() - t0)
     assert len(delegates) == 796
-    assert elapsed < 0.01, f"building the delegates took {elapsed * 1000:.1f} ms"
+    assert best < 0.01, f"the fastest of five builds of the delegates took {best * 1000:.1f} ms"

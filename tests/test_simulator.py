@@ -3,22 +3,24 @@ from pathlib import Path
 
 import pytest
 
-from chorenforce.decompose import Pair, generate_all
-from chorenforce.participants import load_scenario
+from chorenforce.decompose import Pair
+from chorenforce.participants import Action, Scenario, ScriptSpec, load_scenario
 from chorenforce.runner import run_scenario, trace_lines
 from chorenforce.simulator import (
     COMPLETED,
     DEADLOCKED,
-    AmbiguousActivationError,
     RoundRobin,
     SeededRandom,
     enactment_bootstrap,
     make_policy,
 )
+from chorenforce.socialprox import ENV_BOTH_TRUE
 from helpers import (
     adversarial_scenario,
     chain_scenario,
-    sp_cms,
+    empty_branch_fork_model,
+    guarded_start_model,
+    loop_first_model,
     sp_model,
     inorder_scenario,
     loop_scenario,
@@ -33,16 +35,86 @@ from helpers import (
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+# round-robin at seed 0 and random at seeds 1 to 3
+START_RUNS = [("roundrobin", 0), ("random", 1), ("random", 2), ("random", 3)]
+
+
+def scripted(model, env, *scripts) -> Scenario:
+    """A scenario in which each (role, [(task, target), ...]) script runs in order."""
+    specs = tuple(ScriptSpec(role, tuple(Action(*a) for a in acts)) for role, acts in scripts)
+    return Scenario(model=model, environment=env, scripts=specs)
+
+
 def test_bootstrap_targets():
-    pairs = enactment_bootstrap(sp_model(), sp_cms())
+    pairs = enactment_bootstrap(sp_model(), ENV_BOTH_TRUE)
     assert pairs == [(Pair("IM", "UMS"), "S5")]
 
 
-def test_bootstrap_rejects_ambiguity():
-    # two operations of the same pair both reachable before any move
-    m = twin_fork_model()
-    with pytest.raises(AmbiguousActivationError):
-        enactment_bootstrap(m, generate_all(m))
+def test_bootstrap_starts_every_branch_of_a_twin_fork():
+    # the delegate of (A,B) runs one thread per branch
+    ab = Pair("A", "B")
+    assert enactment_bootstrap(twin_fork_model(), {}) == [(ab, "P1"), (ab, "Q1")]
+
+
+def test_bootstrap_follows_the_guards_that_hold():
+    model = guarded_start_model()
+    assert enactment_bootstrap(model, {"v": True}) == [(Pair("A", "B"), "P")]
+    assert enactment_bootstrap(model, {"v": False}) == [(Pair("C", "D"), "Q")]
+    # a loop's entry while its guard holds, its exit otherwise
+    model = loop_first_model()
+    assert enactment_bootstrap(model, {"g": True}) == [(Pair("X", "Y"), "B1")]
+    assert enactment_bootstrap(model, {"g": False}) == [(Pair("X", "Y"), "S")]
+
+
+def test_bootstrap_crosses_a_join_only_from_all_its_entries():
+    assert enactment_bootstrap(empty_branch_fork_model(), {}) == [(Pair("C", "D"), "P1")]
+
+
+def run_ends(scenario: Scenario, policy: str, seed: int) -> tuple:
+    result = run_scenario(scenario, policy=policy, seed=seed)
+    return result.outcome, result.projection, result.conformant, result.flagged
+
+
+@pytest.mark.parametrize("order", [("t0", "t1"), ("t1", "t0")])
+@pytest.mark.parametrize("policy,seed", START_RUNS)
+def test_twin_fork_completes(order, policy, seed):
+    scenario = scripted(twin_fork_model(), {}, ("A", [(t, "B") for t in order]))
+    assert run_ends(scenario, policy, seed) == (
+        COMPLETED, tuple(f"A.{t}.B" for t in order), True, []
+    )
+
+
+@pytest.mark.parametrize("policy,seed", START_RUNS)
+def test_a_false_guard_before_any_operation_starts_its_other_branch(policy, seed):
+    scenario = scripted(guarded_start_model(), {"v": False}, ("C", [("u", "D")]))
+    assert run_ends(scenario, policy, seed) == (COMPLETED, ("C.u.D",), True, [])
+
+
+@pytest.mark.parametrize("policy,seed", START_RUNS)
+def test_a_loop_before_any_operation_starts_its_exit(policy, seed):
+    # the start update at S is no entry state of (X,Y): it is buffered
+    # until X asks for go
+    scenario = scripted(loop_first_model(), {"g": False}, ("X", [("go", "Y")]))
+    assert run_ends(scenario, policy, seed) == (COMPLETED, ("X.go.Y",), True, [])
+
+
+@pytest.mark.parametrize("policy,seed", START_RUNS)
+def test_a_loop_before_any_operation_starts_its_body(policy, seed):
+    # with g stuck true the script runs out inside the loop
+    scenario = scripted(loop_first_model(), {"g": True}, ("X", [("work", "Y")] * 3))
+    assert run_ends(scenario, policy, seed) == (
+        DEADLOCKED, ("X.work.Y",) * 3, True, []
+    )
+
+
+@pytest.mark.parametrize("policy,seed", START_RUNS)
+def test_an_empty_fork_branch_does_not_start_the_pair_after_the_join(policy, seed):
+    scenario = scripted(
+        empty_branch_fork_model(), {}, ("A", [("t3", "D")]), ("C", [("t1", "D")])
+    )
+    assert run_ends(scenario, policy, seed) == (
+        COMPLETED, ("C.t1.D", "A.t3.D"), True, []
+    )
 
 
 def test_round_robin_rotates():

@@ -5,6 +5,7 @@ rule; the test asserts the rule id shows up (and nothing passes that
 should fail).
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,15 @@ from hypothesis import strategies as st
 
 from chorenforce import validate
 from chorenforce.decompose import generate_all
-from chorenforce.model import EPS, Choreography, Flow, Guard, Operation, StateKind
+from chorenforce.model import (
+    EPS,
+    Choreography,
+    Flow,
+    Guard,
+    Operation,
+    StateKind,
+    model_from_json,
+)
 from chorenforce.participants import load_scenario
 from chorenforce.predicate import (
     TRUE,
@@ -181,6 +190,34 @@ def test_duplicate_flow():
     # fork has one branch and the join one entry
     report = validate_cefm(duplicate_flow_model())
     assert [(v.state, v.rule) for v in report.violations] == [("F", "duplicate-flow")]
+
+
+def test_undeclared_role():
+    # one violation per operation and role it names but the model does not declare
+    m = build(
+        {"P": StateKind.PLAIN, "Q": StateKind.PLAIN, "R": StateKind.PLAIN},
+        [
+            Flow("Initial", EPS, "P"),
+            Flow("P", Operation("A", "t", "C"), "Q"),
+            Flow("Q", Operation("D", "u", "E"), "R"),
+            Flow("R", EPS, "Final"),
+        ],
+    )
+    assert [str(v) for v in validate_cefm(m).violations] == [
+        "P: undeclared-role: A.t.C names undeclared role 'C'",
+        "Q: undeclared-role: D.u.E names undeclared role 'D'",
+        "Q: undeclared-role: D.u.E names undeclared role 'E'",
+    ]
+
+
+def test_roles_given_as_a_string_declare_its_letters():
+    # "IMX" declares I, M and X, so every role of the model is undeclared
+    data = json.loads((FIXTURES / "social_proximity.json").read_text())
+    data["roles"] = "IMX"
+    report = validate_cefm(model_from_json(data))
+    assert rules_of(report) == {"undeclared-role"}
+    named = {v.detail.rsplit(" ", 1)[1] for v in report.violations}
+    assert named == {repr(role) for role in social_proximity().roles}
 
 
 def test_guard_placement():
