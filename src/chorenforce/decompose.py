@@ -140,9 +140,6 @@ class CoordModel:
     def tuples_from(self, src: str) -> list[CoordTuple]:
         return self.by_src.get(src, [])
 
-    def ops_from(self, src: str) -> set[str]:
-        return {t.op for t in self.tuples_from(src) if t.op is not None}
-
     def has_op(self, task: str) -> bool:
         return task in self._op_sources
 

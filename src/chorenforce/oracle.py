@@ -1,10 +1,12 @@
 """Trace-level checking: misbehaviour classes, conformance, overhead.
 
-The checker is an observer. It derives everything it needs from the
-choreography and the generated coordination models, then reads a trace
-event by event; it never trusts a delegate's bookkeeping beyond the
-reported source state of a forward. Each forwarded operation gets one
-verdict:
+The checker is an observer. It reads a trace event by event and never
+trusts a delegate's bookkeeping beyond the reported source state of a
+forward. Whether an operation is available at a state comes from the
+choreography's operation flows; the coordination models are read only
+for the notifications a join waits for. Given none, the checker
+validates the model and decomposes it only if it has a join. Each
+forwarded operation gets one verdict:
 
 * UndesiredTask: the operation is not available at the reported state.
 * InvalidAlternative: the state sits behind a branch guard that is false.
@@ -27,10 +29,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .decompose import CoordModel, Pair, generate_all
+from .decompose import CoordModel, InvalidModelError, Pair, generate_all
 from .interpreter import Language
 from .model import Choreography, Guard, Operation, StateKind
 from .predicate import Value, eval_pred
+from .validate import validate_cefm
 
 ALLOWED = "Allowed"
 UNDESIRED_TASK = "UndesiredTask"
@@ -44,6 +47,7 @@ DEADLOCKING_JOIN = "DeadlockingJoin"
 # An Enum member read off its class costs about 0.1 us on Python 3.11;
 # the per-forward checks compare with these instead.
 _ALTERNATIVE, _LOOP, _JOIN = StateKind.ALTERNATIVE, StateKind.LOOP, StateKind.JOIN
+_NO_TASKS: frozenset[str] = frozenset()
 
 # the kinds of event the simulator writes
 EVENT_KINDS = frozenset(
@@ -65,6 +69,13 @@ class Verdict(NamedTuple):
 
 
 class RuntimeChecker:
+    """Classifies a trace's forwards under one model and environment.
+
+    `cms`, the model's coordination models, are read only for join
+    waits. Without them the checker validates the model, and decomposes
+    it if it has a join.
+    """
+
     def __init__(
         self,
         model: Choreography,
@@ -73,7 +84,23 @@ class RuntimeChecker:
     ):
         self.model = model
         self.env = dict(env)
-        self.cms = cms if cms is not None else generate_all(model)
+        if cms is None:
+            if _JOIN in model.states.values():
+                cms = generate_all(model)
+            else:
+                # a model without a join is validated as generate_all would
+                report = validate_cefm(model)
+                if not report.ok:
+                    raise InvalidModelError(str(report))
+                cms = {}
+        self.cms = cms
+        # ((initiator, receiver), source state) -> the tasks of the
+        # model's operation flows out of that state
+        self._tasks: dict[tuple[tuple[str, str], str], set[str]] = {}
+        for src, label, _ in model.flows:
+            if isinstance(label, Operation):
+                key = ((label.initiator, label.receiver), src)
+                self._tasks.setdefault(key, set()).add(label.task)
 
     def run(self, events: list[dict]) -> list[Verdict]:
         delivered: set[tuple[str, tuple, str, tuple]] = set()
@@ -114,16 +141,14 @@ class RuntimeChecker:
         task = event["task"]
         src = event["src"]
         seq = event["seq"]
-        cm = self.cms.get(cd)  # a Pair hashes and compares as its plain tuple
-        if cm is None or src not in cm.op_sources(task):
-            # for a task or state that cannot be hashed, these lookups
-            # raise the TypeError that run() reports as a malformed event
-            allowed_ops = cm.ops_from(src) if cm is not None else set()
-            if task not in allowed_ops:
-                return Verdict(
-                    seq, UNDESIRED_TASK, cd, task, src,
-                    f"{task!r} not among {sorted(allowed_ops)} at {src}",
-                )
+        # for a task or state that cannot be hashed, these lookups raise
+        # the TypeError that run() reports as a malformed event
+        tasks = self._tasks.get((cd, src), _NO_TASKS)
+        if task not in tasks:
+            return Verdict(
+                seq, UNDESIRED_TASK, cd, task, src,
+                f"{task!r} not among {sorted(tasks)} at {src}",
+            )
         # In a validated model operations leave only the initial state,
         # entered by no flow, and plain states, entered by exactly one.
         entering = self.model.in_flows(src)
@@ -148,9 +173,12 @@ class RuntimeChecker:
                     seq, MISSED_LOOP, cd, task, src, f"loop at {before} should repeat, not exit"
                 )
         elif kind is _JOIN:
+            # a Pair hashes and compares as its plain tuple; the pair has
+            # an operation here, so generate_all gave it a model
+            waits = self.cms[cd].waits_at(before)
             missing = [
                 (pred_state, (other.initiator, other.receiver))
-                for pred_state, other in sorted(cm.waits_at(before))
+                for pred_state, other in sorted(waits)
                 if (pred_state, (other.initiator, other.receiver), before, cd)
                 not in delivered
             ]

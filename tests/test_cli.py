@@ -14,6 +14,7 @@ from helpers import (
     chain_scenario,
     duplicate_flow_model,
     exclusive_join_model,
+    guarded_start_model,
     inorder_scenario,
     int_alternative_model,
     int_loop_model,
@@ -529,9 +530,9 @@ def test_run_unrunnable_scenario_is_a_clean_error(tmp_path, capsys, edit, named)
     assert err.startswith("error: ") and named in err
 
 
-def _structurally_invalid(cefm):
-    # a second way out of the plain state S5
-    cefm["flows"].append({"from": "S5", "label": "eps", "to": "Final"})
+def _structurally_invalid(cefm, state="S5"):
+    # a second way out of a plain state
+    cefm["flows"].append({"from": state, "label": "eps", "to": "Final"})
 
 
 def test_run_structurally_invalid_model_is_a_clean_error(tmp_path, capsys):
@@ -579,17 +580,29 @@ def test_run_and_check_trace_never_enumerate(tmp_path, monkeypatch):
 
 
 def test_check_trace_structurally_invalid_model_is_a_clean_error(tmp_path, capsys):
-    runs = tmp_path / "runs"
-    main(["run", str(FIXTURES / "scenario_inorder.json"), "--out-dir", str(runs)])
-    trace = next(runs.glob("*.trace.jsonl"))
-    data = json.loads((FIXTURES / "scenario_inorder.json").read_text())
-    _structurally_invalid(data["cefm"])
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert main(["check-trace", str(path), str(trace)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "S5: plain-degree" in err
+    # the bundled model has a join, so check-trace decomposes it; a model
+    # without one is only validated, and must be refused all the same
+    join_free = tmp_path / "guarded_start.json"
+    save_scenario(
+        Scenario(
+            model=guarded_start_model(),
+            environment={"v": True},
+            scripts=(ScriptSpec("A", (Action("t", "B"),)),),
+        ),
+        join_free,
+    )
+    for scenario, state in ((FIXTURES / "scenario_inorder.json", "S5"), (join_free, "S1")):
+        runs = tmp_path / scenario.stem
+        assert main(["run", str(scenario), "--out-dir", str(runs)]) == 0
+        trace = next(runs.glob("*.trace.jsonl"))
+        data = json.loads(scenario.read_text())
+        _structurally_invalid(data["cefm"], state)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check-trace", str(path), str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{state}: plain-degree" in err
 
 
 @pytest.mark.parametrize(

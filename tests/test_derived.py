@@ -44,9 +44,11 @@ FIXTURE_NAMES = ("inorder", "shuffled", "adversarial", "share_disabled")
 
 class FiveTableChecker(RuntimeChecker):
     """The classifier as it was before it read the flow entering a
-    forward's source state: five tables built from every flow."""
+    forward's source state: five tables built from every flow. It reads
+    the tasks available at a state off the coordination model; the
+    checker reads them off the model."""
 
-    def __init__(self, model, env, cms=None):
+    def __init__(self, model, env, cms):
         super().__init__(model, env, cms)
         self._alt_guard_in = {}
         self._loop_guard_in = {}
@@ -76,7 +78,8 @@ class FiveTableChecker(RuntimeChecker):
             return Verdict(event["seq"], kind, cd, task, src, detail)
 
         cm = self.cms.get(cd)
-        allowed_ops = cm.ops_from(src) if cm is not None else set()
+        tuples = cm.tuples_from(src) if cm is not None else []
+        allowed_ops = {t.op for t in tuples if t.op is not None}
         if task not in allowed_ops:
             return verdict(
                 UNDESIRED_TASK,

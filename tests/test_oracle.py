@@ -5,7 +5,18 @@ observable; the expected class is asserted on the exact forward (or, for
 the silent-deadlock case, on the post-run findings).
 """
 
-from chorenforce.decompose import Pair
+import pytest
+
+from chorenforce import decompose, oracle
+from chorenforce.decompose import (
+    CoordModel,
+    CoordTuple,
+    InvalidModelError,
+    Pair,
+    generate_all,
+)
+from chorenforce.interpreter import reference_traces
+from chorenforce.model import Operation, StateKind
 from chorenforce.oracle import (
     ALLOWED,
     DEADLOCKING_JOIN,
@@ -21,6 +32,8 @@ from chorenforce.oracle import (
     verdict_histogram,
 )
 from chorenforce.participants import Action, Scenario, ScriptSpec
+from chorenforce.predicate import TRUE
+from chorenforce.randgen import scripts_for_word
 from chorenforce.runner import run_scenario
 from chorenforce.simulator import COMPLETED, DEADLOCKED
 from chorenforce.socialprox import (
@@ -32,6 +45,7 @@ from chorenforce.socialprox import (
     SPS,
     UMS,
 )
+from chorenforce.validate import validate_cefm
 from mutants import (
     forward_without_check,
     ignore_loop_guard,
@@ -42,7 +56,9 @@ from mutants import (
 )
 from helpers import (
     APP,
+    defect_cases,
     faulty_delegate,
+    guarded_start_model,
     sp_language,
     sp_model,
     im_script,
@@ -50,6 +66,7 @@ from helpers import (
     loop_model,
     loop_scenario,
     run_sp,
+    silent_loop_model,
     LOOP_EXIT_ACTIONS,
 )
 
@@ -74,6 +91,89 @@ def test_checker_recomputes_from_model_alone():
     result = run_sp(inorder_scenario())
     checker = RuntimeChecker(sp_model(), dict(ENV_BOTH_TRUE))
     assert checker.run(result.events) == result.verdicts
+
+
+def test_availability_comes_from_the_model_not_the_coordination_model():
+    # (A,B)'s coordination model, given one operation tuple the model
+    # lacks, would allow finish at E1, where the model has (A,B) do work
+    model = loop_model()
+    cms = generate_all(model)
+    pair = Pair("A", "B")
+    extra = CoordTuple("E1", "finish", "E2", frozenset(), TRUE, frozenset(), frozenset())
+    cms[pair] = CoordModel(pair, cms[pair].tuples | {extra})
+    forward = {
+        "kind": "Forward", "seq": 0, "cd": ["A", "B"], "task": "finish",
+        "src": "E1", "trg": "E2", "receiver": "B",
+    }
+    (verdict,) = RuntimeChecker(model, {"p": True}, cms).run([forward])
+    assert verdict.kind == UNDESIRED_TASK
+    assert verdict.detail == "'finish' not among ['work'] at E1"
+
+
+def _join_free_traces():
+    """(model, env, trace) for runs of join-free models, honest and
+    faulty, and for one forward of each operation flow at its source."""
+    for _, _, scenario, pair, cls in defect_cases():
+        if StateKind.JOIN not in scenario.model.states.values():
+            with faulty_delegate(pair, cls):
+                result = run_scenario(scenario)
+            yield scenario.model, scenario.environment, result.events
+    for model, env in (
+        (guarded_start_model(), {"v": True}),
+        (guarded_start_model(), {"v": False}),
+        (loop_model(), {"p": False}),
+    ):
+        word = next(iter(reference_traces(model, env).complete))
+        scenario = Scenario(model, env, scripts_for_word(model, word))
+        yield model, env, run_scenario(scenario).events
+        for flow in model.flows:
+            if isinstance(flow.label, Operation):
+                op = flow.label
+                forward = {
+                    "kind": "Forward", "seq": 0, "cd": [op.initiator, op.receiver],
+                    "task": op.task, "src": flow.src, "trg": flow.trg,
+                    "receiver": op.receiver,
+                }
+                yield model, env, [forward]
+                yield model, env, [{**forward, "task": "nothing"}]
+
+
+def test_a_join_free_recheck_validates_and_does_not_decompose(monkeypatch):
+    traces = list(_join_free_traces())
+
+    def refuse(model):
+        raise AssertionError("a join-free model was decomposed")
+
+    monkeypatch.setattr(oracle, "generate_all", refuse)
+    kinds = set()
+    for model, env, events in traces:
+        verdicts = RuntimeChecker(model, env).run(events)
+        assert verdicts == RuntimeChecker(model, env, generate_all(model)).run(events)
+        kinds |= {v.kind for v in verdicts}
+    assert kinds == {ALLOWED, UNDESIRED_TASK, INVALID_ALTERNATIVE, INVALID_LOOP, MISSED_LOOP}
+    # a join-free model that breaks a rule is refused with generate_all's text
+    broken = silent_loop_model()
+    with pytest.raises(InvalidModelError) as decomposed:
+        generate_all(broken)
+    with pytest.raises(InvalidModelError) as validated:
+        RuntimeChecker(broken, {"p": True})
+    assert str(validated.value) == str(decomposed.value)
+    assert "loop-without-operation" in str(validated.value)
+
+
+def test_a_recheck_validates_its_model_once(monkeypatch):
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return validate_cefm(model)
+
+    monkeypatch.setattr(oracle, "validate_cefm", counted)
+    monkeypatch.setattr(decompose, "validate_cefm", counted)
+    for model in (sp_model(), loop_model(), guarded_start_model()):
+        RuntimeChecker(model, {})
+        assert calls == [model]
+        calls.clear()
 
 
 def test_forward_without_check_is_undesired_task():
