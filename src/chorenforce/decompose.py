@@ -17,9 +17,10 @@ operations leave each state; then one walk per pair. The walk goes
 forward from every target of an owned operation flow, emitting one
 tuple per epsilon or guard flow encountered, and stopping where another
 pair's operation takes over. It fills the pair's lookup tables as it
-emits the tuples. Which pairs' operations reach a state through epsilon
-flows matters only for the notify/wait sets of a flow into a join, and
-is worked out when a walk first crosses one.
+emits the tuples. The notify/wait sets of a flow into a join come from
+validation, which names the one pair that arrives at each entry of each
+join (None where the run's start walk does): the tuple notifies the
+pair arriving at each other entry and waits for each of them.
 The epsilon flow leaving a loop state gets the complement of the entry
 guard as its condition, so exactly one of entry/exit is enabled per
 evaluation.
@@ -30,27 +31,14 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .model import Choreography, Epsilon, Flow, Guard, Operation, StateKind
+from .model import Choreography, Flow, Guard, Operation, Pair, StateKind
 from .predicate import Not, Pred, TRUE, to_text
 from .validate import validate_cefm
 
 
 class InvalidModelError(ValueError):
     """The source model failed structural validation."""
-
-
-class Pair(NamedTuple):
-    """A (initiator, receiver) role pair. As a tuple its hash, equality
-    and ordering are those of (initiator, receiver), computed in C; it
-    also compares equal to that plain tuple."""
-
-    initiator: str
-    receiver: str
-
-    def __str__(self) -> str:
-        return f"({self.initiator},{self.receiver})"
 
 
 @dataclass(slots=True)
@@ -101,7 +89,7 @@ class CoordModel:
     initial_wait_states.
     """
 
-    __slots__ = ("owner", "tuples", "by_src", "op_states", "initial_wait", "_op_sources", "_waits")
+    __slots__ = ("owner", "tuples", "by_src", "op_states", "initial_wait", "_op_sources")
 
     def __init__(self, owner: Pair, tuples: Iterable[CoordTuple]):
         self.owner = owner
@@ -110,26 +98,21 @@ class CoordModel:
         self.by_src: dict[str, list[CoordTuple]] = {}
         # by task, the sources of its operation tuples, in sorted order
         self._op_sources: dict[str, list[str]] = {}
-        # by join, every notification to collect before passing it
-        self._waits: dict[str, frozenset[tuple[str, Pair]]] = {}
         for t in sorted(self.tuples, key=CoordTuple.sort_key):
             self.by_src.setdefault(t.src, []).append(t)
             if t.op is not None:
                 self._op_sources.setdefault(t.op, []).append(t.src)
-            if t.to_be_waited:
-                self._waits[t.trg] = self._waits.get(t.trg, _NONE) | t.to_be_waited
         self.op_states = frozenset(t.src for t in self.tuples if t.op is not None)
         self.initial_wait = initial_wait_states(self)
 
     @classmethod
-    def _filled(cls, owner, tuples, by_src, op_sources, waits, op_states, initial_wait):
+    def _filled(cls, owner, tuples, by_src, op_sources, op_states, initial_wait):
         """A model whose tables its maker filled already."""
         cm = cls.__new__(cls)
         cm.owner = owner
         cm.tuples = frozenset(tuples)
         cm.by_src = by_src
         cm._op_sources = op_sources
-        cm._waits = waits
         cm.op_states = op_states
         cm.initial_wait = initial_wait
         return cm
@@ -145,10 +128,6 @@ class CoordModel:
 
     def op_sources(self, task: str) -> list[str]:
         return self._op_sources.get(task, [])
-
-    def waits_at(self, join: str) -> frozenset[tuple[str, Pair]]:
-        """All notifications this delegate must collect before passing `join`."""
-        return self._waits.get(join, _NONE)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoordModel):
@@ -167,10 +146,12 @@ class _Decomposition:
     """What every pair's walk reads off one model: the flows other than
     operations out of each state, the pairs whose operation leaves each
     state, and the notify/wait sets of each flow into a join, worked out
-    the first time a walk crosses that flow."""
+    the first time a walk crosses that flow from `arrivals`, validation's
+    pair (or None) arriving at each entry of each join."""
 
-    def __init__(self, model: Choreography):
+    def __init__(self, model: Choreography, arrivals: dict[str, tuple]):
         self.model = model
+        self.arrivals = arrivals
         self.op_flows: dict[Pair, list[Flow]] = {}
         self.steps: dict[str, list[Flow]] = {}
         leaving: dict[str, set[Pair]] = {}
@@ -184,43 +165,20 @@ class _Decomposition:
                 self.steps.setdefault(f.src, []).append(f)
         self.leaving = {s: frozenset(pairs) for s, pairs in leaving.items()}
         self._join_entries: dict[tuple[str, str], tuple[frozenset, frozenset]] = {}
-        self._owners: dict[str, set[Pair]] = {}
-
-    def owners(self, state: str) -> set[Pair]:
-        """The pairs owning `state`: those with an operation whose target
-        reaches it by epsilon flows alone, so that their operation chain
-        leads there."""
-        found = self._owners.get(state)
-        if found is None:
-            found = self._owners[state] = set()
-            seen = {state}
-            stack = [state]
-            while stack:
-                for f in self.model.in_flows(stack.pop()):
-                    label = f.label
-                    if isinstance(label, Operation):
-                        found.add(Pair(label.initiator, label.receiver))
-                    elif isinstance(label, Epsilon) and f.src not in seen:
-                        seen.add(f.src)
-                        stack.append(f.src)
-        return found
 
     def join_entries(self, src: str, join: str) -> tuple[frozenset, frozenset]:
-        """Notify/wait sets of a tuple from src into a join: notify every
-        owner of each other state entering the join, and wait for each."""
+        """Notify/wait sets of a tuple from src into a join: notify the
+        pair that arrives at each other entry of the join, and wait for
+        each of them."""
         key = (src, join)
         entries = self._join_entries.get(key)
         if entries is None:
-            notified = set()
-            waited = set()
-            for f in self.model.in_flows(join):
-                sibling = f.src
-                if sibling == src:
-                    continue
-                for pair in self.owners(sibling):
-                    notified.add((src, pair))
-                    waited.add((sibling, pair))
-            entries = self._join_entries[key] = (frozenset(notified), frozenset(waited))
+            waited = frozenset(
+                (entry, pair) for entry, pair in self.arrivals[join]
+                if entry != src and pair is not None
+            )
+            notified = frozenset((src, pair) for _, pair in waited)
+            entries = self._join_entries[key] = (notified, waited)
         return entries
 
     def generate(self, owner: Pair) -> CoordModel:
@@ -245,7 +203,6 @@ class _Decomposition:
         tuples: list[CoordTuple] = []
         by_src: dict[str, list[CoordTuple]] = {}
         op_sources: dict[str, list[str]] = {}
-        waits: dict[str, frozenset] = {}
         seen: set[str] = set()  # states the walk has reached or queued
         frontier: list[str] = []
         for src, label, trg in self.op_flows[owner]:
@@ -285,7 +242,6 @@ class _Decomposition:
                     t = CoordTuple(src, None, trg, allowed, cond, notified, waited)
                     group.append(t)
                     if waited:
-                        waits[trg] = waits.get(trg, _NONE) | waited
                         past_joins.append(trg)
                     elif trg not in seen:
                         seen.add(trg)
@@ -304,7 +260,7 @@ class _Decomposition:
                         frontier.append(join)
             past_joins = []
         return CoordModel._filled(
-            owner, tuples, by_src, op_sources, waits, op_states, initial_wait
+            owner, tuples, by_src, op_sources, op_states, initial_wait
         )
 
 
@@ -312,7 +268,7 @@ def generate_all(model: Choreography) -> dict[Pair, CoordModel]:
     report = validate_cefm(model)
     if not report.ok:
         raise InvalidModelError(str(report))
-    walks = _Decomposition(model)
+    walks = _Decomposition(model, report.arrivals)
     return {pair: walks.generate(pair) for pair in sorted(walks.op_flows)}
 
 

@@ -137,16 +137,24 @@ class Delegate:
     # -- rule 3: join notification --------------------------------------------
 
     def handle_notify(self, pred: str, sender: Pair, join: str) -> None:
+        """Give the notification to every thread waiting for it at the
+        join; buffer it when none is."""
+        waiting = []
         for thread in self.threads:
             t = thread.pending_tuple
             if t is not None and t.trg == join and (pred, sender) in thread.awaited:
                 thread.awaited.discard((pred, sender))
-                if not thread.awaited:
-                    if self._resolve_join(thread):
-                        self._walk([thread])
-                    self._retry_pendings()
-                return
-        self.notify_buffer.append((pred, sender, join))
+                waiting.append(thread)
+        if not waiting:
+            self.notify_buffer.append((pred, sender, join))
+            return
+        ready = [thread for thread in waiting if not thread.awaited]
+        for thread in ready:
+            # the first to resolve retires its siblings at the join
+            if thread in self.threads and self._resolve_join(thread):
+                self._walk([thread])
+        if ready:
+            self._retry_pendings()
 
     # -- epsilon walk ----------------------------------------------------------
 
@@ -225,17 +233,18 @@ class Delegate:
 
         The crossing thread is the one whose pair sorts after every other
         pair named in the tuple's wait entries. Entries naming this very
-        pair are sibling threads of this delegate; whichever completes
-        first crosses and the rest retire when it does.
+        pair are sibling threads of this delegate. The pair settles the
+        join once: whichever thread completes first crosses or loses, and
+        its siblings at the join retire either way.
         """
         t = thread.pending_tuple
-        if any(p > self.pair for _, p in t.to_be_waited):
-            self._retire(thread)
-            return False
         for sibling in list(self.threads):
             entering = sibling.pending_tuple
             if sibling is not thread and entering is not None and entering.trg == t.trg:
                 self._retire(sibling)
+        if any(p > self.pair for _, p in t.to_be_waited):
+            self._retire(thread)
+            return False
         thread.pending_tuple = None
         thread.awaited = set()
         self._advance(thread, t)

@@ -49,6 +49,18 @@ class Operation(NamedTuple):
         return self.label
 
 
+class Pair(NamedTuple):
+    """A (initiator, receiver) role pair. As a tuple its hash, equality
+    and ordering are those of (initiator, receiver), computed in C; it
+    also compares equal to that plain tuple."""
+
+    initiator: str
+    receiver: str
+
+    def __str__(self) -> str:
+        return f"({self.initiator},{self.receiver})"
+
+
 class Guard(NamedTuple):
     pred: Pred
 

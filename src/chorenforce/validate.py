@@ -4,6 +4,16 @@ Every rule violation is collected rather than raised, so a report lists
 everything wrong with a model at once. An empty violation list means the
 model is structurally sound; warnings flag suspicious but tolerated
 shapes (unreachable and dead-end states) when a caller first reads them.
+
+A model that passes the other rules gets one backward pass over its
+fork/join structure. For each join it finds the fork the join closes
+and, for each entry of the join, the one pair that arrives there: the
+pair of the last operation going back from the entry. A loop is passed
+through its entry flow, an inner join as the pair that sorts last among
+its arrivals (the pair that crosses it), and a branch with no operation
+is arrived at by whoever arrives at the fork; None where that is the
+run's start walk. The report keeps the result as `arrivals`, which the
+decomposition reads.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
 
-from .model import Choreography, Epsilon, Flow, Guard, Operation, StateKind
+from .model import Choreography, Epsilon, Flow, Guard, Operation, Pair, StateKind
 from .predicate import assignments, bool_vars, eval_pred, free_vars, to_text
 
 # An Enum member read off its class costs about 0.1 us on Python 3.11,
@@ -40,6 +50,9 @@ class Violation:
 class ValidationReport:
     model: Choreography = field(repr=False)
     violations: list[Violation] = field(default_factory=list)
+    # join -> ((entry state, the pair that arrives there or None), ...),
+    # entries in order; for each join the fork/join pass accepts
+    arrivals: dict[str, tuple[tuple[str, Pair | None], ...]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -77,6 +90,8 @@ def validate_cefm(model: Choreography) -> ValidationReport:
     _check_labels(model, report)
     _check_guards(model, report)
     _check_loops(model, report)
+    if report.ok and _JOIN in model.states.values():
+        _check_joins(model, report)
     return report
 
 
@@ -228,6 +243,155 @@ def _check_loops(model: Choreography, report: ValidationReport) -> None:
         if s in silent:
             report.add(s, "loop-without-operation",
                        f"the body from {entry} can return to {s} without an operation")
+
+
+def _check_joins(model: Choreography, report: ValidationReport) -> None:
+    """The fork/join pass. A join whose walk back passes another join
+    waits until that one is settled, on an explicit stack: a long
+    sequence of forks would otherwise recurse once per fork."""
+    walk = _JoinWalk(model, report)
+    for join in sorted(s for s, kind in model.states.items() if kind is _JOIN):
+        stack = [join]
+        while stack:
+            top = stack[-1]
+            if top in walk.forks:
+                stack.pop()
+                continue
+            first = walk.settle(top)
+            if first is None:
+                stack.pop()
+            elif first in stack:
+                walk.refuse(top, "join-without-fork",
+                            f"its entries lead back round a cycle through join {first}")
+                stack.pop()
+            else:
+                stack.append(first)
+
+
+# the walk back from a join entry has not yet met an operation
+_UNSET = object()
+
+
+class _JoinWalk:
+    """The backward walks of the fork/join pass over one model.
+
+    `forks` maps each settled join to the fork it closes, or to None when
+    the join is refused; `report.arrivals` gets the arrivals of the rest.
+    """
+
+    def __init__(self, model: Choreography, report: ValidationReport):
+        self.model = model
+        self.report = report
+        self.forks: dict[str, str | None] = {}
+
+    def settle(self, join: str) -> str | None:
+        """Settle `join`, refusing it where a static wait set cannot serve
+        it; or return the join whose structure its walks need first."""
+        walks = []
+        for flow in self.model.in_flows(join):
+            found = self._back(join, flow.src)
+            if not isinstance(found, tuple):
+                if found is None:
+                    self.forks[join] = None
+                return found
+            walks.append((flow.src, *found))
+        forks = sorted({fork for _, fork, _, _ in walks})
+        if len(forks) > 1:
+            self.refuse(join, "join-without-fork", f"its entries lead back to forks {forks}")
+            return None
+        # the start walk crosses a join only from all its entries, but a
+        # pair at one entry has no one to wait for at an entry of the start
+        # walk's: where a loop decides whether the start walk gets there,
+        # the pair may cross when it does not
+        if any(pair is not None for _, _, pair, _ in walks):
+            for entry, _, pair, loop in walks:
+                if pair is None and loop is not None:
+                    self.refuse(join, "join-arrival", f"loop {loop} decides whether the "
+                                 f"start walk arrives at entry {entry}, which the pairs "
+                                 f"at the other entries cannot wait for")
+                    return None
+        self.forks[join] = forks[0]
+        self.report.arrivals[join] = tuple((entry, pair) for entry, _, pair, _ in walks)
+        return None
+
+    def refuse(self, join: str, rule: str, detail: str) -> None:
+        self.report.add(join, rule, detail)
+        self.forks[join] = None
+
+    def _back(self, join: str, entry: str):
+        """Walk back from `entry` to the fork and to the last operation.
+
+        Returns (fork, pair, loop): `pair` is None where the start walk
+        arrives, and `loop` is a loop passed between the entry and the
+        fork. Returns a join not yet settled that the walk passes, or
+        None once the walk refused `join` or passed a refused join.
+        """
+        states, in_flows = self.model.states, self.model.in_flows
+        fork = loop = None
+        pair = _UNSET
+        s = entry
+        # a walk back that visits a state twice has gone round a cycle
+        for _ in range(len(states)):
+            kind = states[s]
+            if kind is _FORK and fork is None:
+                fork = s
+                if pair is not _UNSET:
+                    return fork, pair, loop
+                # on to whoever arrives at the fork
+            elif kind is _JOIN:
+                if s not in self.forks:
+                    return s
+                inner = self.forks[s]
+                if inner is None:
+                    return None
+                if pair is _UNSET:
+                    crossing = max((p for _, p in self.report.arrivals[s] if p is not None),
+                                   default=None)
+                    if crossing is not None:
+                        pair = crossing
+                        if fork is not None:
+                            return fork, pair, loop
+                s = in_flows(inner)[0].src
+                continue
+            elif kind is _LOOP:
+                if fork is None:
+                    loop = s
+                s = self._loop_entry(s)
+                continue
+            elif kind is _INITIAL:
+                if fork is None:
+                    self.refuse(join, "join-without-fork",
+                                 f"entry {entry} reaches the initial state without a fork")
+                    return None
+                return fork, None, loop
+            (flow,) = in_flows(s)
+            label = flow.label
+            if isinstance(label, Guard):
+                if fork is None:
+                    where = ("passes the alternative" if states[flow.src] is _ALTERNATIVE
+                             else "lies in the body of loop")
+                    self.refuse(join, "join-without-fork", f"entry {entry} {where} {flow.src}")
+                    return None
+                if states[flow.src] is _LOOP:
+                    self.refuse(join, "join-arrival", f"loop {flow.src} decides who "
+                                 f"arrives at fork {fork}, and so at entry {entry}")
+                    return None
+            elif isinstance(label, Operation) and pair is _UNSET:
+                pair = Pair(label.initiator, label.receiver)
+                if fork is not None:
+                    return fork, pair, loop
+            s = flow.src
+        self.refuse(join, "join-without-fork", f"entry {entry} leads back round a cycle")
+        return None
+
+    def _loop_entry(self, loop: str) -> str:
+        """The source of the loop's entry flow: the one of its two flows
+        in that does not come from its body."""
+        out_flows = self.model.out_flows
+        (guard,) = [f for f in out_flows(loop) if isinstance(f.label, Guard)]
+        body = _reach(guard.trg, lambda s: () if s == loop else out_flows(s), _TRG)
+        ins = self.model.in_flows(loop)
+        return next((f.src for f in ins if f.src not in body), ins[0].src)
 
 
 def _reach(

@@ -534,3 +534,102 @@ def fork_model(k: int) -> Choreography:
         ]
     roles = {f"{r}{j}" for r in "BC" for j in range(k)}
     return Choreography(states, "Initial", "Final", roles, {}, flows)
+
+
+def shape_model(forks=(), joins=(), loops=(), alternatives=(), flows=(),
+                variables=None) -> Choreography:
+    """A model from (src, label, trg) triples: a label is "" for epsilon,
+    "[g]" or "[!g]" for a guard on g or not g, and "A.t.B" for an
+    operation. The states named in forks, joins, loops and alternatives
+    have that kind, Initial and Final are the initial and final states,
+    every other state is plain, and the roles are those of the
+    operations."""
+    kinds = {s: k for names, k in ((forks, StateKind.FORK), (joins, StateKind.JOIN),
+                                   (loops, StateKind.LOOP),
+                                   (alternatives, StateKind.ALTERNATIVE)) for s in names}
+    kinds.update(Initial=StateKind.INITIAL, Final=StateKind.FINAL)
+    built, roles = [], set()
+    for src, text, trg in flows:
+        if not text:
+            label = EPS
+        elif text.startswith("["):
+            name = text.strip("[!]")
+            label = Guard(Not(Var(name)) if text.startswith("[!") else Var(name))
+        else:
+            initiator, task, receiver = text.split(".")
+            label = Operation(initiator, task, receiver)
+            roles |= {initiator, receiver}
+        built.append(Flow(src, label, trg))
+        for s in (src, trg):
+            kinds.setdefault(s, StateKind.PLAIN)
+    return Choreography(kinds, "Initial", "Final", roles, dict(variables or {}), built)
+
+
+def three_way_twin_fork_model() -> Choreography:
+    """X.lead.Y, then a fork of A.t0.B, A.t1.B and C.t2.D, joined at J:
+    the pair (A,B) arrives at two of the join's three entries."""
+    return shape_model(forks=["F"], joins=["J"], flows=[
+        ("Initial", "", "S0"), ("S0", "X.lead.Y", "S1"), ("S1", "", "F"),
+        ("F", "", "P0"), ("P0", "A.t0.B", "Q0"), ("Q0", "", "J"),
+        ("F", "", "P1"), ("P1", "A.t1.B", "Q1"), ("Q1", "", "J"),
+        ("F", "", "P2"), ("P2", "C.t2.D", "Q2"), ("Q2", "", "J"),
+        ("J", "", "Final"),
+    ])
+
+
+def same_pair_fork_model() -> Choreography:
+    """A fork of three A->B branches, A.t0.B, A.t1.B and A.t2.B, joined at J."""
+    flows = [("Initial", "", "F"), ("J", "", "Final")]
+    for j in range(3):
+        flows += [("F", "", f"P{j}"), (f"P{j}", f"A.t{j}.B", f"Q{j}"), (f"Q{j}", "", "J")]
+    return shape_model(forks=["F"], joins=["J"], flows=flows)
+
+
+def nested_fork_model() -> Choreography:
+    """X.lead.Y, then F forks into A.a.E and an inner fork G of B.b.D and
+    C.c.B, joined at H, which runs by epsilon flows into F's join J.
+    Only (C,B), the pair that sorts last at H, crosses H."""
+    return shape_model(forks=["F", "G"], joins=["H", "J"], flows=[
+        ("Initial", "", "S0"), ("S0", "X.lead.Y", "S1"), ("S1", "", "F"),
+        ("F", "", "A1"), ("A1", "A.a.E", "A2"), ("A2", "", "J"),
+        ("F", "", "G"), ("G", "", "B1"), ("B1", "B.b.D", "B2"), ("B2", "", "H"),
+        ("G", "", "C1"), ("C1", "C.c.B", "C2"), ("C2", "", "H"),
+        ("H", "", "H2"), ("H2", "", "J"), ("J", "", "Final"),
+    ])
+
+
+def nested_fork_scenario() -> Scenario:
+    """nested_fork_model; each initiator requests its one operation."""
+    model = nested_fork_model()
+    word = ("X.lead.Y", "A.a.E", "B.b.D", "C.c.B")
+    return Scenario(model=model, environment={}, scripts=scripts_for_word(model, word))
+
+
+def loop_branch_fork_model(lead="X.lead.Y", other="A.a.B", body="P.w.Q",
+                           after=None) -> Choreography:
+    """The lead operation (if any), then F forks into the other operation
+    and a loop L that runs the body operation while g holds; the loop's
+    exit LX and the other branch meet at J, after which the after
+    operation (if any) runs."""
+    flows = [("L0", "", "L"), ("L", "[g]", "W1"), ("W1", body, "W2"), ("W2", "", "L"),
+             ("L", "", "LX"), ("LX", "", "J"),
+             ("F", "", "A1"), ("A1", other, "A2"), ("A2", "", "J"), ("F", "", "L0")]
+    flows += [("Initial", "", "S0"), ("S0", lead, "S1"), ("S1", "", "F")] if lead else [
+        ("Initial", "", "F")]
+    flows += [("J", "", "K"), ("K", after, "K2"), ("K2", "", "Final")] if after else [
+        ("J", "", "Final")]
+    return shape_model(forks=["F"], joins=["J"], loops=["L"], flows=flows,
+                       variables={"g": (False, True)})
+
+
+def loop_fork_model() -> Choreography:
+    """A loop whose body forks into an empty branch and C.t1.D, joins, and
+    runs A.t2.B back to the loop: who arrives at the fork depends on the
+    iteration."""
+    return shape_model(forks=["F"], joins=["J"], loops=["L"], variables={"g": (False, True)},
+                       flows=[
+        ("Initial", "", "L0"), ("L0", "", "L"), ("L", "[g]", "B0"), ("B0", "", "F"),
+        ("F", "", "J"), ("F", "", "P1"), ("P1", "C.t1.D", "P2"), ("P2", "", "J"),
+        ("J", "", "K"), ("K", "A.t2.B", "K2"), ("K2", "", "L"),
+        ("L", "", "Z"), ("Z", "", "Final"),
+    ])

@@ -178,13 +178,23 @@ def _exclusive_join_scenario(tmp_path) -> Path:
     return path
 
 
+_EXCLUSIVE_JOIN = "J: join-without-fork: entry P passes the alternative C"
+
+
+def test_validate_refuses_a_join_that_closes_no_fork(tmp_path, capsys):
+    # only one branch of the alternative ever reaches the join, whose
+    # token the reference token game would strand
+    path = tmp_path / "model.json"
+    save_model(exclusive_join_model(), path)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [_EXCLUSIVE_JOIN]
+
+
 def test_run_stuck_tokens_is_a_clean_error(tmp_path, capsys):
-    # validate passes the model, but the reference token game strands the
-    # token of the taken branch at the join
     path = _exclusive_join_scenario(tmp_path)
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "tokens stuck" in err
+    assert err.startswith("error: ") and _EXCLUSIVE_JOIN in err
 
 
 def test_check_trace_stuck_tokens_is_a_clean_error(tmp_path, capsys):
@@ -197,7 +207,7 @@ def test_check_trace_stuck_tokens_is_a_clean_error(tmp_path, capsys):
     trace.write_text(json.dumps(forward, sort_keys=True) + "\n")
     assert main(["check-trace", str(path), str(trace)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "tokens stuck" in err
+    assert err.startswith("error: ") and _EXCLUSIVE_JOIN in err
 
 
 # A guard tests a variable declared over [1, 2] as a boolean: in an

@@ -27,7 +27,14 @@ from chorenforce.model import (
 from chorenforce.predicate import TRUE, Not, Var, eval_pred, free_vars
 from chorenforce.randgen import random_case
 from golden import GOLDEN_CMS, GOLDEN_INITIAL_WAIT, GOLDEN_TUPLE_COUNT
-from helpers import fork_model, loop_model, random_chain_model, sp_cms, sp_model
+from helpers import (
+    fork_model,
+    loop_model,
+    nested_fork_model,
+    random_chain_model,
+    sp_cms,
+    sp_model,
+)
 
 
 def test_pairs_discovered():
@@ -55,13 +62,28 @@ def test_initial_wait_sets(pair):
 
 def test_waits_at_join():
     cms = sp_cms()
-    assert cms[Pair("SPS", "NMU")].waits_at("S16") == frozenset(
-        {("S12", Pair("SPS", "NMF"))}
-    )
-    assert cms[Pair("SPS", "NMF")].waits_at("S16") == frozenset(
-        {("S15", Pair("SPS", "NMU"))}
-    )
-    assert cms[Pair("IM", "UMS")].waits_at("S16") == frozenset()
+
+    def waits(pair, join):
+        return {(t.src, w) for t in cms[pair].tuples if t.trg == join for w in t.to_be_waited}
+
+    assert waits(Pair("SPS", "NMU"), "S16") == {("S15", ("S12", Pair("SPS", "NMF")))}
+    assert waits(Pair("SPS", "NMF"), "S16") == {("S12", ("S15", Pair("SPS", "NMU")))}
+    assert waits(Pair("IM", "UMS"), "S16") == set()
+
+
+def test_a_join_waits_for_the_pair_that_crosses_an_inner_join():
+    # only (C,B), the pair that sorts last at the inner join H, goes on to
+    # H2; (A,E) and (C,B) wait for each other at J
+    cms = generate_all(nested_fork_model())
+    into_j = {(pair, t.src): (t.to_be_notified, t.to_be_waited)
+              for pair, cm in cms.items() for t in cm.tuples if t.trg == "J"}
+    ae, bd, cb = Pair("A", "E"), Pair("B", "D"), Pair("C", "B")
+    assert into_j == {
+        (ae, "A2"): ({("A2", cb)}, {("H2", cb)}),
+        # (B,D)'s walk goes on past H too, but it never crosses H
+        (bd, "H2"): ({("H2", ae)}, {("A2", ae)}),
+        (cb, "H2"): ({("H2", ae)}, {("A2", ae)}),
+    }
 
 
 def test_loop_decomposition():
@@ -213,11 +235,6 @@ def assert_tables_match_scans(cm: CoordModel) -> None:
     states = {t.src for t in tuples} | {t.trg for t in tuples} | {"no-such-state"}
     for s in states:
         assert cm.tuples_from(s) == [t for t in in_order if t.src == s]
-        waited = set()
-        for t in tuples:
-            if t.trg == s:
-                waited |= t.to_be_waited
-        assert cm.waits_at(s) == frozenset(waited)
     for task in {t.op for t in tuples if t.is_op} | {"no-such-task"}:
         assert cm.has_op(task) == any(t.op == task for t in tuples)
         assert cm.op_sources(task) == sorted(t.src for t in tuples if t.op == task)

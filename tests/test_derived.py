@@ -102,7 +102,10 @@ class FiveTableChecker(RuntimeChecker):
                 )
         if src in self._join_exit_in:
             join = self._join_exit_in[src]
-            required = cm.waits_at(join)
+            # every notification any of the pair's tuples into the join waits for
+            required = frozenset().union(
+                *(t.to_be_waited for t in cm.tuples if t.trg == join)
+            )
             missing = [
                 (pred_state, (other.initiator, other.receiver))
                 for pred_state, other in sorted(required)

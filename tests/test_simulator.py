@@ -4,7 +4,10 @@ from pathlib import Path
 import pytest
 
 from chorenforce.decompose import Pair
+from chorenforce.interpreter import reference_traces
+from chorenforce.oracle import DEADLOCKING_JOIN
 from chorenforce.participants import Action, Scenario, ScriptSpec, load_scenario
+from chorenforce.randgen import scripts_for_word
 from chorenforce.runner import run_scenario, trace_lines
 from chorenforce.simulator import (
     COMPLETED,
@@ -20,8 +23,13 @@ from helpers import (
     chain_scenario,
     empty_branch_fork_model,
     guarded_start_model,
+    loop_branch_fork_model,
     loop_first_model,
+    nested_fork_model,
+    nested_fork_scenario,
+    same_pair_fork_model,
     sp_model,
+    three_way_twin_fork_model,
     inorder_scenario,
     loop_scenario,
     run_sp,
@@ -115,6 +123,58 @@ def test_an_empty_fork_branch_does_not_start_the_pair_after_the_join(policy, see
     assert run_ends(scenario, policy, seed) == (
         COMPLETED, ("C.t1.D", "A.t3.D"), True, []
     )
+
+
+# Fork/join shapes, with the environment each runs under: a pair whose
+# two threads both wait for another pair's one notification
+# (three_way_twin), one pair on every branch, notifying its own threads
+# (same_pair), an inner join whose crossing pair alone goes on to the
+# outer join (nested), and a loop on a branch that the environment skips,
+# passed by whoever arrives at the fork (skipped_loop, missed_join).
+JOIN_SHAPES = {
+    "three_way_twin": (three_way_twin_fork_model, {}),
+    "same_pair": (same_pair_fork_model, {}),
+    "nested": (nested_fork_model, {}),
+    "skipped_loop": (loop_branch_fork_model, {"g": False}),
+    # (D,B) crosses J from A2; its tuple from the loop's exit waits for a
+    # notification of its own that never comes, which the checker must
+    # not count as a missed join
+    "missed_join": (
+        lambda: loop_branch_fork_model("A.t1.B", "D.t2.B", "D.t3.B", "D.t4.B"), {"g": False}
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(JOIN_SHAPES))
+def test_every_word_of_a_fork_join_shape_completes(shape):
+    build, env = JOIN_SHAPES[shape]
+    model = build()
+    words = sorted(reference_traces(model, env).complete)
+    assert words
+    for word in words:
+        scenario = Scenario(model=model, environment=env, scripts=scripts_for_word(model, word))
+        for policy, seed in START_RUNS:
+            outcome, projection, conformant, flagged = run_ends(scenario, policy, seed)
+            assert (outcome, sorted(projection), conformant, flagged) == (
+                COMPLETED, sorted(word), True, []
+            ), (word, policy, seed)
+
+
+@pytest.mark.parametrize("policy,seed", START_RUNS)
+def test_a_join_waits_for_the_pair_that_enters_a_loop_that_never_exits(policy, seed):
+    # with g stuck true (X,Y) never leaves the loop for LX, so (A,B)
+    # stays before J, waiting for (X,Y) alone
+    scenario = scripted(
+        loop_branch_fork_model(), {"g": True},
+        ("X", [("lead", "Y")]), ("A", [("a", "B")]), ("P", [("w", "Q")] * 3),
+    )
+    result = run_scenario(scenario, policy=policy, seed=seed)
+    assert (result.outcome, result.conformant) == (DEADLOCKED, True)
+    assert sorted(result.projection) == ["A.a.B", "P.w.Q", "P.w.Q", "P.w.Q", "X.lead.Y"]
+    assert [(v.kind, v.cd, v.detail) for v in result.flagged] == [(
+        DEADLOCKING_JOIN, ("A", "B"),
+        "thread 0 awaits [('LX', ('X', 'Y'))] before J; pending requests []",
+    )]
 
 
 def test_round_robin_rotates():
@@ -245,12 +305,22 @@ def test_a_run_leaves_no_cyclic_garbage():
     # delegates report to the simulator; a strong reference back to it
     # would keep each run's simulator and events alive until the cyclic
     # collector runs
-    scenario = chain_scenario(20)
+    assert_no_cyclic_garbage(chain_scenario(20))
+
+
+def test_a_run_through_joins_leaves_no_cyclic_garbage():
+    # validation's fork/join pass and the join handshake run too
+    assert_no_cyclic_garbage(inorder_scenario())
+    assert_no_cyclic_garbage(nested_fork_scenario())
+
+
+def assert_no_cyclic_garbage(scenario: Scenario) -> None:
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         result = run_scenario(scenario)
+        assert result.outcome == COMPLETED
         del result
         assert gc.collect() == 0
     finally:

@@ -6,6 +6,7 @@ should fail).
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chorenforce import validate
-from chorenforce.decompose import generate_all
+from chorenforce.decompose import InvalidModelError, Pair, generate_all
 from chorenforce.model import (
     EPS,
     Choreography,
@@ -42,10 +43,19 @@ from helpers import (
     alternative_model,
     chain_scenario,
     duplicate_flow_model,
+    empty_branch_fork_model,
+    exclusive_join_model,
+    fork_model,
     int_alternative_model,
     int_loop_model,
+    loop_branch_fork_model,
+    loop_fork_model,
     loop_model,
+    nested_fork_model,
+    shape_model,
     silent_loop_model,
+    sp_model,
+    twin_fork_model,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -496,3 +506,144 @@ def test_report_string_lists_everything():
     )
     text = str(validate_cefm(m))
     assert "final-degree" in text
+
+
+# -- the fork/join structure ------------------------------------------------------
+
+def test_arrivals_name_the_pair_that_arrives_at_each_join_entry():
+    ab = Pair("A", "B")
+    assert validate_cefm(sp_model()).arrivals == {
+        "S16": (("S12", Pair("SPS", "NMF")), ("S15", Pair("SPS", "NMU"))),
+    }
+    assert validate_cefm(fork_model(6)).arrivals == {
+        "J": tuple((f"Q{j}", Pair(f"B{j}", f"C{j}")) for j in range(6)),
+    }
+    assert validate_cefm(twin_fork_model()).arrivals == {"J": (("P2", ab), ("Q2", ab))}
+    # the empty branch is arrived at by whoever arrives at the fork: here
+    # the run's start walk
+    assert validate_cefm(empty_branch_fork_model()).arrivals == {
+        "J": (("F", None), ("P2", Pair("C", "D"))),
+    }
+    # an inner join is passed as the pair that crosses it, the one that
+    # sorts last among its arrivals
+    assert validate_cefm(nested_fork_model()).arrivals == {
+        "H": (("B2", Pair("B", "D")), ("C2", Pair("C", "B"))),
+        "J": (("A2", Pair("A", "E")), ("H2", Pair("C", "B"))),
+    }
+    # a loop is passed through its entry flow, back to whoever arrives at F
+    assert validate_cefm(loop_branch_fork_model()).arrivals == {
+        "J": (("A2", ab), ("LX", Pair("X", "Y"))),
+    }
+
+
+def test_a_model_without_a_join_gets_no_fork_join_pass(monkeypatch):
+    def refuse(model, report):
+        raise AssertionError("fork/join pass run")
+
+    monkeypatch.setattr(validate, "_check_joins", refuse)
+    report = validate_cefm(chain_scenario(160).model)
+    assert report.ok and report.arrivals == {}
+
+
+def _staggered_join_model():
+    # F forks three ways; J1 joins two branches, J2 joins J1 and the third
+    return shape_model(forks=["F"], joins=["J1", "J2"], flows=[
+        ("Initial", "", "F"),
+        ("F", "", "P1"), ("P1", "A.a.B", "P2"), ("P2", "", "J1"),
+        ("F", "", "Q1"), ("Q1", "A.b.B", "Q2"), ("Q2", "", "J1"),
+        ("F", "", "R1"), ("R1", "A.c.B", "R2"), ("R2", "", "J2"),
+        ("J1", "", "X"), ("X", "", "J2"), ("J2", "", "Final"),
+    ])
+
+
+def _join_in_a_loop_body_model():
+    # F forks into A.a.B and a loop whose body B1 runs into the join
+    return shape_model(forks=["F"], joins=["J"], loops=["L"], variables={"g": (False, True)},
+                       flows=[
+        ("Initial", "", "F"), ("F", "", "P1"), ("P1", "A.a.B", "P2"), ("P2", "", "J"),
+        ("F", "", "L0"), ("L0", "", "L"), ("L", "[g]", "B1"), ("B1", "A.w.B", "B2"),
+        ("B2", "", "J"), ("J", "", "K"), ("K", "", "L"), ("L", "", "E"), ("E", "", "Final"),
+    ])
+
+
+def _two_forks_one_join_model():
+    # J joins a branch of F and a branch of the inner fork G, whose other
+    # branch H joins with what follows J
+    return shape_model(forks=["F", "G"], joins=["J", "H"], flows=[
+        ("Initial", "", "F"), ("F", "", "P1"), ("P1", "A.a.B", "P2"), ("P2", "", "J"),
+        ("F", "", "G"), ("G", "", "Q1"), ("Q1", "A.b.B", "Q2"), ("Q2", "", "J"),
+        ("G", "", "R1"), ("R1", "A.c.B", "R2"), ("R2", "", "H"),
+        ("J", "", "X"), ("X", "", "H"), ("H", "", "Final"),
+    ])
+
+
+def _fork_after_its_join_model():
+    # J leads on to the fork F whose branches it joins, one of them
+    # empty: an unreachable cycle beside the run's one operation
+    return shape_model(forks=["F"], joins=["J"], flows=[
+        ("Initial", "", "S0"), ("S0", "A.t.B", "S1"), ("S1", "", "Final"),
+        ("J", "", "X"), ("X", "", "F"),
+        ("F", "", "J"), ("F", "", "Q1"), ("Q1", "A.b.B", "Q2"), ("Q2", "", "J"),
+    ])
+
+
+def _fork_after_an_alternative_cycle_model():
+    # F is entered from alternative C, which comes back to itself along
+    # its other branch: an unreachable cycle with no operation
+    return shape_model(forks=["F"], joins=["J"], alternatives=["C"],
+                       variables={"g": (False, True)}, flows=[
+        ("Initial", "", "S0"), ("S0", "A.t.B", "S1"), ("S1", "", "Final"),
+        ("C", "[g]", "P"), ("P", "", "F"), ("C", "[!g]", "Z"), ("Z", "", "Y"), ("Y", "", "C"),
+        ("F", "", "J"), ("F", "", "Q1"), ("Q1", "A.b.B", "Q2"), ("Q2", "", "J"),
+        ("J", "", "Final"),
+    ])
+
+
+REFUSED_JOINS = {
+    "alternative": (exclusive_join_model, "J: join-without-fork: entry P passes the alternative C"),
+    "initial": (_staggered_join_model,
+                "J2: join-without-fork: entry X reaches the initial state without a fork"),
+    "loop_body": (_join_in_a_loop_body_model,
+                  "J: join-without-fork: entry B2 lies in the body of loop L"),
+    "two_forks": (_two_forks_one_join_model,
+                  "J: join-without-fork: its entries lead back to forks ['F', 'G']"),
+    "cycle": (_fork_after_its_join_model,
+              "J: join-without-fork: its entries lead back round a cycle through join J"),
+    "alternative_cycle": (_fork_after_an_alternative_cycle_model,
+                          "J: join-without-fork: entry F leads back round a cycle"),
+    # a fork at the start into A.a.B and a loop of P.w.Q, then A.b.B: the
+    # start walk reaches the loop's exit only while g is false
+    "start_loop": (lambda: loop_branch_fork_model(lead=None, after="A.b.B"),
+                   "J: join-arrival: loop L decides whether the start walk arrives at entry LX, "
+                   "which the pairs at the other entries cannot wait for"),
+    # the first round arrives at F from the start walk, every later one
+    # from A.t2.B
+    "loop_fork": (loop_fork_model,
+                  "J: join-arrival: loop L decides who arrives at fork F, and so at entry F"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(REFUSED_JOINS))
+def test_a_join_that_no_static_wait_set_serves_is_refused(shape):
+    build_model, violation = REFUSED_JOINS[shape]
+    report = validate_cefm(build_model())
+    assert [str(v) for v in report.violations] == [violation]
+    assert report.violations[0].state not in report.arrivals
+    with pytest.raises(InvalidModelError, match=re.escape(violation)):
+        generate_all(build_model())
+
+
+def test_a_long_sequence_of_forks_is_validated_without_recursion():
+    # each fork's arrival is read off the join before it
+    flows, last = [("Initial", "", "S")], "S"
+    n = 1500
+    for i in range(n):
+        flows += [(last, "", f"F{i}"), (f"F{i}", "", f"J{i}"),
+                  (f"F{i}", "", f"P{i}"), (f"P{i}", f"A.t{i}.B", f"Q{i}"), (f"Q{i}", "", f"J{i}")]
+        last = f"J{i}"
+    flows.append((last, "", "Final"))
+    model = shape_model(forks=[f"F{i}" for i in range(n)], joins=[f"J{i}" for i in range(n)],
+                        flows=flows)
+    arrivals = validate_cefm(model).arrivals
+    assert arrivals["J0"] == (("F0", None), ("Q0", Pair("A", "B")))
+    assert arrivals[f"J{n - 1}"] == ((f"F{n - 1}", Pair("A", "B")), (f"Q{n - 1}", Pair("A", "B")))
