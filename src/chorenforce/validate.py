@@ -5,15 +5,23 @@ everything wrong with a model at once. An empty violation list means the
 model is structurally sound; warnings flag suspicious but tolerated
 shapes (unreachable and dead-end states) when a caller first reads them.
 
+Each loop's body, the states its guard leads to before the walk comes
+back to the loop state, is walked once. That walk decides `loop-back`
+and gives the loop's entry flow, the one of its flows in that does not
+come from the body, which the fork/join pass reads.
+`loop-without-operation` follows only the body's flows without an
+operation. Neither walk passes the loop state, so a sequence of loops
+takes time linear in its states and flows.
+
 A model that passes the other rules gets one backward pass over its
 fork/join structure. For each join it finds the fork the join closes
 and, for each entry of the join, the one pair that arrives there: the
 pair of the last operation going back from the entry. A loop is passed
-through its entry flow, an inner join as the pair that sorts last among
-its arrivals (the pair that crosses it), and a branch with no operation
-is arrived at by whoever arrives at the fork; None where that is the
-run's start walk. The report keeps the result as `arrivals`, which the
-decomposition reads.
+through the entry flow its body walk found, an inner join as the pair
+that sorts last among its arrivals (the pair that crosses it), and a
+branch with no operation is arrived at by whoever arrives at the fork;
+None where that is the run's start walk. The report keeps the result
+as `arrivals`, which the decomposition reads.
 """
 
 from __future__ import annotations
@@ -89,9 +97,9 @@ def validate_cefm(model: Choreography) -> ValidationReport:
     _check_degrees(model, report)
     _check_labels(model, report)
     _check_guards(model, report)
-    _check_loops(model, report)
+    loop_entries = _check_loops(model, report)
     if report.ok and _JOIN in model.states.values():
-        _check_joins(model, report)
+        _check_joins(model, report, loop_entries)
     return report
 
 
@@ -223,33 +231,40 @@ def _check_guards(model: Choreography, report: ValidationReport) -> None:
             report.add(s, "guards-not-exhaustive", f"no guard holds at {gap}")
 
 
-def _check_loops(model: Choreography, report: ValidationReport) -> None:
+def _check_loops(model: Choreography, report: ValidationReport) -> dict[str, str]:
+    """Check each loop against its body and return the source of each
+    loop's entry flow, for the fork/join pass."""
+    entries, out_flows = {}, model.out_flows
     for s in sorted(s for s, kind in model.states.items() if kind is _LOOP):
-        guard_out = [f for f in model.out_flows(s) if isinstance(f.label, Guard)]
+        guard_out = [f for f in out_flows(s) if isinstance(f.label, Guard)]
         if len(guard_out) != 1:
             continue  # degree rule already failed
         entry = guard_out[0].trg
-        preds = [f.src for f in model.in_flows(s)]
-        # One predecessor must close the cycle: reachable from the entry state.
-        reachable = _reach(entry, model.out_flows, _TRG)
-        if not any(p in reachable for p in preds):
+        ins = model.in_flows(s)
+        body = _reach(entry, lambda x: () if x == s else out_flows(x), _TRG)
+        # One predecessor must close the cycle: lie in the body.
+        if not any(f.src in body for f in ins):
             report.add(s, "loop-back",
                        f"no predecessor of {s} is reachable from entry {entry}")
         # A body that can come back without an operation would let a true
         # guard walk the loop forever without anyone acting.
-        silent = _reach(entry, lambda x: [
-            f for f in model.out_flows(x) if not isinstance(f.label, Operation)
+        silent = _reach(entry, lambda x: () if x == s else [
+            f for f in out_flows(x) if not isinstance(f.label, Operation)
         ], _TRG)
         if s in silent:
             report.add(s, "loop-without-operation",
                        f"the body from {entry} can return to {s} without an operation")
+        if ins:  # else the degree rule has failed
+            entries[s] = next((f.src for f in ins if f.src not in body), ins[0].src)
+    return entries
 
 
-def _check_joins(model: Choreography, report: ValidationReport) -> None:
+def _check_joins(model: Choreography, report: ValidationReport,
+                 loop_entries: dict[str, str]) -> None:
     """The fork/join pass. A join whose walk back passes another join
     waits until that one is settled, on an explicit stack: a long
     sequence of forks would otherwise recurse once per fork."""
-    walk = _JoinWalk(model, report)
+    walk = _JoinWalk(model, report, loop_entries)
     for join in sorted(s for s, kind in model.states.items() if kind is _JOIN):
         stack = [join]
         while stack:
@@ -277,11 +292,14 @@ class _JoinWalk:
 
     `forks` maps each settled join to the fork it closes, or to None when
     the join is refused; `report.arrivals` gets the arrivals of the rest.
+    A loop is passed through the source of its entry flow, `loop_entries`.
     """
 
-    def __init__(self, model: Choreography, report: ValidationReport):
+    def __init__(self, model: Choreography, report: ValidationReport,
+                 loop_entries: dict[str, str]):
         self.model = model
         self.report = report
+        self.loop_entries = loop_entries
         self.forks: dict[str, str | None] = {}
 
     def settle(self, join: str) -> str | None:
@@ -356,7 +374,7 @@ class _JoinWalk:
             elif kind is _LOOP:
                 if fork is None:
                     loop = s
-                s = self._loop_entry(s)
+                s = self.loop_entries[s]
                 continue
             elif kind is _INITIAL:
                 if fork is None:
@@ -383,15 +401,6 @@ class _JoinWalk:
             s = flow.src
         self.refuse(join, "join-without-fork", f"entry {entry} leads back round a cycle")
         return None
-
-    def _loop_entry(self, loop: str) -> str:
-        """The source of the loop's entry flow: the one of its two flows
-        in that does not come from its body."""
-        out_flows = self.model.out_flows
-        (guard,) = [f for f in out_flows(loop) if isinstance(f.label, Guard)]
-        body = _reach(guard.trg, lambda s: () if s == loop else out_flows(s), _TRG)
-        ins = self.model.in_flows(loop)
-        return next((f.src for f in ins if f.src not in body), ins[0].src)
 
 
 def _reach(

@@ -633,3 +633,46 @@ def loop_fork_model() -> Choreography:
         ("J", "", "K"), ("K", "A.t2.B", "K2"), ("K2", "", "L"),
         ("L", "", "Z"), ("Z", "", "Final"),
     ])
+
+
+def loop_sequence_model(n: int, step: str = "") -> Choreography:
+    """n loops in sequence, each running A.t{i}.B while g holds:
+    Initial -eps-> L0, L{i} -[g]-> B{i} -A.t{i}.B-> C{i} -eps-> L{i} and
+    L{i} -eps-> X{i} -eps-> L{i+1}, the last X going to Final. A step such
+    as "X.k{}.Y" is an operation that each X{i} runs first, on to Y{i}."""
+    flows = [("Initial", "", "L0")]
+    for i in range(n):
+        after = f"L{i + 1}" if i + 1 < n else "Final"
+        flows += [(f"L{i}", "[g]", f"B{i}"), (f"B{i}", f"A.t{i}.B", f"C{i}"),
+                  (f"C{i}", "", f"L{i}"), (f"L{i}", "", f"X{i}")]
+        flows += [(f"X{i}", step.format(i), f"Y{i}"), (f"Y{i}", "", after)] if step else [
+            (f"X{i}", "", after)]
+    return shape_model(loops=[f"L{i}" for i in range(n)], flows=flows,
+                       variables={"g": (False, True)})
+
+
+def loop_sequence_scenario(n: int) -> Scenario:
+    """loop_sequence_model with the step X.k{i}.Y and g false: X requests
+    k0 ... k{n-1} in order."""
+    model = loop_sequence_model(n, "X.k{}.Y")
+    word = tuple(f"X.k{i}.Y" for i in range(n))
+    return Scenario(model=model, environment={"g": False},
+                    scripts=scripts_for_word(model, word))
+
+
+def loop_fork_blocks_model(n: int) -> Choreography:
+    """X.lead.Y, then n blocks in sequence: F{i} forks into
+    A{i} -A.a{i}.B-> A{i}x and a loop L{i} that runs C.w{i}.D while g
+    holds, exiting to LX{i}; both join at J{i}, then X.k{i}.Y runs."""
+    flows = [("Initial", "", "S0"), ("S0", "X.lead.Y", "S1"), ("S1", "", "F0")]
+    for i in range(n):
+        after = f"F{i + 1}" if i + 1 < n else "Final"
+        flows += [
+            (f"F{i}", "", f"A{i}"), (f"A{i}", f"A.a{i}.B", f"A{i}x"), (f"A{i}x", "", f"J{i}"),
+            (f"F{i}", "", f"L{i}"), (f"L{i}", "[g]", f"W{i}"), (f"W{i}", f"C.w{i}.D", f"W{i}x"),
+            (f"W{i}x", "", f"L{i}"), (f"L{i}", "", f"LX{i}"), (f"LX{i}", "", f"J{i}"),
+            (f"J{i}", "", f"K{i}"), (f"K{i}", f"X.k{i}.Y", f"K{i}x"), (f"K{i}x", "", after),
+        ]
+    return shape_model(forks=[f"F{i}" for i in range(n)], joins=[f"J{i}" for i in range(n)],
+                       loops=[f"L{i}" for i in range(n)], flows=flows,
+                       variables={"g": (False, True)})

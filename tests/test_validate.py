@@ -7,6 +7,7 @@ should fail).
 
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -49,8 +50,10 @@ from helpers import (
     int_alternative_model,
     int_loop_model,
     loop_branch_fork_model,
+    loop_fork_blocks_model,
     loop_fork_model,
     loop_model,
+    loop_sequence_model,
     nested_fork_model,
     shape_model,
     silent_loop_model,
@@ -193,6 +196,16 @@ def test_loop_degree():
         variables={"x": (False, True)},
     )
     assert "loop-degree" in rules_of(validate_cefm(m))
+    # a loop with no flow in, beside the run
+    m = shape_model(loops=["L"], variables={"x": (False, True)}, flows=[
+        ("Initial", "A.t.B", "Final"),
+        ("L", "[x]", "P"), ("P", "A.u.B", "Q"), ("L", "", "Q"), ("Q", "", "Final"),
+    ])
+    assert [str(v) for v in validate_cefm(m).violations] == [
+        "L: loop-degree: expected exactly two epsilon predecessors",
+        "Q: plain-degree: 2 incoming flows, expected 1",
+        "L: loop-back: no predecessor of L is reachable from entry P",
+    ]
 
 
 def test_duplicate_flow():
@@ -647,3 +660,34 @@ def test_a_long_sequence_of_forks_is_validated_without_recursion():
     arrivals = validate_cefm(model).arrivals
     assert arrivals["J0"] == (("F0", None), ("Q0", Pair("A", "B")))
     assert arrivals[f"J{n - 1}"] == ((f"F{n - 1}", Pair("A", "B")), (f"Q{n - 1}", Pair("A", "B")))
+
+
+def _best_of_3(call) -> float:
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def test_each_loop_body_is_walked_once():
+    # a loop walk that went on past the loop state would make validation
+    # quadratic in the number of loops
+    model = loop_sequence_model(2000)
+    assert validate_cefm(model).ok
+    elapsed = _best_of_3(lambda: validate_cefm(model))
+    assert elapsed < 0.5, f"validate_cefm took {elapsed:.3f}s"
+
+
+def test_fork_blocks_with_a_loop_branch_decompose_in_linear_time():
+    # each join's walk back passes a loop through its entry flow, to the
+    # pair that arrives at the block's fork
+    n = 800
+    model = loop_fork_blocks_model(n)
+    arrivals = validate_cefm(model).arrivals
+    assert arrivals["J0"] == (("A0x", Pair("A", "B")), ("LX0", Pair("X", "Y")))
+    assert arrivals[f"J{n - 1}"] == ((f"A{n - 1}x", Pair("A", "B")),
+                                     (f"LX{n - 1}", Pair("X", "Y")))
+    elapsed = _best_of_3(lambda: generate_all(model))
+    assert elapsed < 0.5, f"generate_all took {elapsed:.3f}s"
