@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Choreography, Flow, Guard, Operation, Pair, StateKind
 from .predicate import Not, Pred, TRUE, to_text
@@ -41,10 +41,8 @@ class InvalidModelError(ValueError):
     """The source model failed structural validation."""
 
 
-@dataclass(slots=True)
-class CoordTuple:
-    """One tuple of a coordination model. A value: it is never changed
-    after it is built, and equal tuples hash alike."""
+class CoordTuple(NamedTuple):
+    """One tuple of a coordination model."""
 
     src: str
     op: str | None  # task name; None for an epsilon step

@@ -15,7 +15,6 @@ yields identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -65,8 +64,18 @@ class Guard(NamedTuple):
     pred: Pred
 
 
-@dataclass(frozen=True)
 class Epsilon:
+    """The label of a flow that neither acts nor tests: every instance is
+    equal to every other."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
     def __repr__(self) -> str:
         return "EPS"
 

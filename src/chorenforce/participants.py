@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import Choreography, Guard, Operation, model_from_json, model_to_json, read_json
@@ -104,8 +103,7 @@ class Participant:
         )
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     model: Choreography
     environment: dict[str, Value]
     scripts: tuple[ScriptSpec, ...]

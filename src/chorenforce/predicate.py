@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 Value = Union[bool, int]
@@ -29,37 +28,111 @@ class UnboundVariableError(PredicateError):
     """A predicate referenced a variable absent from the environment."""
 
 
-@dataclass(frozen=True)
-class TrueLit:
-    pass
+class _Node:
+    """A predicate tree node: an immutable value, equal only to a node of
+    its own class with equal fields. Each class spells out its `__eq__`
+    and `__hash__`, which cost nothing to build at import."""
+
+    __slots__ = _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild a node through __init__, not __setattr__
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+# a node's own __setattr__ refuses, so __init__ fills the slots through object's
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Eq:
-    name: str
-    value: Value
+class TrueLit(_Node):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
 
-@dataclass(frozen=True)
-class Not:
-    inner: "Pred"
+class Var(_Node):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Pred"
-    right: "Pred"
+class Eq(_Node):
+    __slots__ = _fields = ("name", "value")
+
+    def __init__(self, name: str, value: Value):
+        _set(self, "name", name)
+        _set(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name and self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.value))
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Pred"
-    right: "Pred"
+class Not(_Node):
+    __slots__ = _fields = ("inner",)
+
+    def __init__(self, inner: Pred):
+        _set(self, "inner", inner)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.inner == other.inner
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.inner,))
+
+
+class _Binary(_Node):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Pred, right: Pred):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        # the class test keeps And(a, b) != Or(a, b)
+        if other.__class__ is self.__class__:
+            return self.left == other.left and self.right == other.right
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
+
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
 
 
 Pred = Union[TrueLit, Var, Eq, Not, And, Or]

@@ -24,7 +24,7 @@ criteria 6 and 8 read one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .interpreter import Language, reference_traces
 from .model import EPS, Choreography, Flow, Guard, Operation, StateKind
@@ -36,8 +36,7 @@ from .simulator import COMPLETED
 ROLES = ("Ra", "Rb", "Rc", "Rd")
 
 
-@dataclass(frozen=True)
-class GeneratedCase:
+class GeneratedCase(NamedTuple):
     model: Choreography
     env: dict[str, Value]
     expect: str  # "equality" or "prefix"
@@ -193,14 +192,14 @@ def scripts_for_word(model: Choreography, word: tuple[str, ...]) -> tuple[Script
 RANDOM_RUNS = 50  # random-policy runs per model, at seeds 0..49
 
 
-@dataclass
 class Sweep:
     """What `sweep` saw: per model (expect, number of words, problems),
     the runs made, and the highest update+notify count against its bound."""
 
-    models: list[tuple[str, int, list[str]]] = field(default_factory=list)
-    runs: int = 0
-    worst: tuple[int, int] = (0, 1)
+    def __init__(self):
+        self.models: list[tuple[str, int, list[str]]] = []
+        self.runs = 0
+        self.worst: tuple[int, int] = (0, 1)
 
     @property
     def problems(self) -> list[str]:

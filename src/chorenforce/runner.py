@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .decompose import Pair, generate_all
 from .delegate import Delegate
@@ -23,8 +23,7 @@ from .participants import Participant, Scenario
 from .simulator import COMPLETED, DEADLOCKED, Simulator, make_policy
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     outcome: str
     events: list[dict]
     verdicts: list[Verdict]
@@ -33,7 +32,7 @@ class RunResult:
     overhead: tuple[int, int]
     seed: int
     policy: str
-    delegates: dict[Pair, Delegate] = field(repr=False, default_factory=dict)
+    delegates: dict[Pair, Delegate] = {}  # run_scenario always passes its own
 
     @property
     def flagged(self) -> list[Verdict]:

@@ -8,10 +8,11 @@ shapes (unreachable and dead-end states) when a caller first reads them.
 Each loop's body, the states its guard leads to before the walk comes
 back to the loop state, is walked once. That walk decides `loop-back`
 and gives the loop's entry flow, the one of its flows in that does not
-come from the body, which the fork/join pass reads.
-`loop-without-operation` follows only the body's flows without an
-operation. Neither walk passes the loop state, so a sequence of loops
-takes time linear in its states and flows.
+come from the body, which the fork/join pass reads. It does not pass
+the loop state, so a sequence of loops takes time linear in its states
+and flows. `loop-without-operation` is one pass over the flows without
+an operation, which reports each cycle of them through a loop once,
+whether it runs through the loop's body or its exit.
 
 A model that passes the other rules gets one backward pass over its
 fork/join structure. For each join it finds the fork the join closes
@@ -20,18 +21,19 @@ pair of the last operation going back from the entry. A loop is passed
 through the entry flow its body walk found, an inner join as the pair
 that sorts last among its arrivals (the pair that crosses it), and a
 branch with no operation is arrived at by whoever arrives at the fork;
-None where that is the run's start walk. The report keeps the result
-as `arrivals`, which the decomposition reads.
+None where that is the run's start walk. Who arrives at a fork is kept
+once found, so the pass takes time linear in the states it walks. The
+report keeps the result as `arrivals`, which the decomposition reads.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
+from typing import NamedTuple
 
 from .model import Choreography, Epsilon, Flow, Guard, Operation, Pair, StateKind
 from .predicate import assignments, bool_vars, eval_pred, free_vars, to_text
@@ -44,8 +46,7 @@ _FORK, _JOIN = StateKind.FORK, StateKind.JOIN
 _SRC, _TRG = attrgetter("src"), attrgetter("trg")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     state: str
     rule: str
     detail: str
@@ -54,13 +55,13 @@ class Violation:
         return f"{self.state}: {self.rule}: {self.detail}"
 
 
-@dataclass
 class ValidationReport:
-    model: Choreography = field(repr=False)
-    violations: list[Violation] = field(default_factory=list)
-    # join -> ((entry state, the pair that arrives there or None), ...),
-    # entries in order; for each join the fork/join pass accepts
-    arrivals: dict[str, tuple[tuple[str, Pair | None], ...]] = field(default_factory=dict)
+    def __init__(self, model: Choreography):
+        self.model = model
+        self.violations: list[Violation] = []
+        # join -> ((entry state, the pair that arrives there or None), ...),
+        # entries in order; for each join the fork/join pass accepts
+        self.arrivals: dict[str, tuple[tuple[str, Pair | None], ...]] = {}
 
     @property
     def ok(self) -> bool:
@@ -97,7 +98,9 @@ def validate_cefm(model: Choreography) -> ValidationReport:
     _check_degrees(model, report)
     _check_labels(model, report)
     _check_guards(model, report)
-    loop_entries = _check_loops(model, report)
+    loops = sorted(s for s, kind in model.states.items() if kind is _LOOP)
+    loop_entries = _check_loops(model, report, loops)
+    _check_silent_cycles(model, report, loops)
     if report.ok and _JOIN in model.states.values():
         _check_joins(model, report, loop_entries)
     return report
@@ -231,11 +234,12 @@ def _check_guards(model: Choreography, report: ValidationReport) -> None:
             report.add(s, "guards-not-exhaustive", f"no guard holds at {gap}")
 
 
-def _check_loops(model: Choreography, report: ValidationReport) -> dict[str, str]:
+def _check_loops(model: Choreography, report: ValidationReport,
+                 loops: list[str]) -> dict[str, str]:
     """Check each loop against its body and return the source of each
     loop's entry flow, for the fork/join pass."""
     entries, out_flows = {}, model.out_flows
-    for s in sorted(s for s, kind in model.states.items() if kind is _LOOP):
+    for s in loops:
         guard_out = [f for f in out_flows(s) if isinstance(f.label, Guard)]
         if len(guard_out) != 1:
             continue  # degree rule already failed
@@ -246,17 +250,77 @@ def _check_loops(model: Choreography, report: ValidationReport) -> dict[str, str
         if not any(f.src in body for f in ins):
             report.add(s, "loop-back",
                        f"no predecessor of {s} is reachable from entry {entry}")
-        # A body that can come back without an operation would let a true
-        # guard walk the loop forever without anyone acting.
-        silent = _reach(entry, lambda x: () if x == s else [
-            f for f in out_flows(x) if not isinstance(f.label, Operation)
-        ], _TRG)
-        if s in silent:
-            report.add(s, "loop-without-operation",
-                       f"the body from {entry} can return to {s} without an operation")
         if ins:  # else the degree rule has failed
             entries[s] = next((f.src for f in ins if f.src not in body), ins[0].src)
     return entries
+
+
+def _check_silent_cycles(model: Choreography, report: ValidationReport,
+                         loops: list[str]) -> None:
+    """Report each cycle of flows without an operation that passes a loop
+    once, under `loop-without-operation`: a run that takes it turns
+    forever without anyone acting. A cycle is one strongly connected set
+    of states, found by Tarjan's algorithm on an explicit stack. It is
+    reported at the first of its loops whose body it enters, else at its
+    first loop, whose exit then leads back to it.
+
+    A cycle that passes no loop is entered only through a join, whose
+    walk back the fork/join pass refuses, or not at all: every other
+    state has one flow in."""
+    states, out_flows = model.states, model.out_flows
+
+    def silent(s: str) -> list[str]:
+        return [f.trg for f in out_flows(s) if not isinstance(f.label, Operation)]
+
+    # index: the order states are first met in; low: the lowest index a
+    # state reaches among those still on the stack
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    work: list[tuple[str, Iterator[str]]] = []
+    cycles = []
+
+    def visit(s: str) -> None:
+        index[s] = low[s] = len(index)
+        stack.append(s)
+        on_stack.add(s)
+        work.append((s, iter(silent(s))))
+
+    for root in loops:
+        if root not in index:
+            visit(root)
+        while work:
+            s, nexts = work[-1]
+            for t in nexts:
+                if t not in index:
+                    visit(t)
+                    break
+                if t in on_stack and index[t] < low[s]:
+                    low[s] = index[t]
+            else:
+                work.pop()
+                if work and low[s] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[s]
+                if low[s] == index[s]:
+                    cycle = {stack.pop()}
+                    while s not in cycle:
+                        cycle.add(stack.pop())
+                    on_stack -= cycle
+                    if len(cycle) > 1 or states[s] is _LOOP and s in silent(s):
+                        cycles.append(cycle)
+
+    found = []
+    for cycle in cycles:
+        # the flows out of the cycle's loops that stay on it
+        back = [f for s in sorted(cycle) if states[s] is _LOOP for f in out_flows(s)
+                if f.trg in cycle and not isinstance(f.label, Operation)]
+        if back:
+            f = next((f for f in back if isinstance(f.label, Guard)), back[0])
+            way = "the body from" if isinstance(f.label, Guard) else "the exit to"
+            found.append((f.src, f"{way} {f.trg} can return to {f.src} without an operation"))
+    for s, detail in sorted(found):
+        report.add(s, "loop-without-operation", detail)
 
 
 def _check_joins(model: Choreography, report: ValidationReport,
@@ -293,6 +357,8 @@ class _JoinWalk:
     `forks` maps each settled join to the fork it closes, or to None when
     the join is refused; `report.arrivals` gets the arrivals of the rest.
     A loop is passed through the source of its entry flow, `loop_entries`.
+    `arriving` keeps who arrives at each fork a walk has passed, so a
+    later walk stops at that fork.
     """
 
     def __init__(self, model: Choreography, report: ValidationReport,
@@ -301,6 +367,8 @@ class _JoinWalk:
         self.report = report
         self.loop_entries = loop_entries
         self.forks: dict[str, str | None] = {}
+        # fork -> the pair that arrives at it, None for the start walk
+        self.arriving: dict[str, Pair | None] = {}
 
     def settle(self, join: str) -> str | None:
         """Settle `join`, refusing it where a static wait set cannot serve
@@ -344,17 +412,23 @@ class _JoinWalk:
         fork. Returns a join not yet settled that the walk passes, or
         None once the walk refused `join` or passed a refused join.
         """
-        states, in_flows = self.model.states, self.model.in_flows
+        states, in_flows, arriving = self.model.states, self.model.in_flows, self.arriving
         fork = loop = None
         pair = _UNSET
+        passed = []  # forks passed before an operation: `pair` arrives at each
         s = entry
         # a walk back that visits a state twice has gone round a cycle
         for _ in range(len(states)):
             kind = states[s]
-            if kind is _FORK and fork is None:
-                fork = s
-                if pair is not _UNSET:
-                    return fork, pair, loop
+            if kind is _FORK:
+                if fork is None:
+                    fork = s
+                    if pair is not _UNSET:
+                        return fork, pair, loop
+                if s in arriving:
+                    pair = arriving[s]
+                    break
+                passed.append(s)
                 # on to whoever arrives at the fork
             elif kind is _JOIN:
                 if s not in self.forks:
@@ -368,7 +442,11 @@ class _JoinWalk:
                     if crossing is not None:
                         pair = crossing
                         if fork is not None:
-                            return fork, pair, loop
+                            break
+                    elif fork is not None:
+                        # its walks went past its fork to the start walk
+                        pair = arriving[inner]
+                        break
                 s = in_flows(inner)[0].src
                 continue
             elif kind is _LOOP:
@@ -381,7 +459,8 @@ class _JoinWalk:
                     self.refuse(join, "join-without-fork",
                                  f"entry {entry} reaches the initial state without a fork")
                     return None
-                return fork, None, loop
+                pair = None
+                break
             (flow,) = in_flows(s)
             label = flow.label
             if isinstance(label, Guard):
@@ -397,10 +476,14 @@ class _JoinWalk:
             elif isinstance(label, Operation) and pair is _UNSET:
                 pair = Pair(label.initiator, label.receiver)
                 if fork is not None:
-                    return fork, pair, loop
+                    break
             s = flow.src
-        self.refuse(join, "join-without-fork", f"entry {entry} leads back round a cycle")
-        return None
+        else:
+            self.refuse(join, "join-without-fork", f"entry {entry} leads back round a cycle")
+            return None
+        for f in passed:
+            arriving[f] = pair
+        return fork, pair, loop
 
 
 def _reach(

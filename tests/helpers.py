@@ -565,6 +565,24 @@ def shape_model(forks=(), joins=(), loops=(), alternatives=(), flows=(),
     return Choreography(kinds, "Initial", "Final", roles, dict(variables or {}), built)
 
 
+def silent_exit_cycle_model() -> Choreography:
+    """Loop L1 runs loop L3 while g1 holds; L3's body runs B.t1.A back to
+    L1, and L3's exit is an epsilon flow back to L3 itself: with g3 false
+    the run turns round L3 forever without anyone acting."""
+    return shape_model(loops=["L1", "L3"], variables={"g1": (False, True), "g3": (False, True)},
+                       flows=[
+        ("Initial", "", "E2"), ("E2", "", "L1"), ("L1", "[g1]", "E4"), ("E4", "", "L3"),
+        ("L3", "[g3]", "S5"), ("S5", "B.t1.A", "T6"), ("T6", "", "X7"), ("X7", "", "L1"),
+        ("L3", "", "L3"), ("L1", "", "X8"), ("X8", "", "Final"),
+    ])
+
+
+def silent_exit_cycle_scenario() -> Scenario:
+    """silent_exit_cycle_model with g1 true and g3 false; B requests t1."""
+    return Scenario(model=silent_exit_cycle_model(), environment={"g1": True, "g3": False},
+                    scripts=(ScriptSpec("B", (Action("t1", "A"),)),))
+
+
 def three_way_twin_fork_model() -> Choreography:
     """X.lead.Y, then a fork of A.t0.B, A.t1.B and C.t2.D, joined at J:
     the pair (A,B) arrives at two of the join's three entries."""
@@ -658,6 +676,25 @@ def loop_sequence_scenario(n: int) -> Scenario:
     word = tuple(f"X.k{i}.Y" for i in range(n))
     return Scenario(model=model, environment={"g": False},
                     scripts=scripts_for_word(model, word))
+
+
+def fork_sequence_model(n: int) -> Choreography:
+    """n forks in sequence with no operation before them, then A.t.B:
+    F{i} forks into P{i} and Q{i}, which run by epsilon flows into J{i}."""
+    flows, last = [], "Initial"
+    for i in range(n):
+        flows += [(last, "", f"F{i}"), (f"F{i}", "", f"P{i}"), (f"P{i}", "", f"J{i}"),
+                  (f"F{i}", "", f"Q{i}"), (f"Q{i}", "", f"J{i}")]
+        last = f"J{i}"
+    flows += [(last, "", "S"), ("S", "A.t.B", "T"), ("T", "", "Final")]
+    return shape_model(forks=[f"F{i}" for i in range(n)], joins=[f"J{i}" for i in range(n)],
+                       flows=flows)
+
+
+def fork_sequence_scenario(n: int) -> Scenario:
+    """fork_sequence_model; A requests t once the start walk has passed every fork."""
+    model = fork_sequence_model(n)
+    return Scenario(model=model, environment={}, scripts=scripts_for_word(model, ("A.t.B",)))
 
 
 def loop_fork_blocks_model(n: int) -> Choreography:

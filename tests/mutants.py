@@ -16,7 +16,6 @@ honest delegate needs no such map.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import replace
 
 from chorenforce.decompose import CoordModel, CoordTuple
 from chorenforce.delegate import BLOCKED, FORWARDED, Delegate
@@ -68,7 +67,7 @@ def forward_without_check() -> type[Delegate]:
 def _guard_inverter(kind: StateKind, state_kinds: dict[str, StateKind]) -> type[Delegate]:
     def invert(t: CoordTuple) -> CoordTuple:
         if state_kinds.get(t.src) is kind:
-            return replace(t, cond=Not(t.cond))
+            return t._replace(cond=Not(t.cond))
         return t
 
     return _faulty_model(invert)
@@ -86,12 +85,12 @@ def ignore_loop_guard(state_kinds: dict[str, StateKind]) -> type[Delegate]:
 
 def skip_wait() -> type[Delegate]:
     """Walks straight through joins without collecting notifications."""
-    return _faulty_model(lambda t: replace(t, to_be_waited=frozenset()))
+    return _faulty_model(lambda t: t._replace(to_be_waited=frozenset()))
 
 
 def skip_notify() -> type[Delegate]:
     """Never tells the sibling branch that its own branch arrived."""
-    return _faulty_model(lambda t: replace(t, to_be_notified=frozenset()))
+    return _faulty_model(lambda t: t._replace(to_be_notified=frozenset()))
 
 
 def wrong_priority() -> type[Delegate]:

@@ -19,6 +19,8 @@ from helpers import (
     int_alternative_model,
     int_loop_model,
     share_disabled_scenario,
+    silent_exit_cycle_model,
+    silent_exit_cycle_scenario,
     silent_loop_model,
     sp_model,
     twin_fork_model,
@@ -208,6 +210,31 @@ def test_check_trace_stuck_tokens_is_a_clean_error(tmp_path, capsys):
     assert main(["check-trace", str(path), str(trace)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and _EXCLUSIVE_JOIN in err
+
+
+_SILENT_EXIT = "L3: loop-without-operation: the exit to L3 can return to L3 without an operation"
+
+
+def test_a_loop_whose_exit_comes_back_without_an_operation_is_refused(tmp_path, capsys):
+    # with g1 true and g3 false the run would turn round L3 forever
+    model = tmp_path / "model.json"
+    save_model(silent_exit_cycle_model(), model)
+    assert main(["validate", str(model)]) == 1
+    assert capsys.readouterr().out.splitlines() == [_SILENT_EXIT]
+    path = tmp_path / "scenario.json"
+    save_scenario(silent_exit_cycle_scenario(), path)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and _SILENT_EXIT in err
+    trace = tmp_path / "trace.jsonl"
+    forward = {
+        "kind": "Forward", "seq": 0, "cd": ["B", "A"], "task": "t1",
+        "src": "S5", "trg": "T6", "receiver": "A",
+    }
+    trace.write_text(json.dumps(forward, sort_keys=True) + "\n")
+    assert main(["check-trace", str(path), str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and _SILENT_EXIT in err
 
 
 # A guard tests a variable declared over [1, 2] as a boolean: in an

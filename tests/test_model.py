@@ -1,8 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from chorenforce.model import (
     EPS,
     Choreography,
+    Epsilon,
     Flow,
     Guard,
     ModelFormatError,
@@ -112,3 +117,21 @@ def test_guard_label_round_trip():
     again = model_from_json(data)
     guards = [f for f in again.flows if isinstance(f.label, Guard)]
     assert guards == [Flow("LP", Guard(Var("p")), "E1")]
+
+
+def test_epsilon_is_a_value():
+    assert Epsilon() == EPS and not Epsilon() != EPS and hash(Epsilon()) == hash(EPS)
+    assert repr(Epsilon()) == "EPS" and EPS
+    assert EPS != () and () != EPS and EPS != Guard(Var("x"))
+    assert Flow("A", Epsilon(), "B") == Flow("A", EPS, "B")
+    with pytest.raises(AttributeError):
+        EPS.label = "eps"
+
+
+def test_the_package_imports_without_dataclasses():
+    # the command line tool imports the package in every process it starts
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, chorenforce, chorenforce.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from chorenforce.predicate import (
     Not,
     Or,
     PredicateError,
+    TrueLit,
     UnboundVariableError,
     Var,
     assignments,
@@ -139,3 +143,57 @@ def test_assignments_enumerates_product():
     assert {tuple(sorted(e.items())) for e in envs} == {
         (("x", xv), ("y", yv)) for xv in (False, True) for yv in (1, 2, 3)
     }
+
+
+def _rebuilt(p):
+    """An equal tree of new nodes."""
+    if isinstance(p, Var):
+        return Var(p.name)
+    if isinstance(p, Eq):
+        return Eq(p.name, p.value)
+    if isinstance(p, Not):
+        return Not(_rebuilt(p.inner))
+    if isinstance(p, (And, Or)):
+        return type(p)(_rebuilt(p.left), _rebuilt(p.right))
+    return TrueLit()
+
+
+@settings(max_examples=200, deadline=None)
+@given(preds)
+def test_nodes_are_values(p):
+    q = _rebuilt(p)
+    assert p == q and not p != q
+    assert hash(p) == hash(q)
+    assert repr(p) == repr(q)
+    assert p
+    assert p in {q} and {p: 1}[q] == 1
+    assert copy.deepcopy(p) == p and pickle.loads(pickle.dumps(p)) == p
+
+
+def test_nodes_equal_only_nodes_of_their_class():
+    a, b = Var("a"), Eq("b", 1)
+    assert And(a, b) != Or(a, b) and Or(a, b) != And(a, b)
+    assert Var("x") != ("x",) and ("x",) != Var("x")
+    assert Eq("x", 1) != ("x", 1) and Not(a) != (a,) and And(a, b) != (a, b)
+    assert Var("x") != Not(Var("x")) and Var("x") != Eq("x", True)
+    assert TrueLit() == TRUE and TRUE != () and TRUE != Var("true")
+    assert len({And(a, b), Or(a, b), And(a, b)}) == 2
+
+
+def test_nodes_keep_their_repr():
+    assert repr(TRUE) == "TrueLit()"
+    assert repr(parse_predicate("not (x or y == -2) and true")) == (
+        "And(left=Not(inner=Or(left=Var(name='x'), right=Eq(name='y', value=-2))), "
+        "right=TrueLit())"
+    )
+
+
+@pytest.mark.parametrize("node", [TRUE, Var("x"), Eq("x", 1), Not(Var("x")),
+                                  And(Var("x"), TRUE), Or(Var("x"), TRUE)],
+                         ids=lambda node: type(node).__name__)
+def test_nodes_are_immutable(node):
+    for name in ("name", "value", "inner", "left", "right", "other"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, Var("y"))
+        with pytest.raises(AttributeError):
+            delattr(node, name)

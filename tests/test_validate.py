@@ -47,6 +47,7 @@ from helpers import (
     empty_branch_fork_model,
     exclusive_join_model,
     fork_model,
+    fork_sequence_model,
     int_alternative_model,
     int_loop_model,
     loop_branch_fork_model,
@@ -678,6 +679,38 @@ def test_each_loop_body_is_walked_once():
     assert validate_cefm(model).ok
     elapsed = _best_of_3(lambda: validate_cefm(model))
     assert elapsed < 0.5, f"validate_cefm took {elapsed:.3f}s"
+
+
+def _nested_empty_forks_model(n: int) -> Choreography:
+    # F{i} forks into an empty branch E{i} and on to F{i+1}; the innermost
+    # branch runs A.t.B, and each join J{i} runs on into J{i-1}
+    flows = [("Initial", "", "F0"), ("S", "A.t.B", "T"), ("K0", "", "Final")]
+    for i in range(n):
+        inner, back = (f"F{i + 1}", f"K{i + 1}") if i + 1 < n else ("S", "T")
+        flows += [(f"F{i}", "", f"E{i}"), (f"E{i}", "", f"J{i}"), (f"F{i}", "", inner),
+                  (back, "", f"J{i}"), (f"J{i}", "", f"K{i}")]
+    return shape_model(forks=[f"F{i}" for i in range(n)], joins=[f"J{i}" for i in range(n)],
+                       flows=flows)
+
+
+def test_forks_with_no_operation_before_them_are_validated_in_linear_time():
+    # who arrives at a fork is kept once found, so a walk back that
+    # reaches a fork found before stops there, not at the initial state
+    n = 2000
+    model = fork_sequence_model(n)
+    report = validate_cefm(model)
+    assert report.ok
+    assert report.arrivals == {f"J{i}": ((f"P{i}", None), (f"Q{i}", None)) for i in range(n)}
+    elapsed = _best_of_3(lambda: validate_cefm(model))
+    assert elapsed < 1.0, f"validate_cefm took {elapsed:.3f}s"
+
+    n = 1000
+    model = _nested_empty_forks_model(n)
+    after = [f"K{i + 1}" for i in range(n - 1)] + ["T"]
+    assert validate_cefm(model).arrivals == {
+        f"J{i}": ((f"E{i}", None), (after[i], Pair("A", "B"))) for i in range(n)}
+    elapsed = _best_of_3(lambda: validate_cefm(model))
+    assert elapsed < 1.0, f"validate_cefm took {elapsed:.3f}s"
 
 
 def test_fork_blocks_with_a_loop_branch_decompose_in_linear_time():
