@@ -123,6 +123,9 @@ class Choreography:
         self.roles = set(roles)
         self.variables = {k: tuple(v) for k, v in variables.items()}
         self.flows = sorted(flows, key=flow_sort_key)
+        # validate_cefm's finished result, (violations, arrivals): it holds
+        # no report, so the model and its reports form no cycle
+        self._validated: tuple[tuple, dict] | None = None
         self._out: dict[str, list[Flow]] = {s: [] for s in self.states}
         self._in: dict[str, list[Flow]] = {s: [] for s in self.states}
         out, into = self._out, self._in

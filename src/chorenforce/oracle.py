@@ -2,19 +2,19 @@
 
 The checker is an observer. It reads a trace event by event and never
 trusts a delegate's bookkeeping beyond the reported source state of a
-forward. Whether an operation is available at a state comes from the
-choreography's operation flows; the coordination models are read only
-for the notifications a join waits for. Given none, the checker
-validates the model and decomposes it only if it has a join. Each
-forwarded operation gets one verdict:
+forward. It reads the model, its validation report and the trace, never
+the coordination models: availability at a state comes from the
+choreography's operation flows, and who waits at a join from the
+report's arrivals. Each forwarded operation gets one verdict:
 
 * UndesiredTask: the operation is not available at the reported state.
 * InvalidAlternative: the state sits behind a branch guard that is false.
 * InvalidLoop: the state is a loop body entry whose guard is false.
 * MissedLoop: the state is a loop exit although the guard says repeat.
-* MissedJoin: the state follows a join the forwarding pair crossed
-  although none of its tuples into the join, one per entry it can
-  arrive at, had every notification it waits for delivered.
+* MissedJoin: the state follows a join, and the waiter that sorts last,
+  the one that crosses, had not been delivered every other waiter's
+  notification for one of its entries, or the forwarding pair, another
+  waiter, had not been delivered that entry's notification from it.
 * DeadlockingJoin: issued after a stalled run, for threads still holding
   unmet join waits.
 
@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .decompose import CoordModel, InvalidModelError, Pair, generate_all
+# generate_all is not called here: the benchmark still wraps this name
+from .decompose import InvalidModelError, Pair, generate_all  # noqa: F401
 from .interpreter import Language
 from .model import Choreography, Guard, Operation, StateKind
 from .predicate import Value, eval_pred
@@ -70,31 +71,15 @@ class Verdict(NamedTuple):
 
 
 class RuntimeChecker:
-    """Classifies a trace's forwards under one model and environment.
+    """Classifies a trace's forwards under one model and environment,
+    which it validates; it never decomposes the model."""
 
-    `cms`, the model's coordination models, are read only for join
-    waits. Without them the checker validates the model, and decomposes
-    it if it has a join.
-    """
-
-    def __init__(
-        self,
-        model: Choreography,
-        env: dict[str, Value],
-        cms: dict[Pair, CoordModel] | None = None,
-    ):
+    def __init__(self, model: Choreography, env: dict[str, Value]):
         self.model = model
         self.env = dict(env)
-        if cms is None:
-            if _JOIN in model.states.values():
-                cms = generate_all(model)
-            else:
-                # a model without a join is validated as generate_all would
-                report = validate_cefm(model)
-                if not report.ok:
-                    raise InvalidModelError(str(report))
-                cms = {}
-        self.cms = cms
+        report = validate_cefm(model)
+        if not report.ok:
+            raise InvalidModelError(str(report))
         # ((initiator, receiver), source state) -> the tasks of the
         # model's operation flows out of that state
         self._tasks: dict[tuple[tuple[str, str], str], set[str]] = {}
@@ -102,6 +87,18 @@ class RuntimeChecker:
             if isinstance(label, Operation):
                 key = ((label.initiator, label.receiver), src)
                 self._tasks.setdefault(key, set()).add(label.task)
+        # join -> (the pairs that wait there, the last of them, which
+        # crosses as the delegates decide, and for each entry that pair
+        # arrives at, the notifications (entry, sender, receiver) it must
+        # have been delivered); only joins where some pair waits
+        self._crossings: dict[str, tuple] = {}
+        for join, arrivals in report.arrivals.items():
+            waiters = [(entry, tuple(pair)) for entry, pair in arrivals if pair is not None]
+            if waiters:
+                crosser = max(pair for _, pair in waiters)
+                owns = [(own, [(e, q, crosser) for e, q in waiters if e != own])
+                        for own, pair in waiters if pair == crosser]
+                self._crossings[join] = ({pair for _, pair in waiters}, crosser, owns)
 
     def run(self, events: list[dict]) -> list[Verdict]:
         delivered: set[tuple[str, tuple, str, tuple]] = set()
@@ -173,31 +170,22 @@ class RuntimeChecker:
                 return Verdict(
                     seq, MISSED_LOOP, cd, task, src, f"loop at {before} should repeat, not exit"
                 )
-        elif kind is _JOIN:
-            # The pair crossed from one entry: one of its tuples into the
-            # join must have had every wait delivered. A Pair hashes and
-            # compares as its plain tuple; the pair has an operation here,
-            # so generate_all gave it a model.
-            cm = self.cms[cd]
+        elif kind is _JOIN and before in self._crossings:
+            # another waiter moves on by the crossing pair's update, sent
+            # after that pair's notification to it on the same channel
+            waiters, crosser, owns = self._crossings[before]
             missed = []
-            for entering in self.model.in_flows(before):
-                for t in cm.tuples_from(entering.src):
-                    if t.trg != before:
-                        continue
-                    missing = [
-                        (pred_state, (other.initiator, other.receiver))
-                        for pred_state, other in sorted(t.to_be_waited)
-                        if (pred_state, (other.initiator, other.receiver), before, cd)
-                        not in delivered
-                    ]
-                    if not missing:
-                        return Verdict(seq, ALLOWED, cd, task, src)
-                    missed.append(missing)
-            if missed:
-                return Verdict(
-                    seq, MISSED_JOIN, cd, task, src,
-                    f"crossed {before} without notifications {min(missed, key=len)}",
-                )
+            for own, needed in owns:
+                if cd != crosser and cd in waiters:
+                    needed = [*needed, (own, crosser, cd)]
+                missing = [n for n in needed if (n[0], n[1], before, n[2]) not in delivered]
+                if not missing:
+                    return Verdict(seq, ALLOWED, cd, task, src)
+                missed.append(missing)
+            return Verdict(
+                seq, MISSED_JOIN, cd, task, src,
+                f"crossed {before} without notifications {min(missed, key=len)}",
+            )
         return Verdict(seq, ALLOWED, cd, task, src)
 
 

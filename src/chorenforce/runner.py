@@ -96,7 +96,7 @@ def run_scenario(
     )
     outcome = sim.run()
 
-    checker = RuntimeChecker(scenario.model, scenario.environment, cms)
+    checker = RuntimeChecker(scenario.model, scenario.environment)
     verdicts = checker.run(sim.events)
     if outcome == DEADLOCKED:
         verdicts.extend(post_hoc_deadlock(delegates))

@@ -93,7 +93,12 @@ def _label_name(f: Flow) -> str:
 
 
 def validate_cefm(model: Choreography) -> ValidationReport:
+    """The model's report, worked out once per model object."""
     report = ValidationReport(model)
+    if model._validated is not None:
+        violations, arrivals = model._validated
+        report.violations, report.arrivals = list(violations), dict(arrivals)
+        return report
     _check_duplicate_flows(model, report)
     _check_degrees(model, report)
     _check_labels(model, report)
@@ -103,6 +108,7 @@ def validate_cefm(model: Choreography) -> ValidationReport:
     _check_silent_cycles(model, report, loops)
     if report.ok and _JOIN in model.states.values():
         _check_joins(model, report, loop_entries)
+    model._validated = (tuple(report.violations), dict(report.arrivals))
     return report
 
 

@@ -595,6 +595,26 @@ def three_way_twin_fork_model() -> Choreography:
     ])
 
 
+def three_way_fork_model() -> Choreography:
+    """F forks into A.a.B, B.b.A and A.c.C, joined at J; then A.d.B.
+    (B,A) crosses J; (A,B) loses it and moves past it on (B,A)'s update."""
+    return shape_model(forks=["F"], joins=["J"], flows=[
+        ("Initial", "", "F"),
+        ("F", "", "A1"), ("A1", "A.a.B", "A2"), ("A2", "", "J"),
+        ("F", "", "B1"), ("B1", "B.b.A", "B2"), ("B2", "", "J"),
+        ("F", "", "C1"), ("C1", "A.c.C", "C2"), ("C2", "", "J"),
+        ("J", "", "K"), ("K", "A.d.B", "K2"), ("K2", "", "Final"),
+    ])
+
+
+def three_way_fork_scenario() -> Scenario:
+    """three_way_fork_model; each initiator requests its operations in the
+    order of one reference word."""
+    model = three_way_fork_model()
+    word = ("A.a.B", "B.b.A", "A.c.C", "A.d.B")
+    return Scenario(model=model, environment={}, scripts=scripts_for_word(model, word))
+
+
 def same_pair_fork_model() -> Choreography:
     """A fork of three A->B branches, A.t0.B, A.t1.B and A.t2.B, joined at J."""
     flows = [("Initial", "", "F"), ("J", "", "Final")]
@@ -603,17 +623,21 @@ def same_pair_fork_model() -> Choreography:
     return shape_model(forks=["F"], joins=["J"], flows=flows)
 
 
-def nested_fork_model() -> Choreography:
+def nested_fork_model(after=None) -> Choreography:
     """X.lead.Y, then F forks into A.a.E and an inner fork G of B.b.D and
-    C.c.B, joined at H, which runs by epsilon flows into F's join J.
-    Only (C,B), the pair that sorts last at H, crosses H."""
-    return shape_model(forks=["F", "G"], joins=["H", "J"], flows=[
+    C.c.B, joined at H, which runs by epsilon flows into F's join J, after
+    which the after operation (if any) runs. Only (C,B), the pair that
+    sorts last at H, crosses H."""
+    flows = [
         ("Initial", "", "S0"), ("S0", "X.lead.Y", "S1"), ("S1", "", "F"),
         ("F", "", "A1"), ("A1", "A.a.E", "A2"), ("A2", "", "J"),
         ("F", "", "G"), ("G", "", "B1"), ("B1", "B.b.D", "B2"), ("B2", "", "H"),
         ("G", "", "C1"), ("C1", "C.c.B", "C2"), ("C2", "", "H"),
-        ("H", "", "H2"), ("H2", "", "J"), ("J", "", "Final"),
-    ])
+        ("H", "", "H2"), ("H2", "", "J"),
+    ]
+    flows += [("J", "", "K"), ("K", after, "K2"), ("K2", "", "Final")] if after else [
+        ("J", "", "Final")]
+    return shape_model(forks=["F", "G"], joins=["H", "J"], flows=flows)
 
 
 def nested_fork_scenario() -> Scenario:

@@ -7,16 +7,10 @@ the silent-deadlock case, on the post-run findings).
 
 import pytest
 
-from chorenforce import decompose, oracle
-from chorenforce.decompose import (
-    CoordModel,
-    CoordTuple,
-    InvalidModelError,
-    Pair,
-    generate_all,
-)
+from chorenforce import decompose, oracle, validate
+from chorenforce.decompose import InvalidModelError, Pair, generate_all
 from chorenforce.interpreter import reference_traces
-from chorenforce.model import Operation, StateKind
+from chorenforce.model import Operation
 from chorenforce.oracle import (
     ALLOWED,
     DEADLOCKING_JOIN,
@@ -32,7 +26,6 @@ from chorenforce.oracle import (
     verdict_histogram,
 )
 from chorenforce.participants import Action, Scenario, ScriptSpec
-from chorenforce.predicate import TRUE
 from chorenforce.randgen import scripts_for_word
 from chorenforce.runner import run_scenario
 from chorenforce.simulator import COMPLETED, DEADLOCKED
@@ -58,15 +51,21 @@ from helpers import (
     APP,
     defect_cases,
     faulty_delegate,
+    fixture_scenario,
+    fork_model,
     guarded_start_model,
     sp_language,
     sp_model,
     im_script,
     inorder_scenario,
+    loop_branch_fork_model,
     loop_model,
     loop_scenario,
+    nested_fork_model,
     run_sp,
     silent_loop_model,
+    three_way_fork_model,
+    twin_fork_model,
     LOOP_EXIT_ACTIONS,
 )
 
@@ -93,39 +92,30 @@ def test_checker_recomputes_from_model_alone():
     assert checker.run(result.events) == result.verdicts
 
 
-def test_availability_comes_from_the_model_not_the_coordination_model():
-    # (A,B)'s coordination model, given one operation tuple the model
-    # lacks, would allow finish at E1, where the model has (A,B) do work
-    model = loop_model()
-    cms = generate_all(model)
-    pair = Pair("A", "B")
-    extra = CoordTuple("E1", "finish", "E2", frozenset(), TRUE, frozenset(), frozenset())
-    cms[pair] = CoordModel(pair, cms[pair].tuples | {extra})
-    forward = {
-        "kind": "Forward", "seq": 0, "cd": ["A", "B"], "task": "finish",
-        "src": "E1", "trg": "E2", "receiver": "B",
-    }
-    (verdict,) = RuntimeChecker(model, {"p": True}, cms).run([forward])
-    assert verdict.kind == UNDESIRED_TASK
-    assert verdict.detail == "'finish' not among ['work'] at E1"
-
-
-def _join_free_traces():
-    """(model, env, trace) for runs of join-free models, honest and
-    faulty, and for one forward of each operation flow at its source."""
+def _recheck_traces():
+    """(model, env, trace, the run's verdicts or None) for honest and
+    faulty runs, joins among them, and for one forward of each operation
+    flow at its source."""
     for _, _, scenario, pair, cls in defect_cases():
-        if StateKind.JOIN not in scenario.model.states.values():
-            with faulty_delegate(pair, cls):
-                result = run_scenario(scenario)
-            yield scenario.model, scenario.environment, result.events
+        with faulty_delegate(pair, cls):
+            result = run_scenario(scenario)
+        yield scenario.model, scenario.environment, result.events, result.verdicts
+    for name in ("inorder", "shuffled", "adversarial", "share_disabled"):
+        scenario = fixture_scenario(name)
+        result = run_scenario(scenario, policy="random", seed=1)
+        yield scenario.model, scenario.environment, result.events, result.verdicts
     for model, env in (
         (guarded_start_model(), {"v": True}),
         (guarded_start_model(), {"v": False}),
         (loop_model(), {"p": False}),
+        (fork_model(6), {}),
+        (twin_fork_model(), {}),
+        (nested_fork_model(), {}),
     ):
         word = next(iter(reference_traces(model, env).complete))
         scenario = Scenario(model, env, scripts_for_word(model, word))
-        yield model, env, run_scenario(scenario).events
+        result = run_scenario(scenario)
+        yield model, env, result.events, result.verdicts
         for flow in model.flows:
             if isinstance(flow.label, Operation):
                 op = flow.label
@@ -134,24 +124,30 @@ def _join_free_traces():
                     "task": op.task, "src": flow.src, "trg": flow.trg,
                     "receiver": op.receiver,
                 }
-                yield model, env, [forward]
-                yield model, env, [{**forward, "task": "nothing"}]
+                yield model, env, [forward], None
+                yield model, env, [{**forward, "task": "nothing"}], None
 
 
-def test_a_join_free_recheck_validates_and_does_not_decompose(monkeypatch):
-    traces = list(_join_free_traces())
+def test_a_recheck_validates_and_does_not_decompose(monkeypatch):
+    traces = list(_recheck_traces())
 
     def refuse(model):
-        raise AssertionError("a join-free model was decomposed")
+        raise AssertionError("a recheck decomposed its model")
 
     monkeypatch.setattr(oracle, "generate_all", refuse)
+    monkeypatch.setattr(decompose, "generate_all", refuse)
     kinds = set()
-    for model, env, events in traces:
+    for model, env, events, run_verdicts in traces:
         verdicts = RuntimeChecker(model, env).run(events)
-        assert verdicts == RuntimeChecker(model, env, generate_all(model)).run(events)
+        if run_verdicts is not None:
+            # a stalled run adds its post-run findings after the trace's
+            assert verdicts == run_verdicts[:len(verdicts)]
         kinds |= {v.kind for v in verdicts}
-    assert kinds == {ALLOWED, UNDESIRED_TASK, INVALID_ALTERNATIVE, INVALID_LOOP, MISSED_LOOP}
-    # a join-free model that breaks a rule is refused with generate_all's text
+    assert kinds == {
+        ALLOWED, UNDESIRED_TASK, INVALID_ALTERNATIVE, INVALID_LOOP, MISSED_LOOP, MISSED_JOIN,
+    }
+    # a model that breaks a rule is refused with the decomposition's text
+    monkeypatch.undo()
     broken = silent_loop_model()
     with pytest.raises(InvalidModelError) as decomposed:
         generate_all(broken)
@@ -174,6 +170,47 @@ def test_a_recheck_validates_its_model_once(monkeypatch):
         RuntimeChecker(model, {})
         assert calls == [model]
         calls.clear()
+
+
+def test_a_run_validates_its_model_once(monkeypatch):
+    calls = []
+    check = validate._check_degrees
+
+    def counted(model, report):
+        calls.append(model)
+        check(model, report)
+
+    monkeypatch.setattr(validate, "_check_degrees", counted)
+    scenario = fixture_scenario("inorder")
+    assert run_scenario(scenario).ok()
+    assert calls == [scenario.model]
+
+
+# Pairs that lose a join move past it on the update of the pair that
+# crosses, possibly before every other waiter's notification to them has
+# arrived; the checker must not flag them.
+REPROS = {
+    "three_way_fork": (three_way_fork_model(), {}, range(1, 21)),
+    "loop_branch_fork": (
+        loop_branch_fork_model("X.lead.Y", "A.a.B", "C.w.B", "C.after.B"),
+        {"g": False}, range(1, 4),
+    ),
+    "nested_fork_after": (nested_fork_model(after="B.after.D"), {}, range(1, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPROS))
+def test_a_pair_moved_past_a_join_it_lost_is_not_flagged(name):
+    model, env, seeds = REPROS[name]
+    words = sorted(reference_traces(model, env).complete)
+    assert words
+    for word in words:
+        scenario = Scenario(model, dict(env), scripts_for_word(model, word))
+        for policy, seed in [("roundrobin", 0)] + [("random", s) for s in seeds]:
+            result = run_scenario(scenario, policy=policy, seed=seed)
+            assert result.outcome == COMPLETED, (word, policy, seed)
+            assert result.conformant, (word, policy, seed)
+            assert result.flagged == [], (word, policy, seed)
 
 
 def test_forward_without_check_is_undesired_task():

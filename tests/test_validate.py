@@ -5,9 +5,11 @@ rule; the test asserts the rule id shows up (and nothing passes that
 should fail).
 """
 
+import gc
 import json
 import re
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -724,3 +726,36 @@ def test_fork_blocks_with_a_loop_branch_decompose_in_linear_time():
                                      (f"LX{n - 1}", Pair("X", "Y")))
     elapsed = _best_of_3(lambda: generate_all(model))
     assert elapsed < 0.5, f"generate_all took {elapsed:.3f}s"
+
+
+# -- one validation per model ----------------------------------------------------
+
+@pytest.mark.parametrize("build", [nested_fork_model, silent_loop_model, sp_model])
+def test_a_second_validation_gives_the_same_report(build):
+    model = build()
+    first = validate_cefm(model)
+    second = validate_cefm(model)
+    assert second is not first
+    assert second.violations == first.violations
+    assert second.arrivals == first.arrivals
+    assert str(second) == str(first)
+    # a report's lists are its own: changing one changes no later report
+    first.violations.append(Violation("X", "rule", "detail"))
+    first.arrivals.clear()
+    third = validate_cefm(model)
+    assert (third.violations, third.arrivals) == (second.violations, second.arrivals)
+
+
+def test_a_validated_model_and_its_report_form_no_cycle():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        model = nested_fork_model()
+        report = validate_cefm(model)
+        assert report.ok
+        ref = weakref.ref(model)
+        del model, report
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
