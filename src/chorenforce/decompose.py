@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from typing import NamedTuple
 
 from .model import Choreography, Flow, Guard, Operation, Pair, StateKind
 from .predicate import Not, Pred, TRUE, to_text
@@ -41,9 +40,18 @@ class InvalidModelError(ValueError):
     """The source model failed structural validation."""
 
 
-class CoordTuple(NamedTuple):
-    """One tuple of a coordination model."""
+# a tuple's own __setattr__ refuses, so __init__ fills the slots through object's
+_set = object.__setattr__
 
+
+class CoordTuple:
+    """One tuple of a coordination model: an immutable value, equal only
+    to a tuple with equal fields. Its fields are slots, which a delegate
+    reads faster than a NamedTuple's fields."""
+
+    __slots__ = _fields = (
+        "src", "op", "trg", "allowed_services", "cond", "to_be_notified", "to_be_waited",
+    )
     src: str
     op: str | None  # task name; None for an epsilon step
     trg: str
@@ -52,10 +60,50 @@ class CoordTuple(NamedTuple):
     to_be_notified: frozenset[tuple[str, Pair]]
     to_be_waited: frozenset[tuple[str, Pair]]
 
+    def __init__(self, src, op, trg, allowed_services, cond, to_be_notified, to_be_waited):
+        _set(self, "src", src)
+        _set(self, "op", op)
+        _set(self, "trg", trg)
+        _set(self, "allowed_services", allowed_services)
+        _set(self, "cond", cond)
+        _set(self, "to_be_notified", to_be_notified)
+        _set(self, "to_be_waited", to_be_waited)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.src == other.src and self.op == other.op and self.trg == other.trg
+                and self.allowed_services == other.allowed_services
+                and self.cond == other.cond
+                and self.to_be_notified == other.to_be_notified
+                and self.to_be_waited == other.to_be_waited
+            )
+        return NotImplemented
+
     def __hash__(self) -> int:
         # equal tuples agree on these three fields; hashing the rest
         # (a predicate tree among them) buys nothing
         return hash((self.src, self.op, self.trg))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"CoordTuple({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild a tuple through __init__, not __setattr__
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes) -> CoordTuple:
+        """A copy with the named fields changed."""
+        fields = {name: getattr(self, name) for name in self._fields}
+        fields.update(changes)
+        return CoordTuple(**fields)
 
     @property
     def is_op(self) -> bool:

@@ -165,14 +165,17 @@ class Language:
         reached = self._reached.get(word)
         if reached is not None:
             return reached
+        ops, fire = self._ops, self._fire
         configs = {self._start}
         for label in word:
-            configs = {
-                self._fire(config, place, dst)
-                for config in configs
-                for place, _ in config
-                for dst in self._ops.get(place, {}).get(label, ())
-            }
+            following = set()
+            for config in configs:
+                for place, _ in config:
+                    by_label = ops.get(place)
+                    if by_label is not None:
+                        for dst in by_label.get(label, ()):
+                            following.add(fire(config, place, dst))
+            configs = following
             if not configs:
                 break
         reached = self._reached[word] = frozenset(configs)

@@ -94,12 +94,13 @@ class Flow(NamedTuple):
 def flow_sort_key(f: Flow) -> tuple:
     """Flows sort by source, target, then label: epsilon before guards
     (by their text) before operations (by their label)."""
-    label = f.label
+    src, label, trg = f
     if isinstance(label, Operation):
-        return (f.src, f.trg, 2, label.label)
+        # the text of Operation.label, without the property call
+        return (src, trg, 2, "%s.%s.%s" % label)
     if isinstance(label, Guard):
-        return (f.src, f.trg, 1, to_text(label.pred))
-    return (f.src, f.trg, 0, "")
+        return (src, trg, 1, to_text(label.pred))
+    return (src, trg, 0, "")
 
 
 class Choreography:
@@ -175,8 +176,16 @@ def _label_to_json(label: Label):
 
 _OP_KEYS = frozenset({"from", "task", "to"})
 
+# Builds a NamedTuple from a tuple of all its fields in C, without the
+# generated Python-level __new__: 0.36 us against 0.59 us for a Pair.
+_new = tuple.__new__
 
-def _label_from_json(data) -> Label:
+
+def _label_from_json(flow: dict) -> Label:
+    """The label of a flow document, read after its "from". An operation
+    whose initiator, task or receiver is no string is refused, naming the
+    flow."""
+    data = flow["label"]
     if data == "eps":
         return EPS
     if isinstance(data, dict) and len(data) == 1:
@@ -184,10 +193,26 @@ def _label_from_json(data) -> Label:
             op = data["op"]
             if (op.keys() if type(op) is dict else set(op)) != _OP_KEYS:
                 raise ModelFormatError(f"bad operation label: {data!r}")
-            return Operation(op["from"], op["task"], op["to"])
+            initiator, task, receiver = fields = (op["from"], op["task"], op["to"])
+            if type(initiator) is not str or type(task) is not str or type(receiver) is not str:
+                raise ModelFormatError(
+                    f"flow {flow['from']}->{flow.get('to')}: operation {op!r} "
+                    "has a field that is no string"
+                )
+            return _new(Operation, fields)
         if "guard" in data:
             return Guard(parse_predicate(data["guard"]))
     raise ModelFormatError(f"unrecognized flow label: {data!r}")
+
+
+def _roles_from_json(data) -> set[str]:
+    """The declared roles, each of which must be a string."""
+    roles = set()
+    for role in data:
+        if type(role) is not str:
+            raise ModelFormatError(f"declared role {role!r} is no string")
+        roles.add(role)
+    return roles
 
 
 def _domain_sort_key(v: Value) -> tuple[int, int]:
@@ -222,15 +247,12 @@ def model_from_json(data: dict) -> Choreography:
         except (KeyError, TypeError):
             # StateKind(k) names the value that is no kind
             states = {s: StateKind(k) for s, k in raw_states.items()}
-        flows = [
-            Flow(f["from"], _label_from_json(f["label"]), f["to"])
-            for f in data["flows"]
-        ]
+        flows = [_new(Flow, (f["from"], _label_from_json(f), f["to"])) for f in data["flows"]]
         model = Choreography(
             states=states,
             initial=data["initial"],
             final=data["final"],
-            roles=set(data["roles"]),
+            roles=_roles_from_json(data["roles"]),
             variables={k: tuple(v) for k, v in data["variables"].items()},
             flows=flows,
         )

@@ -61,6 +61,11 @@ class TraceFormatError(ValueError):
     """A trace line or event is not what the trace format promises."""
 
 
+# Builds a NamedTuple from a tuple of all its fields in C, without the
+# generated Python-level __new__.
+_new = tuple.__new__
+
+
 class Verdict(NamedTuple):
     seq: int  # sequence number of the forward event; -1 for post-run findings
     kind: str
@@ -77,6 +82,8 @@ class RuntimeChecker:
     def __init__(self, model: Choreography, env: dict[str, Value]):
         self.model = model
         self.env = dict(env)
+        # the model's tables, read once per forward
+        self._in, self._states = model._in, model.states
         report = validate_cefm(model)
         if not report.ok:
             raise InvalidModelError(str(report))
@@ -135,7 +142,13 @@ class RuntimeChecker:
         return verdicts
 
     def _classify(self, event: dict, delivered: set) -> Verdict:
-        cd = _roles(event, "cd")
+        # a pair as the simulator writes it, a list of two exact strings,
+        # is read without _roles' checks; anything else goes through them
+        cd = event["cd"]
+        if type(cd) is list and len(cd) == 2 and type(cd[0]) is str and type(cd[1]) is str:
+            cd = (cd[0], cd[1])
+        else:
+            cd = _roles(event, "cd")
         task = event["task"]
         src = event["src"]
         seq = event["seq"]
@@ -143,33 +156,32 @@ class RuntimeChecker:
         # the TypeError that run() reports as a malformed event
         tasks = self._tasks.get((cd, src), _NO_TASKS)
         if task not in tasks:
-            return Verdict(
+            return _new(Verdict, (
                 seq, UNDESIRED_TASK, cd, task, src,
                 f"{task!r} not among {sorted(tasks)} at {src}",
-            )
+            ))
         # In a validated model operations leave only the initial state,
         # entered by no flow, and plain states, entered by exactly one.
-        entering = self.model.in_flows(src)
+        entering = self._in[src]
         if not entering:
-            return Verdict(seq, ALLOWED, cd, task, src)
-        (flow,) = entering
-        before = flow.src
-        kind = self.model.kind(before)
-        if isinstance(flow.label, Guard):
-            if not eval_pred(flow.label.pred, self.env):
+            return _new(Verdict, (seq, ALLOWED, cd, task, src, ""))
+        ((before, label, _),) = entering
+        kind = self._states[before]
+        if isinstance(label, Guard):
+            if not eval_pred(label.pred, self.env):
                 if kind is _ALTERNATIVE:
-                    return Verdict(
+                    return _new(Verdict, (
                         seq, INVALID_ALTERNATIVE, cd, task, src, f"branch guard false at {src}"
-                    )
-                return Verdict(
+                    ))
+                return _new(Verdict, (
                     seq, INVALID_LOOP, cd, task, src, f"loop entry guard false at {src}"
-                )
+                ))
         elif kind is _LOOP:
             entry = next(f for f in self.model.out_flows(before) if isinstance(f.label, Guard))
             if eval_pred(entry.label.pred, self.env):
-                return Verdict(
+                return _new(Verdict, (
                     seq, MISSED_LOOP, cd, task, src, f"loop at {before} should repeat, not exit"
-                )
+                ))
         elif kind is _JOIN and before in self._crossings:
             # another waiter moves on by the crossing pair's update, sent
             # after that pair's notification to it on the same channel
@@ -180,13 +192,13 @@ class RuntimeChecker:
                     needed = [*needed, (own, crosser, cd)]
                 missing = [n for n in needed if (n[0], n[1], before, n[2]) not in delivered]
                 if not missing:
-                    return Verdict(seq, ALLOWED, cd, task, src)
+                    return _new(Verdict, (seq, ALLOWED, cd, task, src, ""))
                 missed.append(missing)
-            return Verdict(
+            return _new(Verdict, (
                 seq, MISSED_JOIN, cd, task, src,
                 f"crossed {before} without notifications {min(missed, key=len)}",
-            )
-        return Verdict(seq, ALLOWED, cd, task, src)
+            ))
+        return _new(Verdict, (seq, ALLOWED, cd, task, src, ""))
 
 
 def _roles(event: dict, field: str) -> tuple[str, str]:

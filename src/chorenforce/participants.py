@@ -25,6 +25,11 @@ class ScenarioFormatError(ValueError):
     pass
 
 
+# Builds a NamedTuple from a tuple of all its fields in C, without the
+# generated Python-level __new__.
+_new = tuple.__new__
+
+
 # the orders a scenario's actions run in, and the scheduling policies
 MODES = ("inorder", "shuffled")
 POLICIES = ("roundrobin", "random")
@@ -137,15 +142,15 @@ def scenario_to_json(scenario: Scenario) -> dict:
 def scenario_from_json(data: dict) -> Scenario:
     try:
         scripts = tuple([
-            ScriptSpec(
+            _new(ScriptSpec, (
                 s["role"],
-                tuple([Action(task, target) for task, target in s["actions"]]),
+                tuple([_new(Action, (task, target)) for task, target in s["actions"]]),
                 tuple([tuple(g) for g in s.get("reorderable", [])]),
                 tuple([
                     Injection(inj["after"], inj["task"], inj["target"])
                     for inj in s.get("injections", [])
                 ]),
-            )
+            ))
             for s in data["participants"]
         ])
         scenario = Scenario(

@@ -408,6 +408,15 @@ def _deep_not(guard: str) -> str:
     return "not " * 5000 + guard
 
 
+def _first_op(model: dict) -> dict:
+    return next(f["label"]["op"] for f in model["flows"] if "op" in f["label"])
+
+
+def _edited(data: dict, edit) -> dict:
+    edit(data)
+    return data
+
+
 def _deep_and(guard: str) -> str:
     return guard + " and true" * 5000
 
@@ -426,6 +435,15 @@ def _deep_parentheses(guard: str) -> str:
             lambda text, wrap=wrap: json.dumps(_wrap_first_guard(json.loads(text), wrap))
             for wrap in (_deep_not, _deep_and, _deep_parentheses)
         ),
+        *(
+            lambda text, edit=edit: json.dumps(_edited(json.loads(text), edit))
+            for edit in (
+                lambda data: _first_op(data).update(task=None),
+                lambda data: _first_op(data).update({"from": ["SPS"]}),
+                lambda data: _first_op(data).update(to=["UMS"]),
+                lambda data: data["roles"].append(None),
+            )
+        ),
     ],
     ids=[
         "truncated-json",
@@ -434,6 +452,10 @@ def _deep_parentheses(guard: str) -> str:
         "deep-not-guard",
         "deep-and-guard",
         "deep-parenthesised-guard",
+        "null-task",
+        "list-initiator",
+        "list-receiver",
+        "null-role",
     ],
 )
 def test_validate_corrupted_model_is_a_clean_error(tmp_path, capsys, corrupt):
@@ -535,6 +557,10 @@ def _list_for_task(data):
             lambda data: _wrap_first_guard(data["cefm"], _deep_not),
             "predicate nests deeper than 100 levels",
         ),
+        (
+            lambda data: _first_op(data["cefm"]).update({"from": ["SPS"]}),
+            "operation {'from': ['SPS'],",
+        ),
     ],
     ids=[
         "unknown-action",
@@ -555,6 +581,7 @@ def _list_for_task(data):
         "string-reorder-index",
         "role-played-twice",
         "deep-not-guard",
+        "list-operation-initiator",
     ],
 )
 def test_run_unrunnable_scenario_is_a_clean_error(tmp_path, capsys, edit, named):
@@ -693,6 +720,30 @@ def test_check_trace_malformed_trace_is_a_clean_error(tmp_path, capsys, extra, n
     assert main(["check-trace", str(scenario), str(trace)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: trace ") and named in err
+
+
+@pytest.mark.parametrize(
+    "command", ["validate", "gen-cm", "bootstrap", "run", "check-trace"]
+)
+def test_a_non_string_operation_field_is_a_clean_error(tmp_path, capsys, command):
+    if command in ("bootstrap", "run", "check-trace"):
+        data = json.loads((FIXTURES / "scenario_inorder.json").read_text())
+        _first_op(data["cefm"]).update(task=None)
+    else:
+        data = json.loads((FIXTURES / "social_proximity.json").read_text())
+        _first_op(data).update(task=None)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    args = [command, str(path)]
+    if command == "check-trace":
+        trace = tmp_path / "empty.trace.jsonl"
+        trace.write_text("")
+        args.append(str(trace))
+    elif command in ("gen-cm", "run"):
+        args += ["--out-dir", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'task': None" in err and "no string" in err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 import time
 
@@ -226,6 +228,31 @@ def test_pair_orders_hashes_and_prints_as_its_two_roles():
         assert str(p) == f"({p.initiator},{p.receiver})"
     pair = Pair(*["a", "b"])
     assert (pair.initiator, pair.receiver) == ("a", "b") and pair == Pair("a", "b")
+
+
+def test_a_coordination_tuple_is_an_immutable_value():
+    ab = Pair("A", "B")
+    t = CoordTuple("S", None, "J", frozenset({ab}), Var("p"), frozenset(),
+                   frozenset({("S", ab)}))
+    same = CoordTuple(src="S", op=None, trg="J", allowed_services=frozenset({ab}),
+                      cond=Var("p"), to_be_notified=frozenset(),
+                      to_be_waited=frozenset({("S", ab)}))
+    assert t == same and hash(t) == hash(same) == hash(("S", None, "J"))
+    # equal on the three hashed fields alone is not equal
+    other = t._replace(cond=Not(Var("p")))
+    assert other != t and hash(other) == hash(t) and other.cond == Not(Var("p"))
+    assert t._replace(to_be_waited=frozenset()).to_be_waited == frozenset()
+    assert t != ("S", None, "J", frozenset({ab}), Var("p"), frozenset(), t.to_be_waited)
+    assert repr(t) == (
+        "CoordTuple(src='S', op=None, trg='J', allowed_services=frozenset({Pair("
+        "initiator='A', receiver='B')}), cond=Var(name='p'), to_be_notified=frozenset(), "
+        "to_be_waited=frozenset({('S', Pair(initiator='A', receiver='B'))}))"
+    )
+    with pytest.raises(AttributeError):
+        t.op = "go"
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    assert copy.deepcopy(t) == t and pickle.loads(pickle.dumps(t)) == t
 
 
 def assert_tables_match_scans(cm: CoordModel) -> None:

@@ -21,9 +21,10 @@ from chorenforce.model import (
     model_to_json,
     save_model,
 )
+from chorenforce.participants import Action, ScriptSpec, load_scenario
 from chorenforce.predicate import Var
-from chorenforce.socialprox import IM, UMS, social_proximity
-from helpers import loop_model
+from chorenforce.socialprox import IM, IM_ACTIONS, SPS, SPS_ACTIONS, UMS, social_proximity
+from helpers import FIXTURES, loop_model
 
 
 def test_json_round_trip_fig():
@@ -94,6 +95,10 @@ def test_malformed_json_rejected():
         model_from_json(data)
 
 
+def _first_op(data: dict) -> dict:
+    return next(f["label"]["op"] for f in data["flows"] if "op" in f["label"])
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -101,14 +106,48 @@ def test_malformed_json_rejected():
         lambda d: d.update(roles=5),
         lambda d: d.update(states=["S5"]),
         lambda d: d["flows"].append({"from": "LP", "to": "E1", "label": {"guard": 5}}),
+        lambda d: _first_op(d).update(task=None),
+        lambda d: _first_op(d).update({"from": ["A"]}),
+        lambda d: _first_op(d).update(to=["B"]),
+        lambda d: _first_op(d).update(task=["init"]),
+        lambda d: d["roles"].append(5),
+        lambda d: d["roles"].append(["A"]),
     ],
-    ids=["flows-number", "roles-number", "states-list", "guard-not-string"],
+    ids=[
+        "flows-number", "roles-number", "states-list", "guard-not-string",
+        "null-task", "list-initiator", "list-receiver", "list-task", "int-role",
+        "list-role",
+    ],
 )
 def test_wrongly_typed_json_raises_format_error(corrupt):
     data = model_to_json(loop_model())
     corrupt(data)
     with pytest.raises(ModelFormatError):
         model_from_json(data)
+
+
+def test_a_non_string_operation_field_is_refused_naming_its_flow():
+    data = model_to_json(loop_model())
+    _first_op(data).update(task=None)
+    with pytest.raises(ModelFormatError, match=r"^flow E1->E2: operation .* no string$"):
+        model_from_json(data)
+
+
+def test_a_loaded_model_is_made_of_the_record_classes():
+    # the loader builds its records without their constructors
+    built = social_proximity()
+    loaded = load_model(FIXTURES / "social_proximity.json")
+    assert loaded == built
+    assert [type(f.label) for f in loaded.flows] == [type(f.label) for f in built.flows]
+    assert all(type(f) is Flow for f in loaded.flows)
+    assert sum(type(f.label) is Operation for f in loaded.flows) == 8
+    scenario = load_scenario(FIXTURES / "scenario_shuffled.json")
+    assert scenario.scripts == (
+        ScriptSpec(IM, tuple(Action(t, r) for t, r in IM_ACTIONS)),
+        ScriptSpec(SPS, tuple(Action(t, r) for t, r in SPS_ACTIONS), ((2, 3),)),
+    )
+    assert all(type(spec) is ScriptSpec for spec in scenario.scripts)
+    assert all(type(a) is Action for spec in scenario.scripts for a in spec.actions)
 
 
 def test_guard_label_round_trip():

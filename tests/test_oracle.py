@@ -20,6 +20,8 @@ from chorenforce.oracle import (
     MISSED_LOOP,
     UNDESIRED_TASK,
     RuntimeChecker,
+    TraceFormatError,
+    Verdict,
     check_conformance,
     coordination_overhead,
     projection,
@@ -90,6 +92,46 @@ def test_checker_recomputes_from_model_alone():
     result = run_sp(inorder_scenario())
     checker = RuntimeChecker(sp_model(), dict(ENV_BOTH_TRUE))
     assert checker.run(result.events) == result.verdicts
+
+
+def test_verdicts_are_verdict_records_with_tuple_pairs():
+    result = run_sp(inorder_scenario())
+    verdicts = RuntimeChecker(sp_model(), dict(ENV_BOTH_TRUE)).run(result.events)
+    assert all(type(v) is Verdict and type(v.cd) is tuple for v in verdicts)
+    assert verdicts[0] == Verdict(verdicts[0].seq, ALLOWED, ("IM", "UMS"), "getUserPref",
+                                  "S5")
+
+
+class _Role(str):
+    """A role name that is no exact string."""
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("cd", ("IM", "UMS"), "Forward cd is not a list of two roles: ('IM', 'UMS')"),
+        ("cd", ["IM", "UMS", "SPS"],
+         "Forward cd is not a list of two roles: ['IM', 'UMS', 'SPS']"),
+        ("cd", ["IM", _Role("UMS")], "Forward cd is not a list of two roles: ['IM', 'UMS']"),
+        ("cd", 5, "'int' object is not iterable"),
+        ("from", ("SPS", "NMF"), "Notify from is not a list of two roles: ('SPS', 'NMF')"),
+        ("to", [_Role("SPS"), "NMU"], "Notify to is not a list of two roles: ['SPS', 'NMU']"),
+        ("to", None, "'NoneType' object is not iterable"),
+    ],
+    ids=["tuple", "three-roles", "str-subclass", "int", "notify-tuple",
+         "notify-str-subclass", "notify-null"],
+)
+def test_a_role_pair_that_is_no_list_of_two_strings_is_named(field, value, message):
+    if field == "cd":
+        event = {"kind": "Forward", "seq": 1, "task": "getUserPref", "src": "S5"}
+    else:
+        event = {"kind": "Notify", "seq": 1, "pred": "S12", "join": "S16",
+                 "from": ["SPS", "NMF"], "to": ["SPS", "NMU"]}
+    event[field] = value
+    checker = RuntimeChecker(sp_model(), dict(ENV_BOTH_TRUE))
+    with pytest.raises(TraceFormatError) as info:
+        checker.run([{"kind": "Request", "seq": 0}, event])
+    assert str(info.value) == f"trace event 1: {message}"
 
 
 def _recheck_traces():
