@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -42,11 +43,24 @@ def _cmd_validate(args) -> int:
 def _cmd_gen_cm(args) -> int:
     model = load_model(args.model)
     cms = generate_all(model)
+    # file name -> its pair; refused before anything is written where a
+    # name is no plain file name or two pairs share it
+    files = {}
+    for pair in sorted(cms):
+        name = f"cm_{pair.initiator}__{pair.receiver}.json"
+        if "\0" in name or os.path.basename(name) != name:
+            print(f"error: pair {pair} gives {name!r}, which is no plain file name",
+                  file=sys.stderr)
+            return 2
+        if name in files:
+            print(f"error: pairs {files[name]} and {pair} both map to {name}", file=sys.stderr)
+            return 2
+        files[name] = pair
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for pair in sorted(cms):
+    for name, pair in files.items():
         cm = cms[pair]
-        path = out_dir / f"cm_{pair.initiator}__{pair.receiver}.json"
+        path = out_dir / name
         path.write_text(dumps_cm(cm))
         entry = ",".join(sorted(cm.initial_wait))
         print(f"{pair}: {len(cm.tuples)} tuples, entry states {{{entry}}} -> {path}")

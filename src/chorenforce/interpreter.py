@@ -26,6 +26,12 @@ from .model import Choreography, Epsilon, Guard, Operation, StateKind
 from .predicate import Value, eval_pred
 
 
+# An Enum member read off its class costs about 0.1 us on Python 3.11;
+# the per-state checks compare with these instead.
+_FINAL, _FORK, _JOIN = StateKind.FINAL, StateKind.FORK, StateKind.JOIN
+_ALTERNATIVE, _LOOP = StateKind.ALTERNATIVE, StateKind.LOOP
+
+
 class InterpreterError(RuntimeError):
     pass
 
@@ -53,13 +59,16 @@ class Language:
         self.model = model
         self.env = dict(env)
         self.max_ops = max_ops
-        self._joins = {s for s, kind in model.states.items() if kind is StateKind.JOIN}
+        self._joins = joins = {s for s, kind in model.states.items() if kind is _JOIN}
         # state -> operation label -> places a token there can move to
         self._ops: dict[str, dict[str, list]] = {}
-        for f in model.flows:
-            if isinstance(f.label, Operation):
-                by_label = self._ops.setdefault(f.src, {})
-                by_label.setdefault(f.label.label, []).append(self._place(f.src, f.trg))
+        for src, label, trg in model.flows:
+            if isinstance(label, Operation):
+                by_label = self._ops.setdefault(src, {})
+                # the text of Operation.label, without the property call
+                by_label.setdefault("%s.%s.%s" % label, []).append(
+                    (src, trg) if trg in joins else trg
+                )
         # state -> places its tokens move to silently (None: they stay);
         # filled when a token first reaches the state, so a guard is only
         # evaluated once a run gets to it
@@ -79,13 +88,13 @@ class Language:
 
     def _silent_moves(self, s: str) -> tuple | None:
         model = self.model
-        kind = model.kind(s)
-        outs = model.out_flows(s)
-        if kind is StateKind.FINAL:
+        kind = model.states[s]
+        outs = model._out[s]
+        if kind is _FINAL:
             return ()
-        if kind is StateKind.FORK:
+        if kind is _FORK:
             return tuple(self._place(s, f.trg) for f in outs)
-        if kind in (StateKind.ALTERNATIVE, StateKind.LOOP):
+        if kind is _ALTERNATIVE or kind is _LOOP:
             chosen = None
             eps_exit = None
             for f in outs:

@@ -236,12 +236,13 @@ def post_hoc_deadlock(delegates: dict[Pair, object]) -> list[Verdict]:
 
 def projection(events: list[dict]) -> tuple[str, ...]:
     """The run as the sequence of forwarded operation labels."""
-    out = []
-    for event in events:
-        if event["kind"] == "Forward":
-            initiator, receiver = event["cd"]
-            out.append(f"{initiator}.{event['task']}.{receiver}")
-    return tuple(out)
+    # the one-item loop unpacks cd as an assignment would, so a cd that is
+    # no pair raises the same ValueError or TypeError
+    return tuple([
+        f"{initiator}.{event['task']}.{receiver}"
+        for event in events if event["kind"] == "Forward"
+        for initiator, receiver in (event["cd"],)
+    ])
 
 
 def check_conformance(events: list[dict], language: Language, completed: bool) -> bool:
@@ -255,10 +256,10 @@ def check_conformance(events: list[dict], language: Language, completed: bool) -
 
 def coordination_overhead(events: list[dict], model: Choreography) -> tuple[int, int]:
     """Delivered coordination messages versus the static bound
-    |operation labels| * |roles|."""
+    |operations| * |roles|."""
     count = sum(1 for e in events if e["kind"] in ("Update", "Notify"))
-    labels = {f.label.label for f in model.flows if isinstance(f.label, Operation)}
-    bound = len(labels) * len(model.roles)
+    ops = {label for _, label, _ in model.flows if isinstance(label, Operation)}
+    bound = len(ops) * len(model.roles)
     return count, bound
 
 

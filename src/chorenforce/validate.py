@@ -121,9 +121,10 @@ def _check_duplicate_flows(model: Choreography, report: ValidationReport) -> Non
 
 
 def _check_degrees(model: Choreography, report: ValidationReport) -> None:
+    into, out = model._in, model._out
     for s, kind in sorted(model.states.items()):
-        ins = model.in_flows(s)
-        outs = model.out_flows(s)
+        ins = into[s]
+        outs = out[s]
 
         if kind is _PLAIN:
             if len(ins) != 1:
@@ -184,15 +185,18 @@ def _check_degrees(model: Choreography, report: ValidationReport) -> None:
 def _check_labels(model: Choreography, report: ValidationReport) -> None:
     # Guards may only label branches of a decision: alternative or loop source.
     # Operations name declared roles: the overhead bound counts those.
-    for f in model.flows:
-        if isinstance(f.label, Guard):
-            kind = model.kind(f.src)
+    states, roles = model.states, model.roles
+    for src, label, _ in model.flows:
+        if isinstance(label, Guard):
+            kind = states[src]
             if kind is not _ALTERNATIVE and kind is not _LOOP:
-                report.add(f.src, "guard-placement",
+                report.add(src, "guard-placement",
                            f"guard flow out of a {kind.value} state")
-        elif isinstance(f.label, Operation):
-            for role in sorted({f.label.initiator, f.label.receiver} - model.roles):
-                report.add(f.src, "undeclared-role", f"{f.label} names undeclared role {role!r}")
+        elif isinstance(label, Operation):
+            initiator, _, receiver = label
+            if initiator not in roles or receiver not in roles:
+                for role in sorted({initiator, receiver} - roles):
+                    report.add(src, "undeclared-role", f"{label} names undeclared role {role!r}")
 
 
 def _check_guards(model: Choreography, report: ValidationReport) -> None:

@@ -7,10 +7,11 @@ import pytest
 
 from chorenforce.cli import main
 from chorenforce.interpreter import Language
-from chorenforce.model import EPS, Choreography, Flow, Guard, StateKind, save_model
+from chorenforce.model import EPS, Choreography, Flow, Guard, Operation, StateKind, save_model
 from chorenforce.participants import Action, Scenario, ScriptSpec, save_scenario
 from chorenforce.predicate import Not, Var
 from helpers import (
+    chain_model,
     chain_scenario,
     duplicate_flow_model,
     exclusive_join_model,
@@ -95,6 +96,23 @@ def test_gen_cm_writes_files(tmp_path, capsys):
     for name in files:
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
     assert "entry states" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ops, error", [
+    # (a__b, c) and (a, b__c) both name cm_a__b__c.json
+    ([Operation("a__b", "t", "c"), Operation("a", "u", "b__c")],
+     "pairs (a,b__c) and (a__b,c) both map to cm_a__b__c.json"),
+    # the first pair's file would be written before the second one failed
+    ([Operation("A", "t", "B"), Operation("B", "u", "x/y")],
+     "pair (B,x/y) gives 'cm_B__x/y.json', which is no plain file name"),
+], ids=["shared-name", "slash-in-role"])
+def test_gen_cm_refuses_file_names_before_writing_any(tmp_path, capsys, ops, error):
+    model = tmp_path / "model.json"
+    save_model(chain_model(ops), model)
+    out = tmp_path / "cms"
+    assert main(["gen-cm", str(model), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not out.exists()
 
 
 def test_bootstrap_prints_updates(scenario_path, capsys):

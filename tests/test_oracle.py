@@ -367,6 +367,21 @@ def test_projection_matches_forward_events():
     assert result.projection[0] == "IM.getUserPref.UMS"
 
 
+@pytest.mark.parametrize("cd, error, text", [
+    (["A", "B", "C"], ValueError, "too many values to unpack (expected 2)"),
+    (["A"], ValueError, "not enough values to unpack (expected 2, got 1)"),
+    (5, TypeError, "cannot unpack non-iterable int object"),
+    (None, TypeError, "cannot unpack non-iterable NoneType object"),
+])
+def test_projection_of_a_forward_whose_cd_is_no_pair_raises_as_unpacking_does(cd, error, text):
+    events = [{"kind": "Forward", "cd": ["A", "B"], "task": "t", "seq": 0},
+              {"kind": "Forward", "cd": cd, "task": "u", "seq": 1}]
+    with pytest.raises(error) as info:
+        projection(events)
+    assert type(info.value) is error
+    assert str(info.value) == text
+
+
 def test_conformance_prefix_vs_member():
     result = run_sp(inorder_scenario())
     lang = sp_language("both")

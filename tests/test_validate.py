@@ -236,6 +236,23 @@ def test_undeclared_role():
     ]
 
 
+def test_undeclared_initiator_and_an_operation_between_one_role():
+    # a role named twice by one operation is reported once
+    m = build(
+        {"P": StateKind.PLAIN, "Q": StateKind.PLAIN, "R": StateKind.PLAIN},
+        [
+            Flow("Initial", EPS, "P"),
+            Flow("P", Operation("C", "t", "A"), "Q"),
+            Flow("Q", Operation("D", "u", "D"), "R"),
+            Flow("R", EPS, "Final"),
+        ],
+    )
+    assert [str(v) for v in validate_cefm(m).violations] == [
+        "P: undeclared-role: C.t.A names undeclared role 'C'",
+        "Q: undeclared-role: D.u.D names undeclared role 'D'",
+    ]
+
+
 def test_roles_given_as_a_string_declare_its_letters():
     # "IMX" declares I, M and X, so every role of the model is undeclared
     data = json.loads((FIXTURES / "social_proximity.json").read_text())
