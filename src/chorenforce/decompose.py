@@ -40,6 +40,10 @@ class InvalidModelError(ValueError):
     """The source model failed structural validation."""
 
 
+# a tuple's own __setattr__ refuses, so __init__ fills the slots through object's
+_set = object.__setattr__
+
+
 class CoordTuple:
     """One tuple of a coordination model: an immutable value, equal only
     to a tuple with equal fields. Its fields are slots, which a delegate
@@ -57,13 +61,13 @@ class CoordTuple:
     to_be_waited: frozenset[tuple[str, Pair]]
 
     def __init__(self, src, op, trg, allowed_services, cond, to_be_notified, to_be_waited):
-        _set_src(self, src)
-        _set_op(self, op)
-        _set_trg(self, trg)
-        _set_allowed_services(self, allowed_services)
-        _set_cond(self, cond)
-        _set_to_be_notified(self, to_be_notified)
-        _set_to_be_waited(self, to_be_waited)
+        _set(self, "src", src)
+        _set(self, "op", op)
+        _set(self, "trg", trg)
+        _set(self, "allowed_services", allowed_services)
+        _set(self, "cond", cond)
+        _set(self, "to_be_notified", to_be_notified)
+        _set(self, "to_be_waited", to_be_waited)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -113,12 +117,6 @@ class CoordTuple:
         allowed = "{" + ",".join(str(p) for p in sorted(self.allowed_services)) + "}"
         return f"<{self.src}, {op}, {self.trg}, {allowed}, {to_text(self.cond)}>"
 
-
-# A tuple's own __setattr__ refuses, so __init__ fills the slots through
-# their descriptors: 0.64 us a tuple, against 1.16 us through
-# object.__setattr__.
-(_set_src, _set_op, _set_trg, _set_allowed_services, _set_cond, _set_to_be_notified,
- _set_to_be_waited) = (getattr(CoordTuple, name).__set__ for name in CoordTuple._fields)
 
 # no pairs, no notify/wait entries: one shared empty set
 _NONE: frozenset = frozenset()
@@ -238,9 +236,9 @@ class _Decomposition:
         Operation tuples come first, one per owned operation flow, in
         flow order: an operation leaves only a plain or the initial
         state, by its one flow, so each has a source of its own, and
-        sources come in sorted order. Then, unless no target has a step to
-        walk, the walk goes forward from them over the other flows, and
-        stops where another operation takes over. It emits the tuples out of one state
+        sources come in sorted order. Then the walk goes forward from
+        their targets over the other flows, and stops where another
+        operation takes over. It emits the tuples out of one state
         together, in the order of the state's flows, which is sort_key
         order: in a valid model two flows out of one state share a target
         only when both are guards, sorted by their text. The walk first
@@ -270,11 +268,6 @@ class _Decomposition:
                 if trg in steps:
                     frontier.append(trg)
         op_states = frozenset(by_src)
-        if not frontier:
-            # no target has a step to walk: the walk would reach only them
-            return CoordModel._filled(
-                owner, tuples, by_src, op_sources, op_states, op_states - seen
-            )
 
         initial_wait = None
         past_joins: list[str] = []

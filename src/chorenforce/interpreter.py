@@ -59,16 +59,13 @@ class Language:
         self.model = model
         self.env = dict(env)
         self.max_ops = max_ops
-        self._joins = joins = {s for s, kind in model.states.items() if kind is _JOIN}
+        self._joins = {s for s, kind in model.states.items() if kind is _JOIN}
         # state -> operation label -> places a token there can move to
         self._ops: dict[str, dict[str, list]] = {}
         for src, label, trg in model.flows:
             if isinstance(label, Operation):
                 by_label = self._ops.setdefault(src, {})
-                # the text of Operation.label, without the property call
-                by_label.setdefault("%s.%s.%s" % label, []).append(
-                    (src, trg) if trg in joins else trg
-                )
+                by_label.setdefault(label.label, []).append(self._place(src, trg))
         # state -> places its tokens move to silently (None: they stay);
         # filled when a token first reaches the state, so a guard is only
         # evaluated once a run gets to it

@@ -256,10 +256,10 @@ def check_conformance(events: list[dict], language: Language, completed: bool) -
 
 def coordination_overhead(events: list[dict], model: Choreography) -> tuple[int, int]:
     """Delivered coordination messages versus the static bound
-    |operations| * |roles|."""
+    |operation labels| * |roles|."""
     count = sum(1 for e in events if e["kind"] in ("Update", "Notify"))
-    ops = {label for _, label, _ in model.flows if isinstance(label, Operation)}
-    bound = len(ops) * len(model.roles)
+    labels = {f.label.label for f in model.flows if isinstance(f.label, Operation)}
+    bound = len(labels) * len(model.roles)
     return count, bound
 
 

@@ -219,37 +219,25 @@ def test_duplicate_flow():
 
 
 def test_undeclared_role():
-    # one violation per operation and role it names but the model does not declare
+    # one violation per operation and role it names but the model does not
+    # declare; a role named twice by one operation is reported once
     m = build(
-        {"P": StateKind.PLAIN, "Q": StateKind.PLAIN, "R": StateKind.PLAIN},
+        {k: StateKind.PLAIN for k in "PQRST"},
         [
             Flow("Initial", EPS, "P"),
             Flow("P", Operation("A", "t", "C"), "Q"),
             Flow("Q", Operation("D", "u", "E"), "R"),
-            Flow("R", EPS, "Final"),
+            Flow("R", Operation("C", "v", "A"), "S"),
+            Flow("S", Operation("D", "w", "D"), "T"),
+            Flow("T", EPS, "Final"),
         ],
     )
     assert [str(v) for v in validate_cefm(m).violations] == [
         "P: undeclared-role: A.t.C names undeclared role 'C'",
         "Q: undeclared-role: D.u.E names undeclared role 'D'",
         "Q: undeclared-role: D.u.E names undeclared role 'E'",
-    ]
-
-
-def test_undeclared_initiator_and_an_operation_between_one_role():
-    # a role named twice by one operation is reported once
-    m = build(
-        {"P": StateKind.PLAIN, "Q": StateKind.PLAIN, "R": StateKind.PLAIN},
-        [
-            Flow("Initial", EPS, "P"),
-            Flow("P", Operation("C", "t", "A"), "Q"),
-            Flow("Q", Operation("D", "u", "D"), "R"),
-            Flow("R", EPS, "Final"),
-        ],
-    )
-    assert [str(v) for v in validate_cefm(m).violations] == [
-        "P: undeclared-role: C.t.A names undeclared role 'C'",
-        "Q: undeclared-role: D.u.D names undeclared role 'D'",
+        "R: undeclared-role: C.v.A names undeclared role 'C'",
+        "S: undeclared-role: D.w.D names undeclared role 'D'",
     ]
 
 
