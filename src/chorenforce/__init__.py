@@ -6,13 +6,7 @@ and checks every enforced execution against an independent reference
 interpreter plus an undesired-operation classifier.
 """
 
-from .decompose import (
-    CoordModel,
-    CoordTuple,
-    Pair,
-    generate_all,
-    initial_wait_states,
-)
+from .decompose import CoordModel, CoordTuple, Pair, generate_all
 from .delegate import Delegate
 from .interpreter import Language, reference_traces
 from .model import EPS, Choreography, Flow, Guard, Operation, StateKind, load_model, save_model
@@ -53,7 +47,6 @@ __all__ = [
     "coordination_overhead",
     "enactment_bootstrap",
     "generate_all",
-    "initial_wait_states",
     "load_model",
     "load_scenario",
     "reference_traces",

@@ -29,7 +29,6 @@ evaluation.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
 
 from .model import Choreography, Flow, Guard, Operation, Pair, StateKind
 from .predicate import Not, Pred, TRUE, to_text
@@ -105,10 +104,6 @@ class CoordTuple:
         fields.update(changes)
         return CoordTuple(**fields)
 
-    @property
-    def is_op(self) -> bool:
-        return self.op is not None
-
     def sort_key(self) -> tuple:
         return (self.src, self.op or "", self.trg, to_text(self.cond))
 
@@ -130,44 +125,30 @@ _new = tuple.__new__
 
 class CoordModel:
     """One pair's tuples and the lookup tables its delegate and the
-    checker read.
-
-    `generate_all` fills the tables while it emits the tuples. Built from
-    tuples in any order, the model derives them in one pass over the
-    tuples sorted by CoordTuple.sort_key, and its entry states with
-    initial_wait_states.
-    """
+    checker read, all filled by the decomposition's walk as it emits the
+    tuples."""
 
     __slots__ = ("owner", "tuples", "by_src", "op_states", "initial_wait", "_op_sources")
 
-    def __init__(self, owner: Pair, tuples: Iterable[CoordTuple]):
-        self.owner = owner
-        self.tuples = frozenset(tuples)
+    def __init__(self, owner, tuples, by_src, op_sources, op_states, initial_wait):
+        self.owner: Pair = owner
+        # in the order the walk emitted them
+        self.tuples: list[CoordTuple] = tuples
         # by source state, each list in sort_key order
-        self.by_src: dict[str, list[CoordTuple]] = {}
+        self.by_src: dict[str, list[CoordTuple]] = by_src
         # by task, the sources of its operation tuples, in sorted order
-        self._op_sources: dict[str, list[str]] = {}
-        for t in sorted(self.tuples, key=CoordTuple.sort_key):
-            self.by_src.setdefault(t.src, []).append(t)
-            if t.op is not None:
-                self._op_sources.setdefault(t.op, []).append(t.src)
-        self.op_states = frozenset(t.src for t in self.tuples if t.op is not None)
-        self.initial_wait = initial_wait_states(self)
-
-    @classmethod
-    def _filled(cls, owner, tuples, by_src, op_sources, op_states, initial_wait):
-        """A model whose tables its maker filled already."""
-        cm = cls.__new__(cls)
-        cm.owner = owner
-        cm.tuples = frozenset(tuples)
-        cm.by_src = by_src
-        cm._op_sources = op_sources
-        cm.op_states = op_states
-        cm.initial_wait = initial_wait
-        return cm
+        self._op_sources: dict[str, list[str]] = op_sources
+        self.op_states: frozenset[str] = op_states
+        # The operation sources a fresh activation of this delegate can
+        # begin at: those the pair cannot reach by its own walk, which
+        # stops at join entries, because crossing a join is decided by the
+        # notify handshake and the pair order and continued via an update.
+        self.initial_wait: frozenset[str] = initial_wait
 
     def sorted_tuples(self) -> list[CoordTuple]:
-        return sorted(self.tuples, key=CoordTuple.sort_key)
+        # sort_key leads with the source, and each group is in sort_key order
+        by_src = self.by_src
+        return [t for src in sorted(by_src) for t in by_src[src]]
 
     def tuples_from(self, src: str) -> list[CoordTuple]:
         return self.by_src.get(src, [])
@@ -177,11 +158,6 @@ class CoordModel:
 
     def op_sources(self, task: str) -> list[str]:
         return self._op_sources.get(task, [])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoordModel):
-            return NotImplemented
-        return self.owner == other.owner and self.tuples == other.tuples
 
 
 def _loop_exit_cond(model: Choreography, src: str) -> Pred:
@@ -242,8 +218,8 @@ class _Decomposition:
         together, in the order of the state's flows, which is sort_key
         order: in a valid model two flows out of one state share a target
         only when both are guards, sorted by their text. The walk first
-        stops at tuples that wait at a join, so the states it has reached
-        by then are those initial_wait_states reaches; then it goes on
+        stops at tuples that wait at a join: the operation sources it has
+        not reached by then are the pair's entry states. Then it goes on
         from the joins.
         """
         states = self.model.states
@@ -308,9 +284,7 @@ class _Decomposition:
                     if join in steps:
                         frontier.append(join)
             past_joins = []
-        return CoordModel._filled(
-            owner, tuples, by_src, op_sources, op_states, initial_wait
-        )
+        return CoordModel(owner, tuples, by_src, op_sources, op_states, initial_wait)
 
 
 def generate_all(model: Choreography) -> dict[Pair, CoordModel]:
@@ -319,28 +293,6 @@ def generate_all(model: Choreography) -> dict[Pair, CoordModel]:
         raise InvalidModelError(str(report))
     walks = _Decomposition(model, report.arrivals)
     return {pair: walks.generate(pair) for pair in sorted(walks.op_flows)}
-
-
-def initial_wait_states(cm: CoordModel) -> frozenset[str]:
-    """States at which a fresh activation of this delegate can begin.
-
-    These are sources of operation tuples that the delegate cannot reach
-    on its own: the forward walk over its tuples stops at join entries,
-    because crossing a join is decided by the notify handshake and the
-    pair order and continued via an update, not by this walk.
-    """
-    reached: set[str] = set()
-    frontier = [t.trg for t in cm.tuples if t.is_op and not t.to_be_waited]
-    while frontier:
-        s = frontier.pop()
-        if s in reached:
-            continue
-        reached.add(s)
-        for t in cm.tuples_from(s):
-            if t.to_be_waited:
-                continue
-            frontier.append(t.trg)
-    return cm.op_states - reached
 
 
 def _pair_to_json(p: Pair) -> list[str]:

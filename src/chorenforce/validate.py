@@ -185,7 +185,11 @@ def _check_degrees(model: Choreography, report: ValidationReport) -> None:
 def _check_labels(model: Choreography, report: ValidationReport) -> None:
     # Guards may only label branches of a decision: alternative or loop source.
     # Operations name declared roles: the overhead bound counts those.
+    # Distinct operations have distinct label texts, which the trace's
+    # projection and the overhead bound read. Two can share one only with
+    # a dot in some field of each, so only those are recorded.
     states, roles = model.states, model.roles
+    dotted: dict[str, Operation] = {}
     for src, label, _ in model.flows:
         if isinstance(label, Guard):
             kind = states[src]
@@ -193,10 +197,15 @@ def _check_labels(model: Choreography, report: ValidationReport) -> None:
                 report.add(src, "guard-placement",
                            f"guard flow out of a {kind.value} state")
         elif isinstance(label, Operation):
-            initiator, _, receiver = label
+            initiator, task, receiver = label
             if initiator not in roles or receiver not in roles:
                 for role in sorted({initiator, receiver} - roles):
                     report.add(src, "undeclared-role", f"{label} names undeclared role {role!r}")
+            if "." in initiator or "." in task or "." in receiver:
+                first = dotted.setdefault(label.label, label)
+                if first != label:
+                    report.add(src, "ambiguous-label",
+                               f"operation {tuple(label)} reads {label} as {tuple(first)} does")
 
 
 def _check_guards(model: Choreography, report: ValidationReport) -> None:

@@ -583,6 +583,14 @@ def silent_exit_cycle_scenario() -> Scenario:
                     scripts=(ScriptSpec("B", (Action("t1", "A"),)),))
 
 
+def initial_operation_model() -> Choreography:
+    """A.t.B leaves the initial state, and its target starts A.u.B: the
+    same pair's next operation, so its tuple updates no one."""
+    return shape_model(flows=[
+        ("Initial", "A.t.B", "S1"), ("S1", "A.u.B", "S2"), ("S2", "", "Final"),
+    ])
+
+
 def three_way_twin_fork_model() -> Choreography:
     """X.lead.Y, then a fork of A.t0.B, A.t1.B and C.t2.D, joined at J:
     the pair (A,B) arrives at two of the join's three entries."""

@@ -3,8 +3,8 @@
 Each factory returns a Delegate subclass with exactly one fault. Most
 enforce a faulty coordination model: the honest model's tuples with
 the guards, the notifications or the waits of a join got wrong. The
-faulty model keeps the honest model's entry states, so the delegate is
-activated exactly where an honest one is. The wrong priority and the
+faulty model keeps the honest model's lookup tables, entry states
+included, so the delegate is activated exactly where an honest one is. The wrong priority and the
 unchecked forward break a runtime rule instead, by overriding the
 method that applies it, so the honest delegate carries no code for
 either. The variants that misread guards take a state-kind map because
@@ -29,8 +29,12 @@ def _faulty_model(fault: Callable[[CoordTuple], CoordTuple]) -> type[Delegate]:
 
     class FaultyModel(Delegate):
         def __init__(self, pair, cm, env):
-            faulty = CoordModel(cm.owner, map(fault, cm.tuples))
-            faulty.initial_wait = cm.initial_wait
+            # a fault changes only a condition or a notify or wait set, so
+            # the honest tables keep their keys and order
+            mapped = {id(t): fault(t) for t in cm.tuples}
+            by_src = {s: [mapped[id(t)] for t in group] for s, group in cm.by_src.items()}
+            faulty = CoordModel(cm.owner, list(mapped.values()), by_src,
+                                cm._op_sources, cm.op_states, cm.initial_wait)
             super().__init__(pair, faulty, env)
 
     return FaultyModel

@@ -255,6 +255,23 @@ def test_a_loop_whose_exit_comes_back_without_an_operation_is_refused(tmp_path, 
     assert err.startswith("error: ") and _SILENT_EXIT in err
 
 
+_AMBIGUOUS = "S1: ambiguous-label: operation ('a', 'b.c', 'd') reads a.b.c.d as ('a.b', 'c', 'd') does"
+
+
+def test_two_operations_with_one_label_text_are_refused(tmp_path, capsys):
+    ops = [Operation("a.b", "c", "d"), Operation("a", "b.c", "d")]
+    model = tmp_path / "model.json"
+    save_model(chain_model(ops), model)
+    assert main(["validate", str(model)]) == 1
+    assert capsys.readouterr().out.splitlines() == [_AMBIGUOUS]
+    path = tmp_path / "scenario.json"
+    scripts = (ScriptSpec("a.b", (Action("c", "d"),)), ScriptSpec("a", (Action("b.c", "d"),)))
+    save_scenario(Scenario(model=chain_model(ops), environment={}, scripts=scripts), path)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and _AMBIGUOUS in err
+
+
 # A guard tests a variable declared over [1, 2] as a boolean: in an
 # alternative, and as a loop's entry guard. A requests its first operation
 # to B, which the trace forwards.

@@ -15,7 +15,6 @@ from chorenforce.decompose import (
     Pair,
     dumps_cm,
     generate_all,
-    initial_wait_states,
 )
 from chorenforce.model import (
     EPS,
@@ -26,11 +25,12 @@ from chorenforce.model import (
     dumps_model,
     loads_model,
 )
-from chorenforce.predicate import TRUE, Not, Var, eval_pred, free_vars
+from chorenforce.predicate import Not, Var, eval_pred, free_vars
 from chorenforce.randgen import random_case
 from golden import GOLDEN_CMS, GOLDEN_INITIAL_WAIT, GOLDEN_TUPLE_COUNT
 from helpers import (
     fork_model,
+    initial_operation_model,
     loop_model,
     nested_fork_model,
     random_chain_model,
@@ -45,7 +45,7 @@ def test_pairs_discovered():
 
 @pytest.mark.parametrize("pair", sorted(GOLDEN_CMS))
 def test_tuples_match_hand_transcription(pair):
-    got = sp_cms()[pair].tuples
+    got = set(sp_cms()[pair].tuples)
     want = GOLDEN_CMS[pair]
     assert got == want, (
         f"{pair}: unexpected {sorted(map(str, got - want))}, "
@@ -59,7 +59,7 @@ def test_total_tuple_count():
 
 @pytest.mark.parametrize("pair", sorted(GOLDEN_INITIAL_WAIT))
 def test_initial_wait_sets(pair):
-    assert initial_wait_states(sp_cms()[pair]) == GOLDEN_INITIAL_WAIT[pair]
+    assert sp_cms()[pair].initial_wait == GOLDEN_INITIAL_WAIT[pair]
 
 
 def test_waits_at_join():
@@ -113,8 +113,18 @@ def test_loop_decomposition():
         ("X2", None, "Final"),
     }
 
-    assert initial_wait_states(cms[ab]) == frozenset({"L1"})
-    assert initial_wait_states(cms[ac]) == frozenset({"X1"})
+    assert cms[ab].initial_wait == frozenset({"L1"})
+    assert cms[ac].initial_wait == frozenset({"X1"})
+
+
+def test_an_operation_into_the_start_of_the_pairs_next_one_updates_no_one():
+    cm = generate_all(initial_operation_model())[Pair("A", "B")]
+    assert [str(t) for t in cm.sorted_tuples()] == [
+        "<Initial, t(), S1, {}, true>",
+        "<S1, u(), S2, {}, true>",
+        "<S2, eps, Final, {}, true>",
+    ]
+    assert cm.initial_wait == frozenset({"Initial"})
 
 
 def test_loop_exit_complement_of_negated_guard():
@@ -181,7 +191,7 @@ def assert_decomposition_invariants(model: Choreography) -> None:
             }
             assert t.allowed_services == leaving - {pair}
             assert free_vars(t.cond) <= set(model.variables)
-            if t.is_op:
+            if t.op is not None:
                 key = (t.src, t.op, t.trg, pair.initiator, pair.receiver)
                 assert key in op_flows
                 seen_ops.add(key)
@@ -195,11 +205,11 @@ def assert_decomposition_invariants(model: Choreography) -> None:
     for pair, cm in cms.items():
         starts = {t.src for t in cm.tuples}
         ends = {t.trg for t in cm.tuples}
-        entry = initial_wait_states(cm)
+        entry = cm.initial_wait
         assert entry <= starts
         for s in starts:
             assert s in ends or s in entry or any(
-                t.src == s and t.is_op for t in cm.tuples
+                t.src == s and t.op is not None for t in cm.tuples
             )
 
 
@@ -258,17 +268,18 @@ def test_a_coordination_tuple_is_an_immutable_value():
 def assert_tables_match_scans(cm: CoordModel) -> None:
     """Each lookup of the model equals its definition as a scan of the tuples."""
     tuples = cm.tuples
-    in_order = cm.sorted_tuples()
+    in_order = sorted(tuples, key=CoordTuple.sort_key)
+    assert cm.sorted_tuples() == in_order
     states = {t.src for t in tuples} | {t.trg for t in tuples} | {"no-such-state"}
     for s in states:
         assert cm.tuples_from(s) == [t for t in in_order if t.src == s]
-    for task in {t.op for t in tuples if t.is_op} | {"no-such-task"}:
+    for task in {t.op for t in tuples if t.op is not None} | {"no-such-task"}:
         assert cm.has_op(task) == any(t.op == task for t in tuples)
         assert cm.op_sources(task) == sorted(t.src for t in tuples if t.op == task)
-    op_states = {t.src for t in tuples if t.is_op}
+    op_states = {t.src for t in tuples if t.op is not None}
     assert cm.op_states == op_states
     reached = set()
-    frontier = [t.trg for t in tuples if t.is_op and not t.to_be_waited]
+    frontier = [t.trg for t in tuples if t.op is not None and not t.to_be_waited]
     while frontier:
         s = frontier.pop()
         if s not in reached:
@@ -280,39 +291,15 @@ def assert_tables_match_scans(cm: CoordModel) -> None:
 def table_models():
     yield sp_model()
     yield loop_model()
+    yield initial_operation_model()
     yield random_chain_model(seed=7, n_ops=160, n_roles=45)
     rng = random.Random(0)
     for _ in range(200):
         yield random_case(rng).model
 
 
-def hand_built_cm() -> CoordModel:
-    """Shapes generated models rarely hold: one task from ten states and
-    twice from one, tuples that differ only in their condition, and
-    joins entered by several tuples with different wait sets."""
-    ab, ac, de = Pair("A", "B"), Pair("A", "C"), Pair("D", "E")
-
-    def tup(src, op, trg, cond=TRUE, waited=()):
-        return CoordTuple(src, op, trg, frozenset(), cond, frozenset(), frozenset(waited))
-
-    p = Var("p")
-    tuples = [tup(f"S{i}", "t", f"T{i}") for i in range(10)]
-    tuples += [
-        tup("S1", "t", "T9"),
-        tup("S1", "u", "T1"),
-        tup("S1", None, "T1", cond=p),
-        tup("S1", None, "T1", cond=Not(p)),
-        tup("T1", None, "J", waited=[("T1", ab)]),
-        tup("T2", None, "J", waited=[("T2", ac), ("X", de)]),
-        tup("T3", None, "J", waited=[("T2", ac)]),
-        tup("T4", None, "K", waited=[("T4", de)]),
-    ]
-    return CoordModel(ab, tuples)
-
-
 def test_lookup_tables_agree_with_the_scans_they_replace():
-    assert_tables_match_scans(hand_built_cm())
-    checked = 1
+    checked = 0
     for model in table_models():
         for cm in generate_all(model).values():
             assert_tables_match_scans(cm)

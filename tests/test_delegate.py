@@ -2,7 +2,7 @@
 
 import pytest
 
-from chorenforce.decompose import CoordModel, CoordTuple, Pair, generate_all
+from chorenforce.decompose import Pair, _Decomposition, generate_all
 from chorenforce.delegate import (
     BLOCKED,
     FORWARDED,
@@ -12,10 +12,10 @@ from chorenforce.delegate import (
     UnknownTaskError,
 )
 from chorenforce.model import EPS, Choreography, Flow, Guard, Operation, StateKind
-from chorenforce.predicate import TRUE, Var
+from chorenforce.predicate import Var
 from chorenforce.socialprox import ENV_BOTH_TRUE
 from mutants import forward_without_check
-from helpers import Outbox, sp_cms, loop_model
+from helpers import Outbox, loop_model, shape_model, sp_cms
 
 IM_UMS = Pair("IM", "UMS")
 IM_SPS = Pair("IM", "SPS")
@@ -240,26 +240,31 @@ def test_unrelated_notify_stays_buffered():
     assert d.notify_buffer == [("S99", SPS_NMF, "S16")]
 
 
+def walk_cm(model, pair):
+    """The pair's coordination model from the decomposition's walk, for a
+    model that validation refuses, so generate_all cannot build it."""
+    return _Decomposition(model, {}).generate(pair)
+
+
 def test_no_enabled_tuple_raises():
+    # an alternative whose one guard is false
     pair = Pair("A", "B")
-    cm = CoordModel(pair, {
-        CoordTuple("S", "go", "T", frozenset(), TRUE, frozenset(), frozenset()),
-        CoordTuple("T", None, "U", frozenset(), Var("x"), frozenset(), frozenset()),
-    })
-    d = attach(Delegate(pair, cm, {"x": False}))
+    model = shape_model(alternatives=["C"], variables={"x": (False, True)}, flows=[
+        ("Initial", "", "S"), ("S", "A.go.B", "C"), ("C", "[x]", "U"), ("U", "", "Final"),
+    ])
+    d = attach(Delegate(pair, walk_cm(model, pair), {"x": False}))
     d.handle_update("S")
     with pytest.raises(NoEnabledTupleError):
         d.handle_request(0, "go")
 
 
 def test_divergent_walk_raises():
+    # an epsilon cycle after the operation
     pair = Pair("A", "B")
-    cm = CoordModel(pair, {
-        CoordTuple("S", "go", "T", frozenset(), TRUE, frozenset(), frozenset()),
-        CoordTuple("T", None, "U", frozenset(), TRUE, frozenset(), frozenset()),
-        CoordTuple("U", None, "T", frozenset(), TRUE, frozenset(), frozenset()),
-    })
-    d = attach(Delegate(pair, cm, {}))
+    model = shape_model(flows=[
+        ("Initial", "", "S"), ("S", "A.go.B", "T"), ("T", "", "U"), ("U", "", "T"),
+    ])
+    d = attach(Delegate(pair, walk_cm(model, pair), {}))
     d.handle_update("S")
     with pytest.raises(DivergentWalkError):
         d.handle_request(0, "go")

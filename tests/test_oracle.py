@@ -56,6 +56,7 @@ from helpers import (
     fixture_scenario,
     fork_model,
     guarded_start_model,
+    initial_operation_model,
     sp_language,
     sp_model,
     im_script,
@@ -253,6 +254,17 @@ def test_a_pair_moved_past_a_join_it_lost_is_not_flagged(name):
             assert result.outcome == COMPLETED, (word, policy, seed)
             assert result.conformant, (word, policy, seed)
             assert result.flagged == [], (word, policy, seed)
+
+
+@pytest.mark.parametrize("policy, seed", [("roundrobin", 0), ("random", 3)])
+def test_a_forward_from_the_initial_state_is_allowed(policy, seed):
+    scenario = Scenario(initial_operation_model(), {},
+                        (ScriptSpec("A", (Action("t", "B"), Action("u", "B"))),))
+    result = run_scenario(scenario, policy=policy, seed=seed)
+    assert result.outcome == COMPLETED and result.conformant and result.flagged == []
+    assert [(v.kind, v.task, v.state) for v in result.verdicts] == [
+        (ALLOWED, "t", "Initial"), (ALLOWED, "u", "S1"),
+    ]
 
 
 def test_forward_without_check_is_undesired_task():

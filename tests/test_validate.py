@@ -44,6 +44,7 @@ from chorenforce.socialprox import social_proximity
 from chorenforce.validate import Violation, validate_cefm
 from helpers import (
     alternative_model,
+    chain_model,
     chain_scenario,
     duplicate_flow_model,
     empty_branch_fork_model,
@@ -239,6 +240,18 @@ def test_undeclared_role():
         "R: undeclared-role: C.v.A names undeclared role 'C'",
         "S: undeclared-role: D.w.D names undeclared role 'D'",
     ]
+
+
+def test_ambiguous_label():
+    # both operations read a.b.c.d: the later flow's source is reported
+    m = chain_model([Operation("a.b", "c", "d"), Operation("a", "b.c", "d")])
+    assert [str(v) for v in validate_cefm(m).violations] == [
+        "S1: ambiguous-label: operation ('a', 'b.c', 'd') reads a.b.c.d as ('a.b', 'c', 'd') does",
+    ]
+    # one operation twice, and dotted operations that read apart, are fine
+    m = chain_model([Operation("a.b", "c", "d"), Operation("a.b", "c", "d"),
+                     Operation("a", "b.c", "e")])
+    assert validate_cefm(m).ok
 
 
 def test_roles_given_as_a_string_declare_its_letters():
