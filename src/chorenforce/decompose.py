@@ -28,9 +28,7 @@ evaluation.
 
 from __future__ import annotations
 
-import json
-
-from .model import Choreography, Flow, Guard, Operation, Pair, StateKind
+from .model import _JOIN, _LOOP, Choreography, Flow, Guard, Operation, Pair, _new, dumps_json
 from .predicate import Not, Pred, TRUE, to_text
 from .validate import validate_cefm
 
@@ -115,12 +113,6 @@ class CoordTuple:
 
 # no pairs, no notify/wait entries: one shared empty set
 _NONE: frozenset = frozenset()
-# An Enum member read off its class costs about 0.1 us on Python 3.11;
-# the walk compares with these instead.
-_LOOP, _JOIN = StateKind.LOOP, StateKind.JOIN
-# Builds a NamedTuple from a tuple of all its fields in C, without the
-# generated Python-level __new__.
-_new = tuple.__new__
 
 
 class CoordModel:
@@ -318,4 +310,4 @@ def tuple_to_json(t: CoordTuple) -> dict:
 def dumps_cm(cm: CoordModel) -> str:
     """Canonical dump: a JSON array of tuples ordered by (src, op, trg)."""
     body = [tuple_to_json(t) for t in cm.sorted_tuples()]
-    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+    return dumps_json(body)

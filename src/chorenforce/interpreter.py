@@ -22,14 +22,18 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .model import Choreography, Epsilon, Guard, Operation, StateKind
+from .model import (
+    _ALTERNATIVE,
+    _FINAL,
+    _FORK,
+    _JOIN,
+    _LOOP,
+    Choreography,
+    Epsilon,
+    Guard,
+    Operation,
+)
 from .predicate import Value, eval_pred
-
-
-# An Enum member read off its class costs about 0.1 us on Python 3.11;
-# the per-state checks compare with these instead.
-_FINAL, _FORK, _JOIN = StateKind.FINAL, StateKind.FORK, StateKind.JOIN
-_ALTERNATIVE, _LOOP = StateKind.ALTERNATIVE, StateKind.LOOP
 
 
 class InterpreterError(RuntimeError):

@@ -15,6 +15,7 @@ yields identical bytes.
 from __future__ import annotations
 
 import json
+import sys
 from enum import Enum
 from typing import NamedTuple
 
@@ -33,6 +34,17 @@ class StateKind(str, Enum):
     JOIN = "join"
     INITIAL = "initial"
     FINAL = "final"
+
+
+# An Enum member read off its class costs about 0.1 us on Python 3.11;
+# the per-state loops compare with these module constants instead.
+_PLAIN, _INITIAL, _FINAL = StateKind.PLAIN, StateKind.INITIAL, StateKind.FINAL
+_ALTERNATIVE, _LOOP = StateKind.ALTERNATIVE, StateKind.LOOP
+_FORK, _JOIN = StateKind.FORK, StateKind.JOIN
+
+# Builds a NamedTuple from a tuple of all its fields in C, without the
+# generated Python-level __new__: 0.36 us against 0.59 us for a Pair.
+_new = tuple.__new__
 
 
 class Operation(NamedTuple):
@@ -176,10 +188,6 @@ def _label_to_json(label: Label):
 
 _OP_KEYS = frozenset({"from", "task", "to"})
 
-# Builds a NamedTuple from a tuple of all its fields in C, without the
-# generated Python-level __new__: 0.36 us against 0.59 us for a Pair.
-_new = tuple.__new__
-
 
 def _label_from_json(flow: dict) -> Label:
     """The label of a flow document, read after its "from". An operation
@@ -231,7 +239,8 @@ def model_to_json(model: Choreography) -> dict:
         },
         "flows": [
             {"from": f.src, "to": f.trg, "label": _label_to_json(f.label)}
-            for f in sorted(model.flows, key=flow_sort_key)
+            # Choreography keeps its flows in flow_sort_key order
+            for f in model.flows
         ],
     }
 
@@ -267,7 +276,7 @@ def model_from_json(data: dict) -> Choreography:
 
 
 def dumps_model(model: Choreography) -> str:
-    return json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n"
+    return dumps_json(model_to_json(model))
 
 
 def loads_model(text: str) -> Choreography:
@@ -291,6 +300,97 @@ def read_json(path, error: type[ValueError], what: str):
         return json.loads(text)
     except RecursionError:
         raise error(f"{what} nests too deeply to read") from None
+
+
+# json.dumps(obj, sort_keys=True) builds this C encoder, with these
+# arguments, on every call; here it is built once. It encodes the scalars
+# of dumps_json's walk and the trace events that runner.trace_lines has no
+# template for. Its markers dict (the circular-reference check) keeps the
+# entries of a failed encode, so each user empties it afterwards.
+_MARKERS: dict = {}
+_ENCODE = json.encoder.c_make_encoder(
+    _MARKERS,
+    json.JSONEncoder().default,
+    json.encoder.encode_basestring_ascii,  # ensure_ascii
+    None,  # indent
+    ": ",  # key separator
+    ", ",  # item separator
+    True,  # sort_keys
+    False,  # skipkeys
+    True,  # allow_nan
+)
+_str = json.encoder.encode_basestring_ascii
+
+if sys.version_info >= (3, 13):
+
+    def dumps_json(obj) -> str:
+        """The one document writer: json.dumps(obj, indent=2,
+        sort_keys=True) plus a newline."""
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+else:
+    # A backport of Python 3.13's C-backed indent: before 3.13, json.dumps
+    # with indent runs its pure-Python encoder, about twice as slow as this
+    # walk. Delete the walk when pyproject.toml's floor reaches 3.13.
+
+    def _write(obj, newline: str, append) -> None:
+        """Append the text of obj, a dict, list or tuple that starts on a
+        line indented as `newline` (a newline and that line's indent).
+        Types are matched with isinstance and keys sorted as json does."""
+        inner = newline + "  "
+        comma = "," + inner
+        if isinstance(obj, dict):
+            if not obj:
+                append("{}")
+                return
+            head = "{" + inner
+            for key, value in sorted(obj.items()):
+                # _str raises TypeError for a key that is no str
+                append(head + _str(key) + ": ")
+                head = comma
+                if isinstance(value, str):
+                    append(_str(value))
+                elif isinstance(value, (dict, list, tuple)):
+                    _write(value, inner, append)
+                else:
+                    append("".join(_ENCODE(value, 0)))
+            append(newline + "}")
+        else:
+            if not obj:
+                append("[]")
+                return
+            head = "[" + inner
+            for value in obj:
+                append(head)
+                head = comma
+                if isinstance(value, str):
+                    append(_str(value))
+                elif isinstance(value, (dict, list, tuple)):
+                    _write(value, inner, append)
+                else:
+                    append("".join(_ENCODE(value, 0)))
+            append(newline + "]")
+
+    def dumps_json(obj) -> str:
+        """The one document writer: json.dumps(obj, indent=2,
+        sort_keys=True) plus a newline. A document the walk does not serve
+        (a key that is no str, a value json cannot encode, a cycle or a
+        nesting too deep for the walk) goes to json.dumps whole, so both
+        the text and the error are json's. The walk takes a frame or two
+        fewer than json, so it writes a document whose nesting is within
+        two levels of the recursion limit, where json.dumps raises."""
+        chunks: list[str] = []
+        try:
+            if isinstance(obj, (dict, list, tuple)):
+                _write(obj, "\n", chunks.append)
+            else:
+                chunks.extend(_ENCODE(obj, 0))
+        except (TypeError, ValueError, RecursionError):
+            return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        finally:
+            _MARKERS.clear()
+        chunks.append("\n")
+        return "".join(chunks)
 
 
 def load_model(path) -> Choreography:

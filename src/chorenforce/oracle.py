@@ -33,7 +33,7 @@ from typing import NamedTuple
 # generate_all is not called here: the benchmark still wraps this name
 from .decompose import InvalidModelError, Pair, generate_all  # noqa: F401
 from .interpreter import Language
-from .model import Choreography, Guard, Operation, StateKind
+from .model import _ALTERNATIVE, _JOIN, _LOOP, Choreography, Guard, Operation, _new
 from .predicate import Value, eval_pred
 from .validate import validate_cefm
 
@@ -45,10 +45,6 @@ MISSED_LOOP = "MissedLoop"
 MISSED_JOIN = "MissedJoin"
 DEADLOCKING_JOIN = "DeadlockingJoin"
 
-
-# An Enum member read off its class costs about 0.1 us on Python 3.11;
-# the per-forward checks compare with these instead.
-_ALTERNATIVE, _LOOP, _JOIN = StateKind.ALTERNATIVE, StateKind.LOOP, StateKind.JOIN
 _NO_TASKS: frozenset[str] = frozenset()
 
 # the kinds of event the simulator writes
@@ -59,11 +55,6 @@ EVENT_KINDS = frozenset(
 
 class TraceFormatError(ValueError):
     """A trace line or event is not what the trace format promises."""
-
-
-# Builds a NamedTuple from a tuple of all its fields in C, without the
-# generated Python-level __new__.
-_new = tuple.__new__
 
 
 class Verdict(NamedTuple):

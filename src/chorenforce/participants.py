@@ -17,17 +17,21 @@ import json
 import random
 from typing import NamedTuple
 
-from .model import Choreography, Guard, Operation, model_from_json, model_to_json, read_json
+from .model import (
+    Choreography,
+    Guard,
+    Operation,
+    _new,
+    dumps_json,
+    model_from_json,
+    model_to_json,
+    read_json,
+)
 from .predicate import Value, free_vars, strict_eq, to_text
 
 
 class ScenarioFormatError(ValueError):
     pass
-
-
-# Builds a NamedTuple from a tuple of all its fields in C, without the
-# generated Python-level __new__.
-_new = tuple.__new__
 
 
 # the orders a scenario's actions run in, and the scheduling policies
@@ -253,7 +257,7 @@ def _check_runnable(scenario: Scenario) -> None:
 
 
 def dumps_scenario(scenario: Scenario) -> str:
-    return json.dumps(scenario_to_json(scenario), indent=2, sort_keys=True) + "\n"
+    return dumps_json(scenario_to_json(scenario))
 
 
 def load_scenario(path) -> Scenario:

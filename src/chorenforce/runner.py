@@ -8,6 +8,7 @@ from typing import NamedTuple
 from .decompose import Pair, generate_all
 from .delegate import Delegate
 from .interpreter import reference_traces
+from .model import _ENCODE, _MARKERS, _str, dumps_json
 from .oracle import (
     ALLOWED,
     RuntimeChecker,
@@ -117,23 +118,6 @@ def run_scenario(
     )
 
 
-# json.dumps(event, sort_keys=True) builds this C encoder, with these
-# arguments, on every call; here it is built once. trace_lines sends it
-# every event that no template below serves. Its markers dict (the
-# circular-reference check) keeps the entries of a failed encode, so
-# trace_lines empties it afterwards.
-_MARKERS: dict = {}
-_ENCODE = json.encoder.c_make_encoder(
-    _MARKERS,
-    json.JSONEncoder().default,
-    json.encoder.encode_basestring_ascii,  # ensure_ascii
-    None,  # indent
-    ": ",  # key separator
-    ", ",  # item separator
-    True,  # sort_keys
-    False,  # skipkeys
-    True,  # allow_nan
-)
 _SCAN = json.JSONDecoder().scan_once
 
 # One line template per event kind the simulator writes, keys in sorted
@@ -143,7 +127,6 @@ _SCAN = json.JSONDecoder().scan_once
 # as a list of exactly two strs, an int or bool of exactly that type (a
 # bool is not an int here, nor is an IntEnum), and None only where the
 # simulator writes it.
-_str = json.encoder.encode_basestring_ascii
 
 
 def _pair(value) -> str:
@@ -325,5 +308,4 @@ def read_trace(path) -> list[dict]:
 
 def write_report(result: RunResult, path) -> None:
     with open(path, "w") as fh:
-        json.dump(result.report(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps_json(result.report()))

@@ -35,14 +35,13 @@ from collections import deque
 
 from .decompose import Pair
 from .delegate import BLOCKED, Delegate
-from .model import Choreography, Guard, Operation, StateKind
+from .model import _JOIN, _LOOP, Choreography, Guard, Operation
 from .participants import Participant
 from .predicate import Value, eval_pred
 
 COMPLETED = "completed"
 DEADLOCKED = "deadlocked"
 BUDGET = "budget"
-_LOOP, _JOIN = StateKind.LOOP, StateKind.JOIN
 
 
 class SimulationError(RuntimeError):

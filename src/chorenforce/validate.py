@@ -35,14 +35,23 @@ from itertools import combinations
 from operator import attrgetter
 from typing import NamedTuple
 
-from .model import Choreography, Epsilon, Flow, Guard, Operation, Pair, StateKind
+from .model import (
+    _ALTERNATIVE,
+    _FINAL,
+    _FORK,
+    _INITIAL,
+    _JOIN,
+    _LOOP,
+    _PLAIN,
+    Choreography,
+    Epsilon,
+    Flow,
+    Guard,
+    Operation,
+    Pair,
+)
 from .predicate import assignments, bool_vars, eval_pred, free_vars, to_text
 
-# An Enum member read off its class costs about 0.1 us on Python 3.11,
-# more than the rest of a state's check; the per-state loops use these.
-_PLAIN, _INITIAL, _FINAL = StateKind.PLAIN, StateKind.INITIAL, StateKind.FINAL
-_ALTERNATIVE, _LOOP = StateKind.ALTERNATIVE, StateKind.LOOP
-_FORK, _JOIN = StateKind.FORK, StateKind.JOIN
 _SRC, _TRG = attrgetter("src"), attrgetter("trg")
 
 
