@@ -42,9 +42,8 @@ _set = object.__setattr__
 
 
 class CoordTuple:
-    """One tuple of a coordination model: an immutable value, equal only
-    to a tuple with equal fields. Its fields are slots, which a delegate
-    reads faster than a NamedTuple's fields."""
+    """One tuple of a coordination model, immutable. Its fields are
+    slots, which a delegate reads faster than a NamedTuple's fields."""
 
     __slots__ = _fields = (
         "src", "op", "trg", "allowed_services", "cond", "to_be_notified", "to_be_waited",
@@ -72,35 +71,9 @@ class CoordTuple:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.src == other.src and self.op == other.op and self.trg == other.trg
-                and self.allowed_services == other.allowed_services
-                and self.cond == other.cond
-                and self.to_be_notified == other.to_be_notified
-                and self.to_be_waited == other.to_be_waited
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # equal tuples agree on these three fields; hashing the rest
-        # (a predicate tree among them) buys nothing
-        return hash((self.src, self.op, self.trg))
-
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"CoordTuple({fields})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild a tuple through __init__, not __setattr__
-        return self.__class__, tuple(getattr(self, name) for name in self._fields)
-
-    def _replace(self, **changes) -> CoordTuple:
-        """A copy with the named fields changed."""
-        fields = {name: getattr(self, name) for name in self._fields}
-        fields.update(changes)
-        return CoordTuple(**fields)
 
     def sort_key(self) -> tuple:
         return (self.src, self.op or "", self.trg, to_text(self.cond))

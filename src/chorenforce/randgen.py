@@ -14,11 +14,12 @@ guard-true case scripts three iterations and expects no run to complete.
 
 `sweep` is the one loop that runs generated cases against the reference:
 per model one round-robin run for each reference word, then 50
-random-policy runs cycling over the words. Every run must be unflagged,
-conformant, within the update+notify bound, and complete exactly when
-its case expects it to; an equality case's completed projections must
-be the whole reference language. `fuzz` prints a sweep, and acceptance
-criteria 6 and 8 read one.
+random-policy runs cycling over the words, all through the case's one
+`runner.Enactment`, whose language gives the words. Every run must be
+unflagged, conformant, within the update+notify bound, and complete
+exactly when its case expects it to; an equality case's completed
+projections must be the whole reference language. `fuzz` prints a
+sweep, and acceptance criteria 6 and 8 read one.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .interpreter import Language, reference_traces
 from .model import EPS, Choreography, Flow, Guard, Operation, StateKind
-from .participants import Action, Scenario, ScriptSpec
+from .participants import Action, ScriptSpec
 from .predicate import Not, Value, Var
-from .runner import run_scenario
+from .runner import Enactment
 from .simulator import COMPLETED
 
 ROLES = ("Ra", "Rb", "Rc", "Rd")
@@ -40,7 +40,7 @@ class GeneratedCase(NamedTuple):
     model: Choreography
     env: dict[str, Value]
     expect: str  # "equality" or "prefix"
-    language: Language
+    enactment: Enactment
     words: tuple[tuple[str, ...], ...]  # one directed run per word
 
 
@@ -167,13 +167,13 @@ def random_case(rng: random.Random) -> GeneratedCase:
         b.link(last, "Final")
 
     model = b.build()
-    language = reference_traces(model, env)
+    enactment = Enactment(model, env)
     if expect == "prefix":
         # the loop body runs three times, after the operations before it
         words = (tuple(op.label for op in ops[:pos] + [ops[pos]] * 3),)
     else:
-        words = tuple(sorted(language.complete))
-    return GeneratedCase(model, env, expect, language, words)
+        words = tuple(sorted(enactment.language.complete))
+    return GeneratedCase(model, env, expect, enactment, words)
 
 
 def scripts_for_word(model: Choreography, word: tuple[str, ...]) -> tuple[ScriptSpec, ...]:
@@ -219,8 +219,8 @@ def sweep(models: int, seed: int) -> Sweep:
         completed: set[tuple[str, ...]] = set()
         problems = []
         for word, policy, run_seed in plan:
-            scenario = Scenario(case.model, case.env, scripts_for_word(case.model, word))
-            run = run_scenario(scenario, policy=policy, seed=run_seed)
+            run = case.enactment.run(scripts_for_word(case.model, word), mode="inorder",
+                                     policy=policy, seed=run_seed, max_events=10000)
             result.runs += 1
             count, bound = run.overhead
             result.worst = max(result.worst, run.overhead, key=lambda cb: cb[0] / cb[1])
@@ -235,7 +235,7 @@ def sweep(models: int, seed: int) -> Sweep:
             if faults or done != should_complete:
                 run_line = f"{policy}/{run_seed} replaying {' '.join(word)} ended {run.outcome}"
                 problems.append(", ".join([run_line, *faults]))
-        if should_complete and completed != case.language.complete:
+        if should_complete and completed != case.enactment.language.complete:
             problems.append(f"completed {sorted(completed)} is not the reference language")
         result.models.append((case.expect, len(case.words), problems))
     return result

@@ -1,4 +1,9 @@
-"""Glue that turns a scenario into a fully checked run."""
+"""Glue that turns a scenario into a fully checked run.
+
+An `Enactment` validates and decomposes one model under one environment
+once; each of its runs builds fresh delegates, participants and a
+simulator and checks the trace with the enactment's checker and
+reference language. `run_scenario` is one run of a fresh enactment."""
 
 from __future__ import annotations
 
@@ -8,7 +13,7 @@ from typing import NamedTuple
 from .decompose import Pair, generate_all
 from .delegate import Delegate
 from .interpreter import reference_traces
-from .model import _ENCODE, _MARKERS, _str, dumps_json
+from .model import _ENCODE, _MARKERS, Choreography, _str, dumps_json
 from .oracle import (
     ALLOWED,
     RuntimeChecker,
@@ -20,7 +25,8 @@ from .oracle import (
     projection,
     verdict_histogram,
 )
-from .participants import Participant, Scenario
+from .participants import Participant, Scenario, ScriptSpec
+from .predicate import Value
 from .simulator import COMPLETED, DEADLOCKED, Simulator, make_policy
 
 
@@ -33,7 +39,7 @@ class RunResult(NamedTuple):
     overhead: tuple[int, int]
     seed: int
     policy: str
-    delegates: dict[Pair, Delegate] = {}  # run_scenario always passes its own
+    delegates: dict[Pair, Delegate]
 
     @property
     def flagged(self) -> list[Verdict]:
@@ -68,6 +74,51 @@ class RunResult(NamedTuple):
         }
 
 
+class Enactment:
+    """One model under one environment, prepared for many runs. A run
+    mutates nothing held here: its delegates only read their coordination
+    models. The language keeps each word it replays (`Language._reached`)
+    while the enactment lives: one model in `randgen.sweep`, one
+    `run_scenario` call, so one process in the command line."""
+
+    def __init__(self, model: Choreography, env: dict[str, Value]):
+        self.model = model
+        self.env = env
+        self.cms = generate_all(model)
+        self.checker = RuntimeChecker(model, env)
+        self.language = reference_traces(model, env)
+
+    def run(self, scripts: tuple[ScriptSpec, ...], *, mode: str, policy: str, seed: int,
+            max_events: int) -> RunResult:
+        model, env, cms = self.model, self.env, self.cms
+        delegates = {pair: Delegate(pair, cms[pair], env) for pair in sorted(cms)}
+        participants = {
+            spec.role: Participant(spec, mode=mode, seed=seed) for spec in scripts
+        }
+        sim = Simulator(
+            model, env, delegates, participants, make_policy(policy, seed),
+            max_events=max_events,
+        )
+        outcome = sim.run()
+
+        verdicts = self.checker.run(sim.events)
+        if outcome == DEADLOCKED:
+            verdicts.extend(post_hoc_deadlock(delegates))
+        conformant = check_conformance(sim.events, self.language, outcome == COMPLETED)
+
+        return RunResult(
+            outcome=outcome,
+            events=sim.events,
+            verdicts=verdicts,
+            projection=projection(sim.events),
+            conformant=conformant,
+            overhead=coordination_overhead(sim.events, model),
+            seed=seed,
+            policy=policy,
+            delegates=delegates,
+        )
+
+
 def run_scenario(
     scenario: Scenario,
     *,
@@ -75,46 +126,12 @@ def run_scenario(
     seed: int | None = None,
     max_events: int = 10000,
 ) -> RunResult:
-    policy_name = policy if policy is not None else scenario.policy
-    run_seed = seed if seed is not None else scenario.seed
-    cms = generate_all(scenario.model)
-
-    delegates = {
-        pair: Delegate(pair, cms[pair], scenario.environment) for pair in sorted(cms)
-    }
-    participants = {
-        spec.role: Participant(spec, mode=scenario.mode, seed=run_seed)
-        for spec in scenario.scripts
-    }
-
-    sim = Simulator(
-        scenario.model,
-        scenario.environment,
-        delegates,
-        participants,
-        make_policy(policy_name, run_seed),
+    return Enactment(scenario.model, scenario.environment).run(
+        scenario.scripts,
+        mode=scenario.mode,
+        policy=policy if policy is not None else scenario.policy,
+        seed=seed if seed is not None else scenario.seed,
         max_events=max_events,
-    )
-    outcome = sim.run()
-
-    checker = RuntimeChecker(scenario.model, scenario.environment)
-    verdicts = checker.run(sim.events)
-    if outcome == DEADLOCKED:
-        verdicts.extend(post_hoc_deadlock(delegates))
-
-    language = reference_traces(scenario.model, scenario.environment)
-    conformant = check_conformance(sim.events, language, outcome == COMPLETED)
-
-    return RunResult(
-        outcome=outcome,
-        events=sim.events,
-        verdicts=verdicts,
-        projection=projection(sim.events),
-        conformant=conformant,
-        overhead=coordination_overhead(sim.events, scenario.model),
-        seed=run_seed,
-        policy=policy_name,
-        delegates=delegates,
     )
 
 

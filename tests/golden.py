@@ -2,9 +2,10 @@
 
 The tuples below were worked out on paper from the flow graph in
 socialprox.py, pair by pair, and are deliberately independent of the
-generator: the suite compares generate_all() output against this
-transcription with plain equality. Do not regenerate this file from
-package output; that would turn the check into a tautology.
+generator: the suite compares generate_all() output, each tuple read
+as its seven fields by `fields`, against this transcription with plain
+equality. Do not regenerate this file from package output; that would
+turn the check into a tautology.
 """
 
 from __future__ import annotations
@@ -24,19 +25,16 @@ def t(
     cond: Pred = TRUE,
     notified=(),
     waited=(),
-) -> CoordTuple:
-    return CoordTuple(
-        src=src,
-        op=op,
-        trg=trg,
-        allowed_services=frozenset(allowed),
-        cond=cond,
-        to_be_notified=frozenset(notified),
-        to_be_waited=frozenset(waited),
-    )
+) -> tuple:
+    return (src, op, trg, frozenset(allowed), cond, frozenset(notified), frozenset(waited))
 
 
-GOLDEN_CMS: dict[Pair, frozenset[CoordTuple]] = {
+def fields(tup: CoordTuple) -> tuple:
+    """A coordination tuple's seven fields in order, as `t` writes them."""
+    return tuple(getattr(tup, name) for name in CoordTuple.__slots__)
+
+
+GOLDEN_CMS: dict[Pair, frozenset[tuple]] = {
     # IM asks UMS for the user's preferences, then the shareEnabled
     # alternative either ends the choreography or hands over to (IM,SPS).
     Pair("IM", "UMS"): frozenset({

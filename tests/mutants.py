@@ -68,10 +68,15 @@ def forward_without_check() -> type[Delegate]:
     return ForwardWithoutCheck
 
 
+def _with(t: CoordTuple, **changes) -> CoordTuple:
+    """A new tuple with `t`'s fields and the named ones changed."""
+    return CoordTuple(**{name: getattr(t, name) for name in CoordTuple.__slots__} | changes)
+
+
 def _guard_inverter(kind: StateKind, state_kinds: dict[str, StateKind]) -> type[Delegate]:
     def invert(t: CoordTuple) -> CoordTuple:
         if state_kinds.get(t.src) is kind:
-            return t._replace(cond=Not(t.cond))
+            return _with(t, cond=Not(t.cond))
         return t
 
     return _faulty_model(invert)
@@ -89,12 +94,12 @@ def ignore_loop_guard(state_kinds: dict[str, StateKind]) -> type[Delegate]:
 
 def skip_wait() -> type[Delegate]:
     """Walks straight through joins without collecting notifications."""
-    return _faulty_model(lambda t: t._replace(to_be_waited=frozenset()))
+    return _faulty_model(lambda t: _with(t, to_be_waited=frozenset()))
 
 
 def skip_notify() -> type[Delegate]:
     """Never tells the sibling branch that its own branch arrived."""
-    return _faulty_model(lambda t: t._replace(to_be_notified=frozenset()))
+    return _faulty_model(lambda t: _with(t, to_be_notified=frozenset()))
 
 
 def wrong_priority() -> type[Delegate]:

@@ -679,8 +679,9 @@ def test_run_and_check_trace_never_enumerate(tmp_path, monkeypatch):
 
 
 def test_check_trace_structurally_invalid_model_is_a_clean_error(tmp_path, capsys):
-    # the bundled model has a join, so check-trace decomposes it; a model
-    # without one is only validated, and must be refused all the same
+    # check-trace validates the model and never decomposes it, so the
+    # bundled model, which has a join, and a model without one are both
+    # refused by validation alone
     join_free = tmp_path / "guarded_start.json"
     save_scenario(
         Scenario(

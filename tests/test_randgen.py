@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 from chorenforce import runner
 from chorenforce.model import StateKind
-from chorenforce.randgen import fuzz, random_case, scripts_for_word, sweep
+from chorenforce.randgen import RANDOM_RUNS, fuzz, random_case, scripts_for_word, sweep
 from chorenforce.validate import validate_cefm
 from mutants import wrong_priority
 
@@ -32,11 +33,11 @@ def test_feature_mix_appears():
 def test_words_cover_language():
     for case in cases(40, seed=1):
         if case.expect == "equality":
-            assert set(case.words) == set(case.language.complete)
+            assert set(case.words) == set(case.enactment.language.complete)
         else:
             assert case.words
             for word in case.words:
-                assert case.language.is_prefix(word)
+                assert case.enactment.language.is_prefix(word)
 
 
 def test_scripts_project_the_word():
@@ -60,6 +61,28 @@ def test_directed_runs_agree_with_reference():
     # a light version of the acceptance sweep: a handful of models
     problems = sweep(12, 9).problems
     assert not problems, problems[:5]
+
+
+def test_sweep_prepares_each_model_once(monkeypatch):
+    # decomposition, checker and reference language once per generated
+    # model, however many runs it makes
+    calls = Counter()
+
+    def counted(name):
+        wrapped = getattr(runner, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+
+        return call
+
+    for name in ("generate_all", "RuntimeChecker", "reference_traces"):
+        monkeypatch.setattr(runner, name, counted(name))
+    result = sweep(12, 9)
+    assert not result.problems, result.problems[:5]
+    assert result.runs > 12 * RANDOM_RUNS
+    assert calls == {"generate_all": 12, "RuntimeChecker": 12, "reference_traces": 12}
 
 
 def test_case_is_reproducible():

@@ -19,8 +19,8 @@ from chorenforce.decompose import generate_all
 from chorenforce.delegate import Delegate
 from chorenforce.participants import Scenario, load_scenario
 from chorenforce.randgen import random_case, scripts_for_word
-from chorenforce.runner import run_scenario, trace_lines
-from chorenforce.simulator import COMPLETED, RoundRobin, SimulationError, Simulator
+from chorenforce.runner import Enactment, run_scenario, trace_lines
+from chorenforce.simulator import COMPLETED, DEADLOCKED, RoundRobin, SimulationError, Simulator
 from helpers import (
     chain_model_scenario,
     chain_scenario,
@@ -29,6 +29,7 @@ from helpers import (
     fork_model,
     random_chain_ops,
 )
+from mutants import wrong_priority
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = ("inorder", "shuffled", "adversarial", "share_disabled")
@@ -91,6 +92,40 @@ def pinned_scenario(name: str) -> Scenario:
 def test_trace_bytes_are_pinned(name, policy, seed):
     digest = sha256_of_trace(pinned_scenario(name), policy, seed)
     assert digest == TRACE_SHA256[(name, policy, seed)]
+
+
+def test_one_enactment_runs_many_times_sharing_no_run_state(monkeypatch):
+    # every pinned run through one enactment per (model, environment),
+    # seeds and policies outermost so that the enactments take turns, and
+    # after each one a run of the social proximity model's enactment that
+    # stalls under wrong_priority
+    enactments: list[tuple[Scenario, Enactment]] = []
+
+    def enactment_for(scenario: Scenario) -> Enactment:
+        for seen, enactment in enactments:
+            if (seen.model, seen.environment) == (scenario.model, scenario.environment):
+                return enactment
+        enactments.append((scenario, Enactment(scenario.model, scenario.environment)))
+        return enactments[-1][1]
+
+    stalling = fixture("inorder")
+    stall = enactment_for(stalling)
+    for name, policy, seed in sorted(TRACE_SHA256, key=lambda key: key[::-1]):
+        scenario = pinned_scenario(name)
+        result = enactment_for(scenario).run(
+            scenario.scripts, mode=scenario.mode, policy=policy, seed=seed, max_events=10000
+        )
+        digest = hashlib.sha256(trace_lines(result.events).encode()).hexdigest()
+        assert digest == TRACE_SHA256[(name, policy, seed)], (name, policy, seed)
+        assert result.report() == run_scenario(scenario, policy=policy, seed=seed).report()
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "Delegate", wrong_priority())
+            stalled = stall.run(
+                stalling.scripts, mode=stalling.mode, policy=policy, seed=seed, max_events=10000
+            )
+        assert stalled.outcome == DEADLOCKED
+    # the three fixtures of one environment share one enactment
+    assert len(enactments) == 4
 
 
 # sha256 over each defect case's runs inside faulty_delegate, at seeds 0
