@@ -9,7 +9,9 @@ inform when the global state advances, and how to synchronize at joins.
 Tuple fields, in order: source state, operation (None for an epsilon
 step), target state, allowed services (pairs to send a state update to),
 enabling condition, notifications to send when the target is a join,
-notifications to wait for at that join.
+notifications to wait for at that join. A `CoordTuple` keeps them in
+slots, which its constructor fills through the slots' own descriptors,
+since the tuple's `__setattr__` and `__delattr__` refuse every field.
 
 Generation makes one pass over the flows, grouping the operation flows
 by pair and the other flows by source state, and recording which pairs'
@@ -37,10 +39,6 @@ class InvalidModelError(ValueError):
     """The source model failed structural validation."""
 
 
-# a tuple's own __setattr__ refuses, so __init__ fills the slots through object's
-_set = object.__setattr__
-
-
 class CoordTuple:
     """One tuple of a coordination model, immutable. Its fields are
     slots, which a delegate reads faster than a NamedTuple's fields."""
@@ -57,13 +55,15 @@ class CoordTuple:
     to_be_waited: frozenset[tuple[str, Pair]]
 
     def __init__(self, src, op, trg, allowed_services, cond, to_be_notified, to_be_waited):
-        _set(self, "src", src)
-        _set(self, "op", op)
-        _set(self, "trg", trg)
-        _set(self, "allowed_services", allowed_services)
-        _set(self, "cond", cond)
-        _set(self, "to_be_notified", to_be_notified)
-        _set(self, "to_be_waited", to_be_waited)
+        # the tuple's own __setattr__ refuses, so each slot is filled
+        # through its descriptor
+        _set_src(self, src)
+        _set_op(self, op)
+        _set_trg(self, trg)
+        _set_allowed_services(self, allowed_services)
+        _set_cond(self, cond)
+        _set_to_be_notified(self, to_be_notified)
+        _set_to_be_waited(self, to_be_waited)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -83,6 +83,9 @@ class CoordTuple:
         allowed = "{" + ",".join(str(p) for p in sorted(self.allowed_services)) + "}"
         return f"<{self.src}, {op}, {self.trg}, {allowed}, {to_text(self.cond)}>"
 
+
+(_set_src, _set_op, _set_trg, _set_allowed_services, _set_cond, _set_to_be_notified,
+ _set_to_be_waited) = (getattr(CoordTuple, name).__set__ for name in CoordTuple._fields)
 
 # no pairs, no notify/wait entries: one shared empty set
 _NONE: frozenset = frozenset()
@@ -115,8 +118,9 @@ class CoordModel:
         by_src = self.by_src
         return [t for src in sorted(by_src) for t in by_src[src]]
 
-    def tuples_from(self, src: str) -> list[CoordTuple]:
-        return self.by_src.get(src, [])
+    def tuples_from(self, src: str) -> list[CoordTuple] | tuple[()]:
+        # a miss gives the one shared empty tuple, not a new list
+        return self.by_src.get(src, ())
 
     def has_op(self, task: str) -> bool:
         return task in self._op_sources

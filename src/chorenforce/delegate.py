@@ -26,6 +26,16 @@ suspended before a join, which is exactly when its `pending_tuple` (the
 tuple into the join) is set. A thread at a state with no tuple out of it
 (the final state, or a local dead end where only other pairs act next)
 can never move again and is retired, as is one that loses a join.
+
+A thread's `awaited` is one shared empty frozenset until its walk
+reaches a tuple that waits at a join. It then gets a set of its own,
+the tuple's wait entries, from which each delivered notification is
+taken out, and goes back to the shared empty set when the join is
+resolved.
+
+A delegate reads the environment it is given and does not copy it: the
+`runner.Enactment` that builds every delegate of a run holds its own
+copy, made once.
 """
 
 from __future__ import annotations
@@ -55,13 +65,17 @@ class DivergentWalkError(CoordinationError):
     """The epsilon walk did not settle; the model cycles without operations."""
 
 
+# a thread that waits at no join awaits this one shared empty set
+_NOT_WAITING: frozenset = frozenset()
+
+
 class Thread:
     __slots__ = ("id", "state", "awaited", "pending_tuple")
 
     def __init__(self, tid: int, state: str):
         self.id = tid
         self.state = state
-        self.awaited: set[tuple[str, Pair]] = set()
+        self.awaited: set[tuple[str, Pair]] | frozenset = _NOT_WAITING
         self.pending_tuple: CoordTuple | None = None
 
     def __repr__(self) -> str:
@@ -73,7 +87,9 @@ class Delegate:
     def __init__(self, pair: Pair, cm: CoordModel, env: dict[str, Value]):
         self.pair = pair
         self.cm = cm
-        self.env = dict(env)
+        self.env = env
+        # the epsilon walk's step budget
+        self._budget = 8 * (len(cm.tuples) + 2) ** 2
         self.threads: list[Thread] = []
         self.pending: list[tuple[int, str]] = []  # (request_id, task)
         self.update_buffer: list[str] = []
@@ -167,7 +183,7 @@ class Delegate:
         one thread per branch.
         """
         queue = deque(threads)
-        budget = 8 * (len(self.cm.tuples) + 2) ** 2
+        budget = self._budget
         while queue:
             thread = queue.popleft()
             if thread not in self.threads:
@@ -246,7 +262,7 @@ class Delegate:
             self._retire(thread)
             return False
         thread.pending_tuple = None
-        thread.awaited = set()
+        thread.awaited = _NOT_WAITING
         self._advance(thread, t)
         return True
 

@@ -248,7 +248,8 @@ def check_conformance(events: list[dict], language: Language, completed: bool) -
 def coordination_overhead(events: list[dict], model: Choreography) -> tuple[int, int]:
     """Delivered coordination messages versus the static bound
     |operation labels| * |roles|."""
-    count = sum(1 for e in events if e["kind"] in ("Update", "Notify"))
+    kinds = [e["kind"] for e in events]
+    count = kinds.count("Update") + kinds.count("Notify")
     labels = {f.label.label for f in model.flows if isinstance(f.label, Operation)}
     bound = len(labels) * len(model.roles)
     return count, bound

@@ -15,11 +15,12 @@ guard-true case scripts three iterations and expects no run to complete.
 `sweep` is the one loop that runs generated cases against the reference:
 per model one round-robin run for each reference word, then 50
 random-policy runs cycling over the words, all through the case's one
-`runner.Enactment`, whose language gives the words. Every run must be
-unflagged, conformant, within the update+notify bound, and complete
-exactly when its case expects it to; an equality case's completed
-projections must be the whole reference language. `fuzz` prints a
-sweep, and acceptance criteria 6 and 8 read one.
+`runner.Enactment`, whose language gives the words; each word's scripts
+are built once. Every run must be unflagged, conformant, within the
+update+notify bound, and complete exactly when its case expects it to;
+an equality case's completed projections must be the whole reference
+language. `fuzz` prints a sweep, and acceptance criteria 6 and 8 read
+one.
 """
 
 from __future__ import annotations
@@ -214,12 +215,13 @@ def sweep(models: int, seed: int) -> Sweep:
     for _ in range(models):
         case = random_case(rng)
         should_complete = case.expect == "equality"
+        scripts = {word: scripts_for_word(case.model, word) for word in case.words}
         plan = [(word, "roundrobin", 0) for word in case.words]
         plan += [(case.words[j % len(case.words)], "random", j) for j in range(RANDOM_RUNS)]
         completed: set[tuple[str, ...]] = set()
         problems = []
         for word, policy, run_seed in plan:
-            run = case.enactment.run(scripts_for_word(case.model, word), mode="inorder",
+            run = case.enactment.run(scripts[word], mode="inorder",
                                      policy=policy, seed=run_seed, max_events=10000)
             result.runs += 1
             count, bound = run.overhead

@@ -1,9 +1,11 @@
 """Glue that turns a scenario into a fully checked run.
 
 An `Enactment` validates and decomposes one model under one environment
-once; each of its runs builds fresh delegates, participants and a
-simulator and checks the trace with the enactment's checker and
-reference language. `run_scenario` is one run of a fresh enactment."""
+once, and works out the updates that start a run; each of its runs
+builds fresh delegates, participants and a simulator and checks the
+trace with the enactment's checker and reference language. It copies
+the caller's environment once, and every part of every run reads that
+copy. `run_scenario` is one run of a fresh enactment."""
 
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .oracle import (
 )
 from .participants import Participant, Scenario, ScriptSpec
 from .predicate import Value
-from .simulator import COMPLETED, DEADLOCKED, Simulator, make_policy
+from .simulator import COMPLETED, DEADLOCKED, Simulator, enactment_bootstrap, make_policy
 
 
 class RunResult(NamedTuple):
@@ -75,28 +77,32 @@ class RunResult(NamedTuple):
 
 
 class Enactment:
-    """One model under one environment, prepared for many runs. A run
-    mutates nothing held here: its delegates only read their coordination
-    models. The language keeps each word it replays (`Language._reached`)
-    while the enactment lives: one model in `randgen.sweep`, one
-    `run_scenario` call, so one process in the command line."""
+    """One model under one environment, prepared for many runs. The
+    environment is copied here, so a caller that changes its dict later
+    changes no run. A run mutates nothing held here: its delegates only
+    read their coordination models and the environment. The language
+    keeps each word it replays (`Language._reached`) while the enactment
+    lives: one model in `randgen.sweep`, one `run_scenario` call, so one
+    process in the command line."""
 
     def __init__(self, model: Choreography, env: dict[str, Value]):
         self.model = model
-        self.env = env
+        self.env = env = dict(env)
         self.cms = generate_all(model)
         self.checker = RuntimeChecker(model, env)
         self.language = reference_traces(model, env)
+        self.start = enactment_bootstrap(model, env)
 
     def run(self, scripts: tuple[ScriptSpec, ...], *, mode: str, policy: str, seed: int,
             max_events: int) -> RunResult:
         model, env, cms = self.model, self.env, self.cms
-        delegates = {pair: Delegate(pair, cms[pair], env) for pair in sorted(cms)}
+        # generate_all gives the pairs in sorted order
+        delegates = {pair: Delegate(pair, cm, env) for pair, cm in cms.items()}
         participants = {
             spec.role: Participant(spec, mode=mode, seed=seed) for spec in scripts
         }
         sim = Simulator(
-            model, env, delegates, participants, make_policy(policy, seed),
+            model, self.start, delegates, participants, make_policy(policy, seed),
             max_events=max_events,
         )
         outcome = sim.run()

@@ -35,7 +35,7 @@ from collections import deque
 
 from .decompose import Pair
 from .delegate import BLOCKED, Delegate
-from .model import _JOIN, _LOOP, Choreography, Guard, Operation
+from .model import _JOIN, _LOOP, Choreography, Guard, Operation, _new
 from .participants import Participant
 from .predicate import Value, eval_pred
 
@@ -118,24 +118,21 @@ def make_policy(name: str, seed: int):
     raise SimulationError(f"unknown policy {name!r}")
 
 
-def _src_label(pair: Pair | None) -> str:
-    return "enactment" if pair is None else f"{pair.initiator},{pair.receiver}"
-
-
 class Simulator:
-    """One run, started by enactment_bootstrap's updates under `env`."""
+    """One run of `model`, started by the updates in `start`, which are
+    enactment_bootstrap's for the run's environment."""
 
     def __init__(
         self,
         model: Choreography,
-        env: dict[str, Value],
+        start: list[tuple[Pair, str]],
         delegates: dict[Pair, Delegate],
         participants: dict[str, Participant],
         policy,
         max_events: int = 10000,
     ):
         self.model = model
-        self.env = env
+        self.start = start
         self.delegates = delegates
         self.participants = participants
         self.policy = policy
@@ -161,7 +158,8 @@ class Simulator:
         queue = self.channels.get(key)
         if queue is None:
             queue = self.channels[key] = deque()
-            label = f"ch:{_src_label(src)}->{_src_label(dst)}"
+            label = (f"ch:enactment->{dst[0]},{dst[1]}" if src is None
+                     else f"ch:{src[0]},{src[1]}->{dst[0]},{dst[1]}")
             self._channel_items[key] = (label, ("channel", src, dst, label))
         if not queue:
             label, item = self._channel_items[key]
@@ -263,8 +261,9 @@ class Simulator:
         else:
             action = participant.injections[injection_index]
             participant.issued_injections.add(injection_index)
-        pair = Pair(role, action.target)
-        if pair not in self.delegates:
+        pair = _new(Pair, (role, action.target))
+        delegate = self.delegates.get(pair)
+        if delegate is None:
             raise SimulationError(f"no delegate for {pair}")
         request_id = self._next_request
         self._next_request += 1
@@ -283,7 +282,7 @@ class Simulator:
                 "injected": injected,
             }
         )
-        if self.delegates[pair].handle_request(request_id, action.task) == BLOCKED:
+        if delegate.handle_request(request_id, action.task) == BLOCKED:
             events.append(
                 {
                     "kind": "Block",
@@ -318,7 +317,7 @@ class Simulator:
     # -- main loop ------------------------------------------------------------
 
     def bootstrap(self) -> None:
-        for pair, state in enactment_bootstrap(self.model, self.env):
+        for pair, state in self.start:
             self._send(None, pair, ("update", state))
         for role in self.participants:
             self._refresh(role)

@@ -1,10 +1,14 @@
 import random
 import time
 
-from chorenforce.interpreter import reference_traces
-from chorenforce.model import EPS, Choreography, Flow, StateKind
+import pytest
+
+from chorenforce.interpreter import NoTrueGuardError, StuckTokenError, reference_traces
+from chorenforce.model import EPS, Choreography, Flow, Guard, Operation, StateKind
+from chorenforce.predicate import Var
 from chorenforce.randgen import random_case
 from chorenforce.socialprox import ENV_BOTH_TRUE, ENV_SHARE_DISABLED, social_proximity
+from chorenforce.validate import validate_cefm
 from helpers import fork_model, loop_model
 
 PREFIX = (
@@ -106,3 +110,81 @@ def test_replay_agrees_with_enumeration():
             assert lang.is_prefix(word) == prefix, word
             checked += 1
     assert checked > 2000
+
+
+# -- models validation refuses: an operation enters a fork or an alternative ------
+
+
+def _entered_by_an_operation(kind: StateKind) -> Choreography:
+    """Initial --A.go.B--> X, where X is of `kind` and also the source of
+    an operation back to Initial; X moves on silently to P (over a guard
+    g at an alternative) and, at a fork, to R as well (over a guard h at
+    an alternative). Validation refuses an operation out of a fork or an
+    alternative."""
+    if kind is StateKind.FORK:
+        to_p, to_r = EPS, EPS
+    else:
+        to_p, to_r = Guard(Var("g")), Guard(Var("h"))
+    return Choreography(
+        states={"Initial": StateKind.INITIAL, "X": kind, "P": StateKind.PLAIN,
+                "R": StateKind.PLAIN, "Final": StateKind.FINAL},
+        initial="Initial",
+        final="Final",
+        roles={"A", "B", "C"},
+        variables={"g": (False, True), "h": (False, True)},
+        flows=[
+            Flow("Initial", Operation("A", "go", "B"), "X"),
+            Flow("X", to_p, "P"),
+            Flow("X", to_r, "R"),
+            Flow("X", Operation("B", "back", "A"), "Initial"),
+            Flow("P", Operation("A", "p", "C"), "Final"),
+            Flow("R", Operation("C", "r", "A"), "Final"),
+        ],
+    )
+
+
+def test_an_operation_into_a_fork_splits_the_token_on_every_entry():
+    model = _entered_by_an_operation(StateKind.FORK)
+    assert not validate_cefm(model).ok
+    lang = reference_traces(model, {})
+    # the fork's silent moves reach every target, the operation's included;
+    # the second entry reads them from the table the first one filled
+    assert lang._reach(("A.go.B",)) == {frozenset({("Initial", 1), ("P", 1), ("R", 1)})}
+    assert lang._reach(("A.go.B", "A.go.B")) == {
+        frozenset({("Initial", 1), ("P", 2), ("R", 2)})
+    }
+    assert lang.is_prefix(("A.go.B", "A.go.B", "A.p.C", "C.r.A"))
+    assert not lang.is_member(("A.go.B", "A.p.C", "C.r.A"))
+
+
+def test_an_operation_into_an_alternative_takes_the_guard_on_every_entry():
+    model = _entered_by_an_operation(StateKind.ALTERNATIVE)
+    assert not validate_cefm(model).ok
+    lang = reference_traces(model, {"g": True, "h": False})
+    assert lang._reach(("A.go.B",)) == {frozenset({("P", 1)})}
+    # a second word enters the alternative again, its move already known
+    assert lang.is_member(("A.go.B", "A.p.C"))
+    assert not lang.is_prefix(("A.go.B", "B.back.A"))
+    stuck = reference_traces(model, {"g": False, "h": False})
+    for _ in range(2):
+        with pytest.raises(NoTrueGuardError):
+            stuck.is_prefix(("A.go.B",))
+
+
+def test_an_operation_into_a_dead_end_is_stuck_on_every_entry():
+    model = Choreography(
+        states={"Initial": StateKind.INITIAL, "D": StateKind.PLAIN,
+                "Final": StateKind.FINAL},
+        initial="Initial",
+        final="Final",
+        roles={"A", "B"},
+        variables={},
+        flows=[Flow("Initial", Operation("A", "go", "B"), "D")],
+    )
+    assert not validate_cefm(model).ok
+    lang = reference_traces(model, {})
+    # the second replay finds the dead end's silent moves (none) in the
+    # table, and must still refuse a token that can start no operation
+    for word in (("A.go.B",), ("A.go.B",), ("A.go.B", "A.go.B")):
+        with pytest.raises(StuckTokenError):
+            lang.is_prefix(word)

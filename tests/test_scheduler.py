@@ -128,6 +128,23 @@ def test_one_enactment_runs_many_times_sharing_no_run_state(monkeypatch):
     assert len(enactments) == 4
 
 
+def test_an_enactment_keeps_the_environment_it_was_built_with():
+    # the caller's dict changes after the enactment is built: the start
+    # walk, the delegates and the checker of every later run still read
+    # the environment as it was
+    scenario = fixture("inorder")
+    env = dict(scenario.environment)
+    enactment = Enactment(scenario.model, env)
+    env["shareEnabled"] = False
+    for policy, seed in (("roundrobin", 0), ("random", 7)):
+        result = enactment.run(
+            scenario.scripts, mode=scenario.mode, policy=policy, seed=seed, max_events=10000
+        )
+        assert result.ok(), result.report()
+        digest = hashlib.sha256(trace_lines(result.events).encode()).hexdigest()
+        assert digest == TRACE_SHA256[("inorder", policy, seed)]
+
+
 # sha256 over each defect case's runs inside faulty_delegate, at seeds 0
 # and 1 under both policies: the trace bytes, then report() as sorted JSON
 FAULTY_TRACE_SHA256 = {
