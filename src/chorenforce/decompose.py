@@ -31,7 +31,7 @@ evaluation.
 from __future__ import annotations
 
 from .model import _JOIN, _LOOP, Choreography, Flow, Guard, Operation, Pair, _new, dumps_json
-from .predicate import Not, Pred, TRUE, to_text
+from .predicate import Not, Pred, TRUE, _Frozen, to_text
 from .validate import validate_cefm
 
 
@@ -39,9 +39,10 @@ class InvalidModelError(ValueError):
     """The source model failed structural validation."""
 
 
-class CoordTuple:
-    """One tuple of a coordination model, immutable. Its fields are
-    slots, which a delegate reads faster than a NamedTuple's fields."""
+class CoordTuple(_Frozen):
+    """One tuple of a coordination model, immutable and equal only to
+    itself. Its fields are slots, which a delegate reads faster than a
+    NamedTuple's fields."""
 
     __slots__ = _fields = (
         "src", "op", "trg", "allowed_services", "cond", "to_be_notified", "to_be_waited",
@@ -64,16 +65,6 @@ class CoordTuple:
         _set_cond(self, cond)
         _set_to_be_notified(self, to_be_notified)
         _set_to_be_waited(self, to_be_waited)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"CoordTuple({fields})"
 
     def sort_key(self) -> tuple:
         return (self.src, self.op or "", self.trg, to_text(self.cond))

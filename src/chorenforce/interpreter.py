@@ -9,7 +9,7 @@ Membership is decided by replay: `Language.is_member` and
 `Language.is_prefix` follow a word label by label and keep the set of
 configurations it can reach, so the cost is linear in the word's length
 and there is no length limit. Enumerating the language, every
-interleaving up to `max_ops` operations, is only needed to list it
+interleaving up to `MAX_OPS` operations, is only needed to list it
 (`Language.complete` and `Language.truncated`) and runs on first use.
 Loop bodies make the language infinite; enumeration then reports the
 prefixes it cut off instead of silently dropping them.
@@ -54,15 +54,17 @@ class StuckTokenError(InterpreterError):
 # with no tokens left is the empty frozenset.
 _Config = frozenset
 
+# the length at which enumerating the language cuts a word off
+MAX_OPS = 50
+
 
 class Language:
     """Operation-sequence language of a model under one environment: an
     acceptor that replays words, and on demand the list of its words."""
 
-    def __init__(self, model: Choreography, env: dict[str, Value], max_ops: int = 50):
+    def __init__(self, model: Choreography, env: dict[str, Value]):
         self.model = model
         self.env = dict(env)
-        self.max_ops = max_ops
         self._joins = {s for s, kind in model.states.items() if kind is _JOIN}
         # state -> operation label -> places a token there can move to
         self._ops: dict[str, dict[str, list]] = {}
@@ -204,7 +206,7 @@ class Language:
     @cached_property
     def _listing(self) -> tuple[frozenset, frozenset]:
         """(complete, truncated): every interleaving, depth first, cut off
-        after `max_ops` operations."""
+        after `MAX_OPS` operations."""
         complete: set = set()
         truncated: set = set()
         seen: set = set()
@@ -216,7 +218,7 @@ class Language:
             seen.add((config, seq))
             if not config:
                 complete.add(seq)
-            elif len(seq) >= self.max_ops:
+            elif len(seq) >= MAX_OPS:
                 truncated.add(seq)
             else:
                 stack.extend(
@@ -229,17 +231,16 @@ class Language:
 
     @cached_property
     def complete(self) -> frozenset:
-        """Label sequences of complete runs of at most `max_ops` operations."""
+        """Label sequences of complete runs of at most `MAX_OPS` operations."""
         return self._listing[0]
 
     @cached_property
     def truncated(self) -> frozenset:
-        """Prefixes of `max_ops` operations of runs that go on."""
+        """Prefixes of `MAX_OPS` operations of runs that go on."""
         return self._listing[1]
 
 
-def reference_traces(model: Choreography, env: dict[str, Value],
-                     max_ops: int = 50) -> Language:
-    """The acceptor of the model's runs under `env`; `max_ops` bounds only
+def reference_traces(model: Choreography, env: dict[str, Value]) -> Language:
+    """The acceptor of the model's runs under `env`; `MAX_OPS` bounds only
     the enumeration of `complete` and `truncated`."""
-    return Language(model, env, max_ops)
+    return Language(model, env)

@@ -19,7 +19,7 @@ import sys
 from enum import Enum
 from typing import NamedTuple
 
-from .predicate import Pred, Value, parse_predicate, to_text
+from .predicate import Pred, Value, _FrozenValue, parse_predicate, to_text
 
 
 class ModelFormatError(ValueError):
@@ -76,17 +76,11 @@ class Guard(NamedTuple):
     pred: Pred
 
 
-class Epsilon:
-    """The label of a flow that neither acts nor tests: every instance is
-    equal to every other."""
+class Epsilon(_FrozenValue):
+    """The label of a flow that neither acts nor tests: a value with no
+    fields, so every instance is equal to every other."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return True if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
 
     def __repr__(self) -> str:
         return "EPS"

@@ -19,10 +19,12 @@ report's arrivals. Each forwarded operation gets one verdict:
   unmet join waits.
 
 Checks are applied in that order; the first match wins. The guard, loop
-and join checks read the flow that enters the reported state; a
-validated model has at most one there. Guard verdicts are static per
-(state, environment) because the environment is fixed for a run.
-Notification delivery is tracked from the trace itself, so a
+and join checks read the flow that decides the reported state: the
+flow entering it or, where that is an epsilon flow out of a plain
+state, the flow that decides that state. A validated model has at most
+one flow into each of these states. Guard verdicts
+are static per (state, environment) because the environment is fixed
+for a run. Notification delivery is tracked from the trace itself, so a
 delegate that skips its bookkeeping cannot hide a missed join.
 """
 
@@ -33,7 +35,8 @@ from typing import NamedTuple
 # generate_all is not called here: the benchmark still wraps this name
 from .decompose import InvalidModelError, Pair, generate_all  # noqa: F401
 from .interpreter import Language
-from .model import _ALTERNATIVE, _JOIN, _LOOP, Choreography, Guard, Operation, _new
+from .model import (_ALTERNATIVE, _JOIN, _LOOP, _PLAIN, Choreography, Epsilon, Guard,
+                    Operation, _new)
 from .predicate import Value, eval_pred
 from .validate import validate_cefm
 
@@ -156,16 +159,21 @@ class RuntimeChecker:
         entering = self._in[src]
         if not entering:
             return _new(Verdict, (seq, ALLOWED, cd, task, src, ""))
-        ((before, label, _),) = entering
+        ((before, label, entered),) = entering
         kind = self._states[before]
+        # an epsilon flow out of a plain state decides nothing: walk back
+        # to the flow that decides that state
+        while isinstance(label, Epsilon) and kind is _PLAIN:
+            ((before, label, entered),) = self._in[before]
+            kind = self._states[before]
         if isinstance(label, Guard):
             if not eval_pred(label.pred, self.env):
                 if kind is _ALTERNATIVE:
                     return _new(Verdict, (
-                        seq, INVALID_ALTERNATIVE, cd, task, src, f"branch guard false at {src}"
+                        seq, INVALID_ALTERNATIVE, cd, task, src, f"branch guard false at {entered}"
                     ))
                 return _new(Verdict, (
-                    seq, INVALID_LOOP, cd, task, src, f"loop entry guard false at {src}"
+                    seq, INVALID_LOOP, cd, task, src, f"loop entry guard false at {entered}"
                 ))
         elif kind is _LOOP:
             entry = next(f for f in self.model.out_flows(before) if isinstance(f.label, Guard))
@@ -247,11 +255,13 @@ def check_conformance(events: list[dict], language: Language, completed: bool) -
 
 def coordination_overhead(events: list[dict], model: Choreography) -> tuple[int, int]:
     """Delivered coordination messages versus the static bound
-    |operation labels| * |roles|."""
+    |operation labels| * |roles|. Validation refuses two distinct
+    operations with one label text, so the distinct operations are
+    counted instead of their texts."""
     kinds = [e["kind"] for e in events]
     count = kinds.count("Update") + kinds.count("Notify")
-    labels = {f.label.label for f in model.flows if isinstance(f.label, Operation)}
-    bound = len(labels) * len(model.roles)
+    operations = {label for _, label, _ in model.flows if isinstance(label, Operation)}
+    bound = len(operations) * len(model.roles)
     return count, bound
 
 

@@ -28,10 +28,11 @@ class UnboundVariableError(PredicateError):
     """A predicate referenced a variable absent from the environment."""
 
 
-class _Node:
-    """A predicate tree node: an immutable value, equal only to a node of
-    its own class with equal fields. Each class spells out its `__eq__`
-    and `__hash__`, which cost nothing to build at import."""
+class _Frozen:
+    """An immutable record: its fields are the slots `_fields` names.
+    Assignment and deletion are refused, so `__init__` fills the slots
+    through object's `__setattr__` or the slots' descriptors. The repr
+    lists the fields."""
 
     __slots__ = _fields = ()
 
@@ -45,86 +46,66 @@ class _Node:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__name__}({fields})"
 
+
+class _FrozenValue(_Frozen):
+    """A frozen record that is a value: equal only to a record of its own
+    class with equal fields, and hashed as the tuple of its fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        # the class test keeps And(a, b) != Or(a, b)
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __reduce__(self):
-        # copy and pickle rebuild a node through __init__, not __setattr__
-        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+        # copy and pickle rebuild a value through __init__, not __setattr__
+        return self.__class__, self._values()
 
 
-# a node's own __setattr__ refuses, so __init__ fills the slots through object's
+# a record's own __setattr__ refuses, so __init__ fills the slots through object's
 _set = object.__setattr__
 
 
-class TrueLit(_Node):
+class TrueLit(_FrozenValue):
     __slots__ = ()
 
-    def __eq__(self, other):
-        return True if other.__class__ is self.__class__ else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(())
-
-
-class Var(_Node):
+class Var(_FrozenValue):
     __slots__ = _fields = ("name",)
 
     def __init__(self, name: str):
         _set(self, "name", name)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.name,))
-
-
-class Eq(_Node):
+class Eq(_FrozenValue):
     __slots__ = _fields = ("name", "value")
 
     def __init__(self, name: str, value: Value):
         _set(self, "name", name)
         _set(self, "value", value)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name and self.value == other.value
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.name, self.value))
-
-
-class Not(_Node):
+class Not(_FrozenValue):
     __slots__ = _fields = ("inner",)
 
     def __init__(self, inner: Pred):
         _set(self, "inner", inner)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.inner == other.inner
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.inner,))
-
-
-class _Binary(_Node):
+class _Binary(_FrozenValue):
     __slots__ = _fields = ("left", "right")
 
     def __init__(self, left: Pred, right: Pred):
         _set(self, "left", left)
         _set(self, "right", right)
-
-    def __eq__(self, other):
-        # the class test keeps And(a, b) != Or(a, b)
-        if other.__class__ is self.__class__:
-            return self.left == other.left and self.right == other.right
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
 
 
 class And(_Binary):

@@ -156,6 +156,34 @@ def defect_cases() -> list[tuple[str, str, Scenario, Pair, type[Delegate]]]:
     ]
 
 
+def with_silent_state(model: Choreography, state: str) -> Choreography:
+    """`model` with the one flow into `state` split in two: it enters a
+    new plain state SX, whose epsilon flow goes on to `state`."""
+    ((before, label, _),) = model.in_flows(state)
+    flows = [f for f in model.flows if f.trg != state]
+    flows += [Flow(before, label, "SX"), Flow("SX", EPS, state)]
+    return Choreography({**model.states, "SX": StateKind.PLAIN}, model.initial,
+                        model.final, model.roles, model.variables, flows)
+
+
+# the verdicts that read the flow into the flagged state, and that state
+# in defect_cases()' run
+_DECIDED_AT = {INVALID_ALTERNATIVE: "S9", INVALID_LOOP: "E1", MISSED_LOOP: "X1",
+               MISSED_JOIN: "S21"}
+
+
+def silent_state_defect_cases() -> list[tuple[str, str, Scenario, Pair, type[Delegate]]]:
+    """The defect runs whose verdict reads the flow into the flagged
+    state, each with a silent plain state SX put before that state:
+    (verdict kind, flagged state, scenario, faulty pair, faulty class)."""
+    return [
+        (kind, _DECIDED_AT[kind],
+         scenario._replace(model=with_silent_state(scenario.model, _DECIDED_AT[kind])),
+         pair, cls)
+        for kind, _, scenario, pair, cls in defect_cases() if kind in _DECIDED_AT
+    ]
+
+
 def faulty_delegate(pair: Pair, cls: type[Delegate]):
     """A context in which run_scenario gives `pair` a `cls` delegate and
     every other pair an honest one."""

@@ -460,25 +460,41 @@ def _deep_parentheses(guard: str) -> str:
     return "(" * 5000 + guard + ")" * 5000
 
 
+def _corrupt_json(edit):
+    return lambda text: json.dumps(_edited(json.loads(text), edit))
+
+
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, named",
     [
-        lambda text: text[: len(text) // 2],
-        lambda text: json.dumps({**json.loads(text), "flows": 5}),
-        lambda text: "[" * 100_000,
+        (lambda text: text[: len(text) // 2], "Unterminated string"),
+        (lambda text: json.dumps({**json.loads(text), "flows": 5}),
+         "'int' object is not iterable"),
+        (lambda text: "[" * 100_000, "model nests too deeply to read"),
         *(
-            lambda text, wrap=wrap: json.dumps(_wrap_first_guard(json.loads(text), wrap))
+            (lambda text, wrap=wrap: json.dumps(_wrap_first_guard(json.loads(text), wrap)),
+             "predicate nests deeper than 100 levels")
             for wrap in (_deep_not, _deep_and, _deep_parentheses)
         ),
-        *(
-            lambda text, edit=edit: json.dumps(_edited(json.loads(text), edit))
-            for edit in (
-                lambda data: _first_op(data).update(task=None),
-                lambda data: _first_op(data).update({"from": ["SPS"]}),
-                lambda data: _first_op(data).update(to=["UMS"]),
-                lambda data: data["roles"].append(None),
-            )
-        ),
+        (_corrupt_json(lambda data: _first_op(data).update(task=None)),
+         "flow S10->S2: operation {'from': 'SPS', 'task': None, 'to': 'UMS'} has a field "
+         "that is no string"),
+        (_corrupt_json(lambda data: _first_op(data).update({"from": ["SPS"]})),
+         "operation {'from': ['SPS'], 'task': 'getFriends', 'to': 'UMS'} has a field"),
+        (_corrupt_json(lambda data: _first_op(data).update(to=["UMS"])),
+         "operation {'from': 'SPS', 'task': 'getFriends', 'to': ['UMS']} has a field"),
+        (_corrupt_json(lambda data: data["roles"].append(None)),
+         "declared role None is no string"),
+        (_corrupt_json(lambda data: _first_op(data).pop("to")),
+         "bad operation label: {'op': {'from': 'SPS', 'task': 'getFriends'}}"),
+        (_corrupt_json(lambda data: data["flows"][0].update(label="epsilon")),
+         "unrecognized flow label: 'epsilon'"),
+        (_corrupt_json(lambda data: data.update(initial="Nowhere")),
+         "initial/final state 'Nowhere' not declared"),
+        (_corrupt_json(lambda data: _wrap_first_guard(data, lambda guard: guard + " & x")),
+         "bad character in predicate at ' & x'"),
+        (_corrupt_json(lambda data: _wrap_first_guard(data, lambda guard: f"({guard} {guard})")),
+         "unbalanced parenthesis"),
     ],
     ids=[
         "truncated-json",
@@ -491,13 +507,39 @@ def _deep_parentheses(guard: str) -> str:
         "list-initiator",
         "list-receiver",
         "null-role",
+        "operation-without-receiver",
+        "unknown-label",
+        "undeclared-initial-state",
+        "bad-character-in-guard",
+        "unbalanced-guard",
     ],
 )
-def test_validate_corrupted_model_is_a_clean_error(tmp_path, capsys, corrupt):
+def test_validate_corrupted_model_is_a_clean_error(tmp_path, capsys, corrupt, named):
     path = tmp_path / "corrupted.json"
     path.write_text(corrupt((FIXTURES / "social_proximity.json").read_text()))
     assert main(["validate", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (lambda data: next(f for f in data["flows"] if f["from"] == "Initial").update(
+            label={"guard": "true"}),
+         "Initial: initial-degree: outgoing flow carries a guard"),
+        (lambda data: data["flows"].append({"from": "S16", "label": "eps", "to": "Final"}),
+         "S16: join-degree: expected exactly one epsilon successor"),
+    ],
+    ids=["guarded-initial-flow", "join-with-two-successors"],
+)
+def test_validate_prints_the_rule_a_model_breaks(tmp_path, capsys, edit, line):
+    data = json.loads((FIXTURES / "social_proximity.json").read_text())
+    edit(data)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 1
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_bundled_fixture_scenarios_run(tmp_path):

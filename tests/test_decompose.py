@@ -258,6 +258,8 @@ def test_a_coordination_tuple_is_an_immutable_value():
     with pytest.raises(AttributeError):
         del t.src
     assert t.op is None and t.src == "S"
+    # no value equality: a tuple is equal only to itself, and hashes so
+    assert t == t and t != same and len({t, same, t}) == 2
 
 
 def test_a_generated_coordination_tuple_refuses_assignment_and_deletion():

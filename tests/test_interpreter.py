@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from chorenforce.interpreter import NoTrueGuardError, StuckTokenError, reference_traces
+from chorenforce import interpreter
+from chorenforce.interpreter import MAX_OPS, NoTrueGuardError, StuckTokenError, reference_traces
 from chorenforce.model import EPS, Choreography, Flow, Guard, Operation, StateKind
 from chorenforce.predicate import Var
 from chorenforce.randgen import random_case
@@ -65,10 +66,10 @@ def test_loop_exit_language():
 
 
 def test_loop_repeat_language_truncates():
-    lang = reference_traces(loop_model(), {"p": True}, max_ops=6)
+    lang = reference_traces(loop_model(), {"p": True})
     # the guard never releases the token, so no word ever completes
     assert lang.complete == frozenset()
-    assert lang.truncated
+    assert lang.truncated == {("A.init.B",) + ("A.work.B",) * (MAX_OPS - 1)}
     assert lang.is_prefix(("A.init.B", "A.work.B", "A.work.B"))
     assert not lang.is_prefix(("A.init.B", "A.finish.C"))
 
@@ -84,17 +85,19 @@ def test_eight_way_fork_word_is_checked_fast():
     assert not lang.is_prefix(word[:3] + word[2:3])
 
 
-def test_replay_agrees_with_enumeration():
+def test_replay_agrees_with_enumeration(monkeypatch):
     """Membership and prefix answers of the replay against the listed
     language, on every listed word, its prefixes, a shuffle of it and a
-    one-label extension, all within the listing's length bound."""
+    one-label extension, all within the listing's length bound, which is
+    cut to 12 operations to keep the listings small."""
     max_ops = 12
+    monkeypatch.setattr(interpreter, "MAX_OPS", max_ops)
     cases = random.Random(17)
     pick = random.Random(18)
     checked = 0
     for _ in range(300):
         case = random_case(cases)
-        lang = reference_traces(case.model, case.env, max_ops=max_ops)
+        lang = reference_traces(case.model, case.env)
         listed = lang.complete | lang.truncated
         labels = sorted(op.label for op in case.model.operations())
         words = set()

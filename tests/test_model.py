@@ -1,9 +1,12 @@
+import copy
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from chorenforce.decompose import CoordTuple
 from chorenforce.model import (
     EPS,
     Choreography,
@@ -22,7 +25,7 @@ from chorenforce.model import (
     save_model,
 )
 from chorenforce.participants import Action, ScriptSpec, load_scenario
-from chorenforce.predicate import Var
+from chorenforce.predicate import And, Eq, Not, Or, TrueLit, Var
 from chorenforce.socialprox import IM, IM_ACTIONS, SPS, SPS_ACTIONS, UMS, social_proximity
 from helpers import FIXTURES, loop_model
 
@@ -163,8 +166,20 @@ def test_epsilon_is_a_value():
     assert repr(Epsilon()) == "EPS" and EPS
     assert EPS != () and () != EPS and EPS != Guard(Var("x"))
     assert Flow("A", Epsilon(), "B") == Flow("A", EPS, "B")
+    assert hash(EPS) == hash(())
+    assert copy.deepcopy(EPS) == EPS and pickle.loads(pickle.dumps(EPS)) == EPS
     with pytest.raises(AttributeError):
         EPS.label = "eps"
+    with pytest.raises(AttributeError):
+        del EPS.label
+
+
+@pytest.mark.parametrize("cls", [TrueLit, Var, Eq, Not, And, Or, Epsilon, CoordTuple],
+                         ids=lambda cls: cls.__name__)
+def test_a_record_class_inherits_its_immutability_and_equality(cls):
+    # one base refuses assignment and deletion; one layer over it makes a value
+    own = {"__setattr__", "__delattr__", "__eq__", "__hash__", "__reduce__"} & vars(cls).keys()
+    assert not own
 
 
 def test_the_package_imports_without_dataclasses():

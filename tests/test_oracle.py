@@ -5,6 +5,8 @@ observable; the expected class is asserted on the exact forward (or, for
 the silent-deadlock case, on the post-run findings).
 """
 
+import random
+
 import pytest
 
 from chorenforce import decompose, oracle, validate
@@ -28,7 +30,7 @@ from chorenforce.oracle import (
     verdict_histogram,
 )
 from chorenforce.participants import Action, Scenario, ScriptSpec
-from chorenforce.randgen import scripts_for_word
+from chorenforce.randgen import random_case, scripts_for_word
 from chorenforce.runner import run_scenario
 from chorenforce.simulator import COMPLETED, DEADLOCKED
 from chorenforce.socialprox import (
@@ -67,6 +69,7 @@ from helpers import (
     nested_fork_model,
     run_sp,
     silent_loop_model,
+    silent_state_defect_cases,
     three_way_fork_model,
     twin_fork_model,
     LOOP_EXIT_ACTIONS,
@@ -348,6 +351,20 @@ def test_skip_wait_is_missed_join():
     assert result.outcome == DEADLOCKED
 
 
+@pytest.mark.parametrize("kind, state, scenario, pair, cls",
+                         [pytest.param(*case, id=case[0]) for case in silent_state_defect_cases()])
+def test_a_silent_state_before_the_flagged_state_hides_no_defect(kind, state, scenario,
+                                                                  pair, cls):
+    # the checker walks back over SX's epsilon flow to the flow that decides
+    assert validate_cefm(scenario.model).ok
+    with faulty_delegate(pair, cls):
+        result = run_scenario(scenario)
+    assert [(v.kind, v.state) for v in result.flagged] == [(kind, state)]
+    assert not result.conformant
+    if kind in (INVALID_ALTERNATIVE, INVALID_LOOP):
+        assert result.flagged[0].detail.endswith("guard false at SX")
+
+
 def test_skip_notify_deadlocks_the_join():
     with faulty_delegate(SPS_NMF, skip_notify()):
         result = run_sp(inorder_scenario())
@@ -417,3 +434,15 @@ def test_overhead_within_bound():
     assert count == 10
     assert bound == 48  # 8 operation labels, 6 roles
     assert count <= bound
+
+
+def test_the_bound_counts_as_many_operations_as_label_texts():
+    # ambiguous-label refuses two operations with one text, so the bound
+    # may count operations; here on the fixtures and criterion 6's sweep
+    models = [fixture_scenario(name).model
+              for name in ("inorder", "shuffled", "adversarial", "share_disabled")]
+    rng = random.Random(198)
+    models += [random_case(rng).model for _ in range(200)]
+    for model in models:
+        operations = {f.label for f in model.flows if isinstance(f.label, Operation)}
+        assert len(operations) == len({op.label for op in operations})

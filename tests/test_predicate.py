@@ -180,6 +180,13 @@ def test_nodes_equal_only_nodes_of_their_class():
     assert len({And(a, b), Or(a, b), And(a, b)}) == 2
 
 
+def test_a_node_hashes_as_the_tuple_of_its_fields():
+    x = Var("x")
+    assert hash(TRUE) == hash(()) and hash(x) == hash(("x",))
+    assert hash(Eq("y", -2)) == hash(("y", -2)) and hash(Not(x)) == hash((x,))
+    assert hash(And(x, TRUE)) == hash(Or(x, TRUE)) == hash((x, TRUE))
+
+
 def test_nodes_keep_their_repr():
     assert repr(TRUE) == "TrueLit()"
     assert repr(parse_predicate("not (x or y == -2) and true")) == (
