@@ -6,8 +6,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from chorenforce import Scenario, generate_all, save_model, save_scenario
-from chorenforce.decompose import dumps_cm
+from chorenforce import Scenario, cli, save_model, save_scenario
 from chorenforce.participants import Action, Injection, ScriptSpec
 from chorenforce.socialprox import (
     ENV_BOTH_TRUE,
@@ -38,13 +37,12 @@ def sps_script(**kw) -> ScriptSpec:
 def main() -> int:
     FIXTURES.mkdir(exist_ok=True)
     model = social_proximity()
-    save_model(model, FIXTURES / "social_proximity.json")
-
+    model_path = FIXTURES / "social_proximity.json"
+    save_model(model, model_path)
+    # gen-cm names the files and refuses pairs whose names clash
     cm_dir = FIXTURES / "coordination_models"
-    cm_dir.mkdir(exist_ok=True)
-    for pair, cm in sorted(generate_all(model).items()):
-        path = cm_dir / f"cm_{pair.initiator}__{pair.receiver}.json"
-        path.write_text(dumps_cm(cm))
+    if cli.main(["gen-cm", str(model_path), "--out-dir", str(cm_dir)]) != 0:
+        return 1
 
     inorder = Scenario(
         model=model,

@@ -8,7 +8,7 @@ import os
 import sys
 from pathlib import Path
 
-from .decompose import InvalidModelError, dumps_cm, generate_all
+from .decompose import InvalidModelError, dumps_cm, generate_all, require_valid
 from .interpreter import InterpreterError, reference_traces
 from .model import ModelFormatError, load_model
 from .oracle import ALLOWED, RuntimeChecker, projection
@@ -21,7 +21,7 @@ from .runner import (
     write_report,
     write_trace,
 )
-from .simulator import enactment_bootstrap
+from .simulator import MAX_EVENTS, enactment_bootstrap
 from .validate import validate_cefm
 
 
@@ -69,9 +69,7 @@ def _cmd_gen_cm(args) -> int:
 
 def _cmd_bootstrap(args) -> int:
     scenario = load_scenario(args.scenario)
-    report = validate_cefm(scenario.model)
-    if not report.ok:
-        raise InvalidModelError(str(report))
+    require_valid(scenario.model)
     updates = enactment_bootstrap(scenario.model, scenario.environment)
     for pair, state in updates:
         print(f"update {state} -> {pair}")
@@ -153,7 +151,7 @@ def main(argv=None) -> int:
     p.add_argument("scenario")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--policy", choices=POLICIES, default=None)
-    p.add_argument("--max-events", type=positive_int, default=10000)
+    p.add_argument("--max-events", type=positive_int, default=MAX_EVENTS)
     p.add_argument("--out-dir", default="runs")
     p.set_defaults(func=_cmd_run)
 

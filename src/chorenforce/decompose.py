@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from .model import _JOIN, _LOOP, Choreography, Flow, Guard, Operation, Pair, _new, dumps_json
 from .predicate import Not, Pred, TRUE, _Frozen, to_text
-from .validate import validate_cefm
+from .validate import ValidationReport, validate_cefm
 
 
 class InvalidModelError(ValueError):
@@ -123,7 +123,7 @@ class CoordModel:
 def _loop_exit_cond(model: Choreography, src: str) -> Pred:
     # The exit epsilon of a loop fires exactly when the entry guard, its
     # one guard flow, fails.
-    pred = next(f.label.pred for f in model.out_flows(src) if isinstance(f.label, Guard))
+    pred = next(f.label.pred for f in model.outgoing[src] if isinstance(f.label, Guard))
     return pred.inner if isinstance(pred, Not) else Not(pred)
 
 
@@ -247,10 +247,17 @@ class _Decomposition:
         return CoordModel(owner, tuples, by_src, op_sources, op_states, initial_wait)
 
 
-def generate_all(model: Choreography) -> dict[Pair, CoordModel]:
+def require_valid(model: Choreography) -> ValidationReport:
+    """The model's validation report; InvalidModelError, with the
+    report's text, where the model breaks a rule."""
     report = validate_cefm(model)
     if not report.ok:
         raise InvalidModelError(str(report))
+    return report
+
+
+def generate_all(model: Choreography) -> dict[Pair, CoordModel]:
+    report = require_valid(model)
     walks = _Decomposition(model, report.arrivals)
     return {pair: walks.generate(pair) for pair in sorted(walks.op_flows)}
 

@@ -186,8 +186,6 @@ class Delegate:
         budget = self._budget
         while queue:
             thread = queue.popleft()
-            if thread not in self.threads:
-                continue  # retired while queued
             outs = self.cm.tuples_from(thread.state)
             if not outs:
                 self._retire(thread)

@@ -78,7 +78,7 @@ class Language:
         self._silent: dict[str, tuple | None] = {}
         # join -> the entry places that must all hold a token for it to fire
         self._entries = {
-            j: tuple((f.src, j) for f in model.in_flows(j)) for j in self._joins
+            j: tuple((f.src, j) for f in model.incoming[j]) for j in self._joins
         }
         self._budget = 16 * (len(model.states) + 2) * (len(model.flows) + 2)
         self._reached: dict[tuple, frozenset] = {}
@@ -92,7 +92,7 @@ class Language:
     def _silent_moves(self, s: str) -> tuple | None:
         model = self.model
         kind = model.states[s]
-        outs = model._out[s]
+        outs = model.outgoing[s]
         if kind is _FINAL:
             return ()
         if kind is _FORK:

@@ -112,7 +112,8 @@ def flow_sort_key(f: Flow) -> tuple:
 class Choreography:
     """A choreography graph plus role and variable declarations.
 
-    Treated as immutable after construction; flow indexes are built once.
+    Treated as immutable after construction; its flow indexes are built
+    once. A model equals only itself: compare two by model_to_json.
     """
 
     def __init__(
@@ -133,9 +134,10 @@ class Choreography:
         # validate_cefm's finished result, (violations, arrivals): it holds
         # no report, so the model and its reports form no cycle
         self._validated: tuple[tuple, dict] | None = None
-        self._out: dict[str, list[Flow]] = {s: [] for s in self.states}
-        self._in: dict[str, list[Flow]] = {s: [] for s in self.states}
-        out, into = self._out, self._in
+        # by state, the flows out of it and the flows into it, in flow order
+        self.outgoing: dict[str, list[Flow]] = {s: [] for s in self.states}
+        self.incoming: dict[str, list[Flow]] = {s: [] for s in self.states}
+        out, into = self.outgoing, self.incoming
         for f in self.flows:
             src, _, trg = f
             if src not in out or trg not in out:
@@ -143,33 +145,12 @@ class Choreography:
             out[src].append(f)
             into[trg].append(f)
 
-    def out_flows(self, s: str) -> list[Flow]:
-        return self._out[s]
-
-    def in_flows(self, s: str) -> list[Flow]:
-        return self._in[s]
-
-    def kind(self, s: str) -> StateKind:
-        return self.states[s]
-
     def operations(self) -> list[Operation]:
         seen: dict[str, Operation] = {}
         for f in self.flows:
             if isinstance(f.label, Operation):
                 seen.setdefault(f.label.label, f.label)
         return [seen[k] for k in sorted(seen)]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Choreography):
-            return NotImplemented
-        return (
-            self.states == other.states
-            and self.initial == other.initial
-            and self.final == other.final
-            and self.roles == other.roles
-            and self.variables == other.variables
-            and self.flows == other.flows
-        )
 
 
 def _label_to_json(label: Label):
@@ -271,10 +252,6 @@ def model_from_json(data: dict) -> Choreography:
 
 def dumps_model(model: Choreography) -> str:
     return dumps_json(model_to_json(model))
-
-
-def loads_model(text: str) -> Choreography:
-    return model_from_json(json.loads(text))
 
 
 def save_model(model: Choreography, path) -> None:

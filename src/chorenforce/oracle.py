@@ -33,12 +33,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 # generate_all is not called here: the benchmark still wraps this name
-from .decompose import InvalidModelError, Pair, generate_all  # noqa: F401
+from .decompose import Pair, generate_all, require_valid  # noqa: F401
 from .interpreter import Language
 from .model import (_ALTERNATIVE, _JOIN, _LOOP, _PLAIN, Choreography, Epsilon, Guard,
                     Operation, _new)
 from .predicate import Value, eval_pred
-from .validate import validate_cefm
 
 ALLOWED = "Allowed"
 UNDESIRED_TASK = "UndesiredTask"
@@ -77,10 +76,8 @@ class RuntimeChecker:
         self.model = model
         self.env = dict(env)
         # the model's tables, read once per forward
-        self._in, self._states = model._in, model.states
-        report = validate_cefm(model)
-        if not report.ok:
-            raise InvalidModelError(str(report))
+        self._incoming, self._states = model.incoming, model.states
+        report = require_valid(model)
         # ((initiator, receiver), source state) -> the tasks of the
         # model's operation flows out of that state
         self._tasks: dict[tuple[tuple[str, str], str], set[str]] = {}
@@ -156,7 +153,7 @@ class RuntimeChecker:
             ))
         # In a validated model operations leave only the initial state,
         # entered by no flow, and plain states, entered by exactly one.
-        entering = self._in[src]
+        entering = self._incoming[src]
         if not entering:
             return _new(Verdict, (seq, ALLOWED, cd, task, src, ""))
         ((before, label, entered),) = entering
@@ -164,7 +161,7 @@ class RuntimeChecker:
         # an epsilon flow out of a plain state decides nothing: walk back
         # to the flow that decides that state
         while isinstance(label, Epsilon) and kind is _PLAIN:
-            ((before, label, entered),) = self._in[before]
+            ((before, label, entered),) = self._incoming[before]
             kind = self._states[before]
         if isinstance(label, Guard):
             if not eval_pred(label.pred, self.env):
@@ -176,7 +173,7 @@ class RuntimeChecker:
                     seq, INVALID_LOOP, cd, task, src, f"loop entry guard false at {entered}"
                 ))
         elif kind is _LOOP:
-            entry = next(f for f in self.model.out_flows(before) if isinstance(f.label, Guard))
+            entry = next(f for f in self.model.outgoing[before] if isinstance(f.label, Guard))
             if eval_pred(entry.label.pred, self.env):
                 return _new(Verdict, (
                     seq, MISSED_LOOP, cd, task, src, f"loop at {before} should repeat, not exit"

@@ -29,7 +29,8 @@ from .oracle import (
 )
 from .participants import Participant, Scenario, ScriptSpec
 from .predicate import Value
-from .simulator import COMPLETED, DEADLOCKED, Simulator, enactment_bootstrap, make_policy
+from .simulator import (COMPLETED, DEADLOCKED, MAX_EVENTS, Simulator, enactment_bootstrap,
+                        make_policy)
 
 
 class RunResult(NamedTuple):
@@ -130,7 +131,7 @@ def run_scenario(
     *,
     policy: str | None = None,
     seed: int | None = None,
-    max_events: int = 10000,
+    max_events: int = MAX_EVENTS,
 ) -> RunResult:
     return Enactment(scenario.model, scenario.environment).run(
         scenario.scripts,

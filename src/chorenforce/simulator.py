@@ -43,6 +43,9 @@ COMPLETED = "completed"
 DEADLOCKED = "deadlocked"
 BUDGET = "budget"
 
+# the events a run may log before it ends as BUDGET, unless asked otherwise
+MAX_EVENTS = 10000
+
 
 class SimulationError(RuntimeError):
     pass
@@ -59,7 +62,7 @@ def enactment_bootstrap(model: Choreography, env: dict[str, Value]) -> list[tupl
     arrived: dict[str, int] = {}  # by state, the flows into it taken so far
     while stack:
         s = stack.pop()
-        flows = [f for f in model.out_flows(s)
+        flows = [f for f in model.outgoing[s]
                  if not isinstance(f.label, Guard) or eval_pred(f.label.pred, env)]
         if model.states[s] is _LOOP and len(flows) == 2:  # its guard holds
             flows = [f for f in flows if isinstance(f.label, Guard)]
@@ -69,7 +72,7 @@ def enactment_bootstrap(model: Choreography, env: dict[str, Value]) -> list[tupl
                 continue
             arrived[trg] = arrived.get(trg, 0) + 1
             # a state is entered by its first flow in, a join by its last
-            if arrived[trg] == (len(model.in_flows(trg)) if model.states[trg] is _JOIN else 1):
+            if arrived[trg] == (len(model.incoming[trg]) if model.states[trg] is _JOIN else 1):
                 stack.append(trg)
     return sorted(start)
 
@@ -129,7 +132,7 @@ class Simulator:
         delegates: dict[Pair, Delegate],
         participants: dict[str, Participant],
         policy,
-        max_events: int = 10000,
+        max_events: int,
     ):
         self.model = model
         self.start = start

@@ -130,10 +130,8 @@ def _check_duplicate_flows(model: Choreography, report: ValidationReport) -> Non
 
 
 def _check_degrees(model: Choreography, report: ValidationReport) -> None:
-    into, out = model._in, model._out
     for s, kind in sorted(model.states.items()):
-        ins = into[s]
-        outs = out[s]
+        ins, outs = model.incoming[s], model.outgoing[s]
 
         if kind is _PLAIN:
             if len(ins) != 1:
@@ -203,8 +201,9 @@ def _check_labels(model: Choreography, report: ValidationReport) -> None:
         if isinstance(label, Guard):
             kind = states[src]
             if kind is not _ALTERNATIVE and kind is not _LOOP:
+                article = "an" if kind.value[0] in "aeiou" else "a"
                 report.add(src, "guard-placement",
-                           f"guard flow out of a {kind.value} state")
+                           f"guard flow out of {article} {kind.value} state")
         elif isinstance(label, Operation):
             initiator, task, receiver = label
             if initiator not in roles or receiver not in roles:
@@ -229,7 +228,7 @@ def _check_guards(model: Choreography, report: ValidationReport) -> None:
         if missing:
             report.add(f.src, "guard-variables",
                        f"undeclared variables {sorted(missing)} in {to_text(pred)}")
-        kind = model.kind(f.src)
+        kind = model.states[f.src]
         if kind is not _ALTERNATIVE and kind is not _LOOP:
             continue
         typed = [n for n in sorted(bool_vars(pred) - missing)
@@ -266,14 +265,14 @@ def _check_loops(model: Choreography, report: ValidationReport,
                  loops: list[str]) -> dict[str, str]:
     """Check each loop against its body and return the source of each
     loop's entry flow, for the fork/join pass."""
-    entries, out_flows = {}, model.out_flows
+    entries, outgoing = {}, model.outgoing
     for s in loops:
-        guard_out = [f for f in out_flows(s) if isinstance(f.label, Guard)]
+        guard_out = [f for f in outgoing[s] if isinstance(f.label, Guard)]
         if len(guard_out) != 1:
             continue  # degree rule already failed
         entry = guard_out[0].trg
-        ins = model.in_flows(s)
-        body = _reach(entry, lambda x: () if x == s else out_flows(x), _TRG)
+        ins = model.incoming[s]
+        body = _reach(entry, lambda x: () if x == s else outgoing[x], _TRG)
         # One predecessor must close the cycle: lie in the body.
         if not any(f.src in body for f in ins):
             report.add(s, "loop-back",
@@ -295,10 +294,10 @@ def _check_silent_cycles(model: Choreography, report: ValidationReport,
     A cycle that passes no loop is entered only through a join, whose
     walk back the fork/join pass refuses, or not at all: every other
     state has one flow in."""
-    states, out_flows = model.states, model.out_flows
+    states, outgoing = model.states, model.outgoing
 
     def silent(s: str) -> list[str]:
-        return [f.trg for f in out_flows(s) if not isinstance(f.label, Operation)]
+        return [f.trg for f in outgoing[s] if not isinstance(f.label, Operation)]
 
     # index: the order states are first met in; low: the lowest index a
     # state reaches among those still on the stack
@@ -341,7 +340,7 @@ def _check_silent_cycles(model: Choreography, report: ValidationReport,
     found = []
     for cycle in cycles:
         # the flows out of the cycle's loops that stay on it
-        back = [f for s in sorted(cycle) if states[s] is _LOOP for f in out_flows(s)
+        back = [f for s in sorted(cycle) if states[s] is _LOOP for f in outgoing[s]
                 if f.trg in cycle and not isinstance(f.label, Operation)]
         if back:
             f = next((f for f in back if isinstance(f.label, Guard)), back[0])
@@ -402,7 +401,7 @@ class _JoinWalk:
         """Settle `join`, refusing it where a static wait set cannot serve
         it; or return the join whose structure its walks need first."""
         walks = []
-        for flow in self.model.in_flows(join):
+        for flow in self.model.incoming[join]:
             found = self._back(join, flow.src)
             if not isinstance(found, tuple):
                 if found is None:
@@ -440,7 +439,7 @@ class _JoinWalk:
         fork. Returns a join not yet settled that the walk passes, or
         None once the walk refused `join` or passed a refused join.
         """
-        states, in_flows, arriving = self.model.states, self.model.in_flows, self.arriving
+        states, incoming, arriving = self.model.states, self.model.incoming, self.arriving
         fork = loop = None
         pair = _UNSET
         passed = []  # forks passed before an operation: `pair` arrives at each
@@ -475,7 +474,7 @@ class _JoinWalk:
                         # its walks went past its fork to the start walk
                         pair = arriving[inner]
                         break
-                s = in_flows(inner)[0].src
+                s = incoming[inner][0].src
                 continue
             elif kind is _LOOP:
                 if fork is None:
@@ -489,7 +488,7 @@ class _JoinWalk:
                     return None
                 pair = None
                 break
-            (flow,) = in_flows(s)
+            (flow,) = incoming[s]
             label = flow.label
             if isinstance(label, Guard):
                 if fork is None:
@@ -530,8 +529,8 @@ def _reach(
 
 
 def _reachability_warnings(model: Choreography) -> list[Violation]:
-    from_initial = _reach(model.initial, model.out_flows, _TRG)
-    reaches_final = _reach(model.final, model.in_flows, _SRC)
+    from_initial = _reach(model.initial, model.outgoing.__getitem__, _TRG)
+    reaches_final = _reach(model.final, model.incoming.__getitem__, _SRC)
     return [Violation(s, "unreachable", "not reachable from the initial state")
             for s in sorted(model.states.keys() - from_initial)] + [
             Violation(s, "dead-end", "cannot reach the final state")

@@ -159,7 +159,7 @@ def defect_cases() -> list[tuple[str, str, Scenario, Pair, type[Delegate]]]:
 def with_silent_state(model: Choreography, state: str) -> Choreography:
     """`model` with the one flow into `state` split in two: it enters a
     new plain state SX, whose epsilon flow goes on to `state`."""
-    ((before, label, _),) = model.in_flows(state)
+    ((before, label, _),) = model.incoming[state]
     flows = [f for f in model.flows if f.trg != state]
     flows += [Flow(before, label, "SX"), Flow("SX", EPS, state)]
     return Choreography({**model.states, "SX": StateKind.PLAIN}, model.initial,

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from chorenforce.cli import main
+from chorenforce.decompose import InvalidModelError, generate_all
 from chorenforce.interpreter import Language
 from chorenforce.model import EPS, Choreography, Flow, Guard, Operation, StateKind, save_model
+from chorenforce.oracle import RuntimeChecker
 from chorenforce.participants import Action, Scenario, ScriptSpec, save_scenario
 from chorenforce.predicate import Not, Var
 from helpers import (
@@ -530,8 +532,15 @@ def test_validate_corrupted_model_is_a_clean_error(tmp_path, capsys, corrupt, na
          "Initial: initial-degree: outgoing flow carries a guard"),
         (lambda data: data["flows"].append({"from": "S16", "label": "eps", "to": "Final"}),
          "S16: join-degree: expected exactly one epsilon successor"),
+        (lambda data: next(f for f in data["flows"] if f["from"] == "Initial").update(
+            label={"guard": "true"}),
+         "Initial: guard-placement: guard flow out of an initial state"),
+        (lambda data: next(f for f in data["flows"] if f["from"] == "S13").update(
+            label={"guard": "true"}),
+         "S13: guard-placement: guard flow out of a fork state"),
     ],
-    ids=["guarded-initial-flow", "join-with-two-successors"],
+    ids=["guarded-initial-flow", "join-with-two-successors", "guard-out-of-the-initial-state",
+         "guard-out-of-a-fork"],
 )
 def test_validate_prints_the_rule_a_model_breaks(tmp_path, capsys, edit, line):
     data = json.loads((FIXTURES / "social_proximity.json").read_text())
@@ -674,6 +683,27 @@ def test_run_unrunnable_scenario_is_a_clean_error(tmp_path, capsys, edit, named)
 def _structurally_invalid(cefm, state="S5"):
     # a second way out of a plain state
     cefm["flows"].append({"from": state, "label": "eps", "to": "Final"})
+
+
+def test_every_door_refuses_a_model_with_one_text(tmp_path, capsys):
+    # decomposition, the checker and bootstrap all ask require_valid
+    model = silent_loop_model()
+    with pytest.raises(InvalidModelError) as decomposed:
+        generate_all(model)
+    with pytest.raises(InvalidModelError) as checked:
+        RuntimeChecker(model, {"p": True})
+    path = tmp_path / "silent_loop.json"
+    scenario = Scenario(
+        model=model,
+        environment={"p": True},
+        scripts=(ScriptSpec("A", (Action("init", "B"),)),),
+    )
+    save_scenario(scenario, path)
+    assert main(["bootstrap", str(path)]) == 2
+    text = str(decomposed.value)
+    assert "loop-without-operation" in text
+    assert str(checked.value) == text
+    assert capsys.readouterr().err == f"error: {text}\n"
 
 
 def test_run_structurally_invalid_model_is_a_clean_error(tmp_path, capsys):

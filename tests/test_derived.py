@@ -58,7 +58,7 @@ class FiveTableChecker(RuntimeChecker):
         self._join_exit_in = {}
         self._loop_entry_guard = {}
         for flow in model.flows:
-            kind = model.kind(flow.src)
+            kind = model.states[flow.src]
             if isinstance(flow.label, Guard):
                 if kind is StateKind.ALTERNATIVE:
                     self._alt_guard_in[flow.trg] = flow.label.pred

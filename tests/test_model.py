@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import subprocess
 import sys
@@ -19,7 +20,6 @@ from chorenforce.model import (
     dumps_model,
     flow_sort_key,
     load_model,
-    loads_model,
     model_from_json,
     model_to_json,
     save_model,
@@ -32,20 +32,20 @@ from helpers import FIXTURES, loop_model
 
 def test_json_round_trip_fig():
     m = social_proximity()
-    assert model_from_json(model_to_json(m)) == m
-    assert loads_model(dumps_model(m)) == m
+    assert model_to_json(model_from_json(model_to_json(m))) == model_to_json(m)
+    assert dumps_model(model_from_json(json.loads(dumps_model(m)))) == dumps_model(m)
 
 
 def test_json_round_trip_loop():
     m = loop_model()
-    assert model_from_json(model_to_json(m)) == m
+    assert model_to_json(model_from_json(model_to_json(m))) == model_to_json(m)
 
 
 def test_file_round_trip(tmp_path):
     m = social_proximity()
     path = tmp_path / "model.json"
     save_model(m, path)
-    assert load_model(path) == m
+    assert model_to_json(load_model(path)) == model_to_json(m)
 
 
 def test_operation_label():
@@ -70,10 +70,10 @@ def test_flow_sort_key_total_order():
 
 def test_kind_lookup():
     m = social_proximity()
-    assert m.kind("S7") is StateKind.ALTERNATIVE
-    assert m.kind("S13") is StateKind.FORK
-    assert m.kind("S16") is StateKind.JOIN
-    assert m.kind("Initial") is StateKind.INITIAL
+    assert m.states["S7"] is StateKind.ALTERNATIVE
+    assert m.states["S13"] is StateKind.FORK
+    assert m.states["S16"] is StateKind.JOIN
+    assert m.states["Initial"] is StateKind.INITIAL
 
 
 def test_flows_reference_declared_states():
@@ -90,7 +90,7 @@ def test_flows_reference_declared_states():
 
 def test_malformed_json_rejected():
     with pytest.raises(ModelFormatError):
-        loads_model("{}")
+        model_from_json({})
     m = social_proximity()
     data = model_to_json(m)
     data["states"]["S5"] = "banana"
@@ -140,7 +140,8 @@ def test_a_loaded_model_is_made_of_the_record_classes():
     # the loader builds its records without their constructors
     built = social_proximity()
     loaded = load_model(FIXTURES / "social_proximity.json")
-    assert loaded == built
+    assert model_to_json(loaded) == model_to_json(built)
+    assert loaded.flows == built.flows
     assert [type(f.label) for f in loaded.flows] == [type(f.label) for f in built.flows]
     assert all(type(f) is Flow for f in loaded.flows)
     assert sum(type(f.label) is Operation for f in loaded.flows) == 8

@@ -210,7 +210,6 @@ def test_a_recheck_validates_its_model_once(monkeypatch):
         calls.append(model)
         return validate_cefm(model)
 
-    monkeypatch.setattr(oracle, "validate_cefm", counted)
     monkeypatch.setattr(decompose, "validate_cefm", counted)
     for model in (sp_model(), loop_model(), guarded_start_model()):
         RuntimeChecker(model, {})

@@ -1,3 +1,4 @@
+from chorenforce.model import model_to_json
 from chorenforce.participants import (
     Action,
     Injection,
@@ -80,7 +81,7 @@ def test_injection_arming():
 def test_scenario_json_round_trip():
     for scenario in (shuffled_scenario(), adversarial_scenario()):
         again = scenario_from_json(scenario_to_json(scenario))
-        assert again.model == scenario.model
+        assert model_to_json(again.model) == model_to_json(scenario.model)
         assert again.environment == scenario.environment
         assert again.scripts == scenario.scripts
         assert (again.mode, again.seed, again.policy) == (

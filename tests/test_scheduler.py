@@ -99,20 +99,20 @@ def test_one_enactment_runs_many_times_sharing_no_run_state(monkeypatch):
     # seeds and policies outermost so that the enactments take turns, and
     # after each one a run of the social proximity model's enactment that
     # stalls under wrong_priority
-    enactments: list[tuple[Scenario, Enactment]] = []
+    enactments: dict[str, Enactment] = {}
 
-    def enactment_for(scenario: Scenario) -> Enactment:
-        for seen, enactment in enactments:
-            if (seen.model, seen.environment) == (scenario.model, scenario.environment):
-                return enactment
-        enactments.append((scenario, Enactment(scenario.model, scenario.environment)))
-        return enactments[-1][1]
+    def enactment_for(name: str, scenario: Scenario) -> Enactment:
+        # the bundled fixtures share one model: one enactment per environment
+        key = name if name not in FIXTURE_NAMES else json.dumps(scenario.environment, sort_keys=True)
+        if key not in enactments:
+            enactments[key] = Enactment(scenario.model, scenario.environment)
+        return enactments[key]
 
     stalling = fixture("inorder")
-    stall = enactment_for(stalling)
+    stall = enactment_for("inorder", stalling)
     for name, policy, seed in sorted(TRACE_SHA256, key=lambda key: key[::-1]):
         scenario = pinned_scenario(name)
-        result = enactment_for(scenario).run(
+        result = enactment_for(name, scenario).run(
             scenario.scripts, mode=scenario.mode, policy=policy, seed=seed, max_events=10000
         )
         digest = hashlib.sha256(trace_lines(result.events).encode()).hexdigest()

@@ -361,7 +361,7 @@ def test_a_gap_is_the_first_assignment_no_guard_covers():
 def _pairwise_guard_violations(model, state):
     """The guard rules as checked one guard pair at a time, then once
     more for coverage, each by its own enumeration."""
-    preds = [f.label.pred for f in model.out_flows(state) if isinstance(f.label, Guard)]
+    preds = [f.label.pred for f in model.outgoing[state] if isinstance(f.label, Guard)]
     domains = {n: model.variables[n] for p in preds for n in free_vars(p)}
 
     def satisfiable_together(ps):
