@@ -109,6 +109,10 @@ def _cmd_check_trace(args) -> int:
     events = read_trace(args.trace)
     checker = RuntimeChecker(scenario.model, scenario.environment)
     verdicts = checker.run(events)
+    # a run that stopped at the default budget holds at least that many
+    # events, and may have stopped with notifications in flight
+    if len(events) < MAX_EVENTS:
+        verdicts += checker.stalled_joins(events)
     flagged = [v for v in verdicts if v.kind != ALLOWED]
     language = reference_traces(scenario.model, scenario.environment)
     word = projection(events)

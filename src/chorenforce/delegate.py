@@ -290,9 +290,3 @@ class Delegate:
 
     def _retire(self, thread: Thread) -> None:
         self.threads.remove(thread)
-
-    def suspended_threads(self) -> list[Thread]:
-        return [t for t in self.threads if t.pending_tuple is not None]
-
-    def pending_tasks(self) -> list[str]:
-        return [task for _, task in self.pending]

@@ -1,11 +1,12 @@
 """Trace-level checking: misbehaviour classes, conformance, overhead.
 
-The checker is an observer. It reads a trace event by event and never
-trusts a delegate's bookkeeping beyond the reported source state of a
-forward. It reads the model, its validation report and the trace, never
-the coordination models: availability at a state comes from the
-choreography's operation flows, and who waits at a join from the
-report's arrivals. Each forwarded operation gets one verdict:
+The checker is an observer. Every verdict comes from the trace, read
+event by event: it never reads a delegate, and trusts a delegate's
+report only for the source state of a forward. It reads the model, its
+validation report and the trace, never the coordination models:
+availability at a state comes from the choreography's operation flows,
+and who waits at a join from the report's arrivals. Each forwarded
+operation gets one verdict:
 
 * UndesiredTask: the operation is not available at the reported state.
 * InvalidAlternative: the state sits behind a branch guard that is false.
@@ -15,8 +16,10 @@ report's arrivals. Each forwarded operation gets one verdict:
   the one that crosses, had not been delivered every other waiter's
   notification for one of its entries, or the forwarding pair, another
   waiter, had not been delivered that entry's notification from it.
-* DeadlockingJoin: issued after a stalled run, for threads still holding
-  unmet join waits.
+* DeadlockingJoin: not a forward's verdict. After a stalled run, the
+  last thread of a pair to reach a join entry is still there (no later
+  StateChange moves it), and for another entry of that join the pair
+  was delivered fewer notifications than it arrived at its own.
 
 Checks are applied in that order; the first match wins. The guard, loop
 and join checks read the flow that decides the reported state: the
@@ -33,7 +36,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 # generate_all is not called here: the benchmark still wraps this name
-from .decompose import Pair, generate_all, require_valid  # noqa: F401
+from .decompose import generate_all, require_valid  # noqa: F401
 from .interpreter import Language
 from .model import (_ALTERNATIVE, _JOIN, _LOOP, _PLAIN, Choreography, Epsilon, Guard,
                     Operation, _new)
@@ -60,7 +63,7 @@ class TraceFormatError(ValueError):
 
 
 class Verdict(NamedTuple):
-    seq: int  # sequence number of the forward event; -1 for post-run findings
+    seq: int  # sequence number of the forward event; -1 for a join left waiting
     kind: str
     cd: tuple[str, str]
     task: str | None
@@ -131,6 +134,65 @@ class RuntimeChecker:
         except TypeError as exc:
             raise TraceFormatError(f"trace event {index}: {exc}") from None
         return verdicts
+
+    def stalled_joins(self, events: list[dict]) -> list[Verdict]:
+        """The DeadlockingJoin findings of a run that ended stalled: one
+        for each pair and join entry where the pair's last thread to
+        reach the entry has no later StateChange, and for another entry
+        the pair was delivered fewer notifications than it reached its
+        own. Counted, since a join inside a loop is reached once per
+        pass. A run cut short may have had notifications in flight."""
+        # (pair, entry) -> (join, the (entry, pair) it waits for); the
+        # report comes from the model's memo
+        waits = {}
+        for join, arrivals in require_valid(self.model).arrivals.items():
+            waiters = [(entry, tuple(pair)) for entry, pair in arrivals if pair is not None]
+            for own, pair in waiters:
+                waits[pair, own] = (join, [(e, q) for e, q in waiters if e != own])
+        arrived: dict[tuple, int] = {}  # (pair, entry) -> how often the pair reached it
+        last: dict[tuple, int] = {}  # (pair, entry) -> the pair's last thread to reach it
+        at: dict[tuple, object] = {}  # (pair, thread) -> the state it last changed to
+        delivered: dict[tuple, int] = {}  # (pred, sender, join, receiver) -> count
+        blocked: dict[tuple, bool] = {}  # (pair, request_id, task) -> not yet unblocked
+        index = 0
+        try:
+            for index, event in enumerate(events):
+                kind = event["kind"]
+                if kind == "StateChange":
+                    cd, thread, to = _roles(event, "cd"), event["thread"], event["to"]
+                    if type(thread) is not int:
+                        raise TypeError(f"StateChange thread is not an int: {thread!r}")
+                    at[cd, thread] = to
+                    if (cd, to) in waits:
+                        arrived[cd, to] = arrived.get((cd, to), 0) + 1
+                        last[cd, to] = thread
+                elif kind == "Notify":
+                    key = (event["pred"], _roles(event, "from"), event["join"],
+                           _roles(event, "to"))
+                    delivered[key] = delivered.get(key, 0) + 1
+                elif kind == "Block" or kind == "Unblock":
+                    request = (_roles(event, "cd"), event["request_id"], event["task"])
+                    if type(request[1]) is not int or type(request[2]) is not str:
+                        raise TypeError(f"{kind} needs an int request_id and a str task, "
+                                        f"got {request[1]!r}, {request[2]!r}")
+                    blocked[request] = kind == "Block"
+        except KeyError as exc:
+            raise TraceFormatError(f"trace event {index}: missing field {exc}") from None
+        except TypeError as exc:
+            raise TraceFormatError(f"trace event {index}: {exc}") from None
+        found = {}
+        for (pair, own), count in arrived.items():
+            join, others = waits[pair, own]
+            thread = last[pair, own]
+            awaited = sorted((e, q) for e, q in others
+                             if delivered.get((e, q, join, pair), 0) < count)
+            if awaited and at[pair, thread] == own:
+                pending = [task for (cd, _, task), held in blocked.items() if held and cd == pair]
+                found[pair, thread] = Verdict(
+                    -1, DEADLOCKING_JOIN, pair, None, own,
+                    f"thread {thread} awaits {awaited} before {join}; pending requests {pending}",
+                )
+        return [found[key] for key in sorted(found)]
 
     def _classify(self, event: dict, delivered: set) -> Verdict:
         # a pair as the simulator writes it, a list of two exact strings,
@@ -205,29 +267,6 @@ def _roles(event: dict, field: str) -> tuple[str, str]:
     if type(value) is not list or list(map(type, roles)) != [str, str]:
         raise TypeError(f"{event['kind']} {field} is not a list of two roles: {value!r}")
     return roles
-
-
-def post_hoc_deadlock(delegates: dict[Pair, object]) -> list[Verdict]:
-    """After a stalled run, report threads still stuck before a join."""
-    findings = []
-    for pair in sorted(delegates):
-        delegate = delegates[pair]
-        for thread in delegate.suspended_threads():
-            awaited = sorted(
-                (state, (p.initiator, p.receiver)) for state, p in thread.awaited
-            )
-            findings.append(
-                Verdict(
-                    -1,
-                    DEADLOCKING_JOIN,
-                    (pair.initiator, pair.receiver),
-                    None,
-                    thread.state,
-                    f"thread {thread.id} awaits {awaited} before {thread.pending_tuple.trg}; "
-                    f"pending requests {delegate.pending_tasks()}",
-                )
-            )
-    return findings
 
 
 def projection(events: list[dict]) -> tuple[str, ...]:

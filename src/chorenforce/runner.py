@@ -23,7 +23,6 @@ from .oracle import (
     Verdict,
     check_conformance,
     coordination_overhead,
-    post_hoc_deadlock,
     projection,
     verdict_histogram,
 )
@@ -110,7 +109,7 @@ class Enactment:
 
         verdicts = self.checker.run(sim.events)
         if outcome == DEADLOCKED:
-            verdicts.extend(post_hoc_deadlock(delegates))
+            verdicts.extend(self.checker.stalled_joins(sim.events))
         conformant = check_conformance(sim.events, self.language, outcome == COMPLETED)
 
         return RunResult(

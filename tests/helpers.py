@@ -41,6 +41,8 @@ from mutants import (
 )
 
 APP = "SocialProxApp"
+# round-robin at seed 0 and random at seeds 1 to 3
+START_RUNS = [("roundrobin", 0), ("random", 1), ("random", 2), ("random", 3)]
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 # Caches: the model and its decomposition never change between tests.
@@ -149,8 +151,8 @@ def defect_cases() -> list[tuple[str, str, Scenario, Pair, type[Delegate]]]:
          Pair("A", "B"), ignore_loop_guard(loop_kinds)),
         (MISSED_JOIN, "join crossed without waiting",
          rushed, Pair(SPS, NMF), skip_wait()),
-        # never notifies the sibling branch: the run stalls silently and
-        # only the post-run scan of suspended delegates can say why
+        # never notifies the sibling branch: the run stalls silently, and
+        # only the stalled-join pass over the trace can say why
         (DEADLOCKING_JOIN, "suppressed notification",
          inorder_scenario(), Pair(SPS, NMF), skip_notify()),
     ]
@@ -711,6 +713,38 @@ def loop_fork_model() -> Choreography:
         ("J", "", "K"), ("K", "A.t2.B", "K2"), ("K2", "", "L"),
         ("L", "", "Z"), ("Z", "", "Final"),
     ])
+
+
+def loop_branch_stall_scenario() -> Scenario:
+    """loop_branch_fork_model with g stuck true: (X,Y) never leaves the
+    loop for LX, so (A,B) stays before J, waiting for (X,Y) alone. X
+    requests lead, A requests a, and P requests w three times."""
+    actions = (("X", [("lead", "Y")]), ("A", [("a", "B")]), ("P", [("w", "Q")] * 3))
+    return Scenario(model=loop_branch_fork_model(), environment={"g": True},
+                    scripts=tuple(ScriptSpec(role, tuple(Action(*a) for a in acts))
+                                  for role, acts in actions))
+
+
+def loop_join_model() -> Choreography:
+    """A loop whose body runs X.s.Y, then forks into C.t1.D and E.t3.G,
+    joined at J, and runs A.t2.B back to the loop: each pass reaches J
+    again, with (C,D) arriving at P2 and (E,G), which crosses, at Q2."""
+    return shape_model(forks=["F"], joins=["J"], loops=["L"], variables={"g": (False, True)},
+                       flows=[
+        ("Initial", "", "L0"), ("L0", "", "L"), ("L", "[g]", "B0"), ("B0", "X.s.Y", "B1"),
+        ("B1", "", "F"), ("F", "", "P1"), ("P1", "C.t1.D", "P2"), ("P2", "", "J"),
+        ("F", "", "Q1"), ("Q1", "E.t3.G", "Q2"), ("Q2", "", "J"),
+        ("J", "", "K"), ("K", "A.t2.B", "K2"), ("K2", "", "L"),
+        ("L", "", "Z"), ("Z", "", "Final"),
+    ])
+
+
+def loop_join_scenario() -> Scenario:
+    """loop_join_model with g true: three passes, each initiator
+    requesting its operation once per pass."""
+    model = loop_join_model()
+    word = ("X.s.Y", "C.t1.D", "E.t3.G", "A.t2.B") * 3
+    return Scenario(model=model, environment={"g": True}, scripts=scripts_for_word(model, word))
 
 
 def loop_sequence_model(n: int, step: str = "") -> Choreography:

@@ -113,3 +113,22 @@ def wrong_priority() -> type[Delegate]:
             return False
 
     return WrongPriority
+
+
+def skip_notify_on_pass(n: int) -> type[Delegate]:
+    """Honest, except that the n-th time (from 1) its walk enters a join
+    it tells no sibling branch that its own branch arrived."""
+
+    class SkipNotifyOnPass(Delegate):
+        def __init__(self, pair, cm, env):
+            super().__init__(pair, cm, env)
+            self.joins_entered = 0
+
+        def _traverse(self, thread, t):
+            if t.to_be_notified:
+                self.joins_entered += 1
+                if self.joins_entered == n:
+                    t = _with(t, to_be_notified=frozenset())
+            return super()._traverse(thread, t)
+
+    return SkipNotifyOnPass

@@ -5,18 +5,22 @@ from pathlib import Path
 
 import pytest
 
+from chorenforce import cli
 from chorenforce.cli import main
 from chorenforce.decompose import InvalidModelError, generate_all
 from chorenforce.interpreter import Language
 from chorenforce.model import EPS, Choreography, Flow, Guard, Operation, StateKind, save_model
-from chorenforce.oracle import RuntimeChecker
+from chorenforce.oracle import ALLOWED, DEADLOCKING_JOIN, RuntimeChecker
 from chorenforce.participants import Action, Scenario, ScriptSpec, save_scenario
 from chorenforce.predicate import Not, Var
+from chorenforce.runner import read_trace
 from helpers import (
     chain_model,
     chain_scenario,
+    defect_cases,
     duplicate_flow_model,
     exclusive_join_model,
+    faulty_delegate,
     guarded_start_model,
     inorder_scenario,
     int_alternative_model,
@@ -25,6 +29,7 @@ from helpers import (
     silent_exit_cycle_model,
     silent_exit_cycle_scenario,
     silent_loop_model,
+    silent_state_defect_cases,
     sp_model,
     twin_fork_model,
 )
@@ -381,6 +386,62 @@ def test_check_trace_rejects_corrupted_trace(scenario_path, tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()
     assert printed[:2] + printed[-2:] == _check_trace_lines(8, 2, True)
     assert [line.split(" at ")[0] for line in printed[2:-2]] == ["  UndesiredTask"] * 2
+
+
+def _defect_run(tmp_path, name, scenario, pair, cls) -> tuple[Path, Path, dict]:
+    """The defect run through `chorenforce run`: its scenario file, its
+    trace file and its report."""
+    path = tmp_path / f"{name}.json"
+    save_scenario(scenario, path)
+    with faulty_delegate(pair, cls):
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 1
+    stem = f"{name}_{scenario.policy}_{scenario.seed}"
+    report = json.loads((tmp_path / f"{stem}.report.json").read_text())
+    return path, tmp_path / f"{stem}.trace.jsonl", report
+
+
+def test_check_trace_flags_what_run_flagged(tmp_path, capsys):
+    cases = [(f"defect_{kind}", *rest) for kind, _, *rest in defect_cases()]
+    cases += [(f"silent_{kind}", *rest) for kind, _, *rest in silent_state_defect_cases()]
+    assert len(cases) == 10
+    for name, scenario, pair, cls in cases:
+        path, trace, report = _defect_run(tmp_path, name, scenario, pair, cls)
+        flagged = [(f["kind"], f["seq"], tuple(f["cd"]), f["state"], f["detail"])
+                   for f in report["flagged"]]
+        assert flagged, name
+        capsys.readouterr()
+        assert main(["check-trace", str(path), str(trace)]) == 1, name
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[1] == (
+            f"verdicts: {sum(report['verdicts'].values())} checked, {len(flagged)} flagged")
+        assert printed[2:-2] == [f"  {kind} at seq {seq}: {detail}"
+                                 for kind, seq, _, _, detail in flagged], name
+        # check-trace prints no pair or state: its checker's verdicts hold them
+        events = read_trace(trace)
+        checker = RuntimeChecker(scenario.model, scenario.environment)
+        verdicts = checker.run(events) + checker.stalled_joins(events)
+        assert [(v.kind, v.seq, v.cd, v.state, v.detail) for v in verdicts
+                if v.kind != ALLOWED] == flagged, name
+
+
+def test_check_trace_looks_for_stalled_joins_below_the_event_budget(tmp_path, capsys,
+                                                                   monkeypatch):
+    ((name, scenario, pair, cls),) = [(f"defect_{kind}", *rest)
+                                      for kind, _, *rest in defect_cases()
+                                      if kind == DEADLOCKING_JOIN]
+    path, trace, _ = _defect_run(tmp_path, name, scenario, pair, cls)
+    capsys.readouterr()
+    assert main(["check-trace", str(path), str(trace)]) == 1
+    assert capsys.readouterr().out.splitlines()[1:3] == [
+        "verdicts: 7 checked, 1 flagged",
+        "  DeadlockingJoin at seq -1: thread 0 awaits [('S12', ('SPS', 'NMF'))] before S16;"
+        " pending requests []",
+    ]
+    # a trace that holds the budget's events may come from a run cut
+    # with a notification still in flight
+    monkeypatch.setattr(cli, "MAX_EVENTS", len(read_trace(trace)))
+    assert main(["check-trace", str(path), str(trace)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "verdicts: 6 checked, 0 flagged"
 
 
 def test_run_share_disabled(tmp_path):
@@ -801,6 +862,27 @@ def test_check_trace_structurally_invalid_model_is_a_clean_error(tmp_path, capsy
         ('{"kind": "Request", "seq": "x"}', "event 63: seq must be an int"),
         ('{"kind": "Request", "seq": true}', "event 63: seq must be an int"),
         ('{"kind": "Request", "seq": 62}', "previous event's, got 62"),
+        # fields the stalled-join pass reads, which check-trace runs on a
+        # trace under the event budget, as this one is
+        (
+            '{"kind": "StateChange", "seq": 99, "cd": ["IM", "UMS"], "from": null, "to": "S5"}',
+            "event 63: missing field 'thread'",
+        ),
+        (
+            '{"kind": "StateChange", "seq": 99, "cd": ["IM", "UMS"], "from": null,'
+            ' "to": "S5", "thread": "0"}',
+            "event 63: StateChange thread is not an int: '0'",
+        ),
+        (
+            '{"kind": "Block", "seq": 99, "cd": "IS", "participant": "IM",'
+            ' "request_id": 9, "task": "getUserPref"}',
+            "event 63: Block cd is not a list of two roles: 'IS'",
+        ),
+        (
+            '{"kind": "Unblock", "seq": 99, "cd": ["IM", "UMS"], "request_id": [9],'
+            ' "task": "getUserPref"}',
+            "event 63: Unblock needs an int request_id and a str task, got [9], 'getUserPref'",
+        ),
     ],
     ids=[
         "array",
@@ -814,6 +896,10 @@ def test_check_trace_structurally_invalid_model_is_a_clean_error(tmp_path, capsy
         "string-seq",
         "bool-seq",
         "repeated-seq",
+        "state-change-without-thread",
+        "string-thread",
+        "block-string-cd",
+        "list-request-id",
     ],
 )
 def test_check_trace_malformed_trace_is_a_clean_error(tmp_path, capsys, extra, named):

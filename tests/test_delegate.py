@@ -90,7 +90,7 @@ def test_unknown_task_rejected():
 def test_request_blocks_until_update():
     d = make(IM_UMS)
     assert d.handle_request(7, "getUserPref") == BLOCKED and sent(d) == []
-    assert d.pending_tasks() == ["getUserPref"]
+    assert d.pending == [(7, "getUserPref")]
 
     d.handle_update("S5")
     calls = sent(d)
@@ -190,7 +190,7 @@ def test_join_notify_then_win():
     sent(d)
     assert d.handle_request(0, "notifyUser") == FORWARDED
     assert ("notify", SPS_NMF, "S15", "S16") in sent(d)
-    (thread,) = d.suspended_threads()
+    (thread,) = d.threads
     assert thread.state == "S15" and thread.pending_tuple.trg == "S16"
     assert thread.awaited == {("S12", SPS_NMF)}
 
@@ -207,7 +207,8 @@ def test_join_notify_then_lose():
     d = make(SPS_NMF)
     d.handle_update("S11")
     d.handle_request(0, "notifyFriend")
-    assert d.suspended_threads()
+    (thread,) = d.threads
+    assert thread.pending_tuple.trg == "S16"
     sent(d)
     d.handle_notify("S15", SPS_NMU, "S16")
     assert sent(d) == []
@@ -225,7 +226,7 @@ def test_notify_arriving_early_is_buffered_and_drained():
     # the buffered notification satisfies the wait: the join resolves
     # within the same request, no suspension
     assert d.notify_buffer == []
-    assert d.suspended_threads() == []
+    assert d.threads == []
     assert ("update", SPS_NMF, "S21") in sent(d)
 
 
@@ -236,7 +237,8 @@ def test_unrelated_notify_stays_buffered():
     sent(d)
     d.handle_notify("S99", SPS_NMF, "S16")
     assert sent(d) == []
-    assert d.suspended_threads()
+    (thread,) = d.threads
+    assert thread.awaited == {("S12", SPS_NMF)}
     assert d.notify_buffer == [("S99", SPS_NMF, "S16")]
 
 

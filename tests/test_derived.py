@@ -5,18 +5,22 @@ pass over every flow, and the delegates used to share a rank table that
 numbered the pairs in sorted order. Both are kept here as references:
 the checker must give the same verdicts as the five-table classifier on
 every trace below, and a delegate must win a join exactly when its rank
-is higher.
+is higher. So is the scan that found stalled joins in the delegates a
+run left behind, before the checker found them in the trace: both must
+name the same threads, except where a join inside a loop shows that
+counting the trace's notifications finds more.
 """
 
 from __future__ import annotations
 
 import random
 
-from chorenforce.decompose import CoordTuple, generate_all
+from chorenforce.decompose import CoordTuple, Pair, generate_all
 from chorenforce.delegate import Delegate
 from chorenforce.model import Epsilon, Guard, Operation, StateKind
 from chorenforce.oracle import (
     ALLOWED,
+    DEADLOCKING_JOIN,
     INVALID_ALTERNATIVE,
     INVALID_LOOP,
     MISSED_JOIN,
@@ -26,16 +30,30 @@ from chorenforce.oracle import (
     Verdict,
     _roles,
 )
+from chorenforce.interpreter import reference_traces
 from chorenforce.predicate import TRUE, eval_pred
 from chorenforce.randgen import random_case, scripts_for_word
 from chorenforce.participants import Scenario
-from chorenforce.runner import run_scenario
-from helpers import Outbox, defect_cases, faulty_delegate, fixture_scenario, sp_model
+from chorenforce.runner import RunResult, run_scenario
+from chorenforce.simulator import DEADLOCKED
+from chorenforce.validate import validate_cefm
+from helpers import (
+    START_RUNS,
+    Outbox,
+    defect_cases,
+    faulty_delegate,
+    fixture_scenario,
+    inorder_scenario,
+    loop_branch_stall_scenario,
+    loop_join_scenario,
+    sp_model,
+)
 from mutants import (
     forward_without_check,
     ignore_loop_guard,
     skip_guard_check,
     skip_notify,
+    skip_notify_on_pass,
     skip_wait,
 )
 
@@ -179,7 +197,7 @@ def test_classify_matches_the_five_tables_on_the_defect_runs():
         with faulty_delegate(pair, cls):
             result = run_scenario(scenario)
         _compare(scenario, result.events, kinds)
-    # DeadlockingJoin is found after a run, not in its trace
+    # DeadlockingJoin is no forward's verdict: the stalled-join pass finds it
     assert set(kinds) == {
         ALLOWED,
         UNDESIRED_TASK,
@@ -190,9 +208,12 @@ def test_classify_matches_the_five_tables_on_the_defect_runs():
     }
 
 
-def test_classify_matches_the_five_tables_on_random_models():
+def _random_model_runs():
+    """For 60 random models (seed 9), each reference word's run under the
+    random policy, then its runs with one faulty delegate of each kind in
+    turn at a random pair, as (scenario, mutant, result); the mutant is
+    the faulty delegate's factory name, or None for the honest run."""
     rng = random.Random(9)
-    kinds: dict[str, int] = {}
     for _ in range(60):
         case = random_case(rng)
         pairs = sorted(generate_all(case.model))
@@ -202,18 +223,24 @@ def test_classify_matches_the_five_tables_on_random_models():
                 environment=dict(case.env),
                 scripts=scripts_for_word(case.model, word),
             )
-            result = run_scenario(scenario, policy="random", seed=rng.randrange(100))
-            _compare(scenario, result.events, kinds)
-            for cls in (
-                forward_without_check(),
-                skip_guard_check(case.model.states),
-                ignore_loop_guard(case.model.states),
-                skip_wait(),
-                skip_notify(),
+            yield scenario, None, run_scenario(scenario, policy="random",
+                                               seed=rng.randrange(100))
+            for mutant, cls in (
+                ("forward_without_check", forward_without_check()),
+                ("skip_guard_check", skip_guard_check(case.model.states)),
+                ("ignore_loop_guard", ignore_loop_guard(case.model.states)),
+                ("skip_wait", skip_wait()),
+                ("skip_notify", skip_notify()),
             ):
                 with faulty_delegate(rng.choice(pairs), cls):
                     result = run_scenario(scenario)
-                _compare(scenario, result.events, kinds)
+                yield scenario, mutant, result
+
+
+def test_classify_matches_the_five_tables_on_random_models():
+    kinds: dict[str, int] = {}
+    for scenario, _, result in _random_model_runs():
+        _compare(scenario, result.events, kinds)
     assert set(kinds) == {
         ALLOWED,
         UNDESIRED_TASK,
@@ -222,6 +249,115 @@ def test_classify_matches_the_five_tables_on_random_models():
         MISSED_LOOP,
         MISSED_JOIN,
     }
+
+
+def delegate_scan(result: RunResult) -> list[Verdict]:
+    """The DeadlockingJoin findings as the runner made them before it
+    read the trace: one for each thread that the run's delegates still
+    held with a tuple into a join, pair by pair in sorted order."""
+    findings = []
+    for pair in sorted(result.delegates):
+        delegate = result.delegates[pair]
+        pending = [task for _, task in delegate.pending]
+        for thread in delegate.threads:
+            if thread.pending_tuple is None:
+                continue
+            awaited = sorted((state, tuple(p)) for state, p in thread.awaited)
+            findings.append(Verdict(
+                -1, DEADLOCKING_JOIN, tuple(pair), None, thread.state,
+                f"thread {thread.id} awaits {awaited} before {thread.pending_tuple.trg}; "
+                f"pending requests {pending}",
+            ))
+    return findings
+
+
+def stalls(result: RunResult) -> list[Verdict]:
+    """The run's DeadlockingJoin verdicts, which the checker found in its trace."""
+    return [v for v in result.verdicts if v.kind == DEADLOCKING_JOIN]
+
+
+def test_the_trace_finds_the_stalled_joins_the_delegates_held():
+    ((_, _, scenario, pair, cls),) = [c for c in defect_cases() if c[0] == DEADLOCKING_JOIN]
+    with faulty_delegate(pair, cls):
+        runs = [run_scenario(scenario),
+                run_scenario(inorder_scenario(), policy="roundrobin", seed=0)]
+    runs += [run_scenario(loop_branch_stall_scenario(), policy=policy, seed=seed)
+             for policy, seed in START_RUNS]
+    for result in runs:
+        assert result.outcome == DEADLOCKED
+        assert len(stalls(result)) == 1
+        assert stalls(result) == delegate_scan(result)
+
+
+def test_the_trace_finds_the_stalled_joins_the_delegates_held_on_random_models():
+    stalled = found = complete = 0
+    for scenario, mutant, result in _random_model_runs():
+        if result.outcome != DEADLOCKED:
+            # the pass is asked only after a stalled run; it finds
+            # nothing in any other run of these
+            checker = RuntimeChecker(scenario.model, scenario.environment)
+            assert checker.stalled_joins(result.events) == delegate_scan(result) == []
+            continue
+        stalled += 1
+        assert stalls(result) == delegate_scan(result)
+        if stalls(result):
+            assert mutant == "skip_notify"
+            found += 1
+            complete += _is_complete(scenario, result)
+    # a third of the findings come after a complete word: the pass
+    # cannot take a complete word for a run that did not stall
+    assert (stalled, found, complete) == (66, 19, 10)
+
+
+def _is_complete(scenario: Scenario, result: RunResult) -> bool:
+    language = reference_traces(scenario.model, scenario.environment)
+    return language.is_member(result.projection)
+
+
+def test_a_join_inside_a_loop_counts_each_pass():
+    # with g true the loop never exits: every run stalls after three
+    # passes, (X,Y) waiting at B0 for a fourth request
+    scenario = loop_join_scenario()
+    loser, crosser = Pair("C", "D"), Pair("E", "G")
+    assert validate_cefm(scenario.model).arrivals == {"J": (("P2", loser), ("Q2", crosser))}
+    owed_by_the_loser = (
+        "thread {} awaits [('P2', ('C', 'D'))] before J; pending requests {}")
+    owed_by_the_crosser = (
+        "thread 2 awaits [('Q2', ('E', 'G'))] before J; pending requests []")
+    scan_missed = []
+    for policy, seed in START_RUNS:
+        honest = run_scenario(scenario, policy=policy, seed=seed)
+        assert (honest.outcome, honest.flagged, delegate_scan(honest)) == (DEADLOCKED, [], [])
+        for n in (1, 2, 3):
+            # the crosser's thread of pass n waits for ever, and the
+            # crosser's next request with it
+            with faulty_delegate(loser, skip_notify_on_pass(n)):
+                result = run_scenario(scenario, policy=policy, seed=seed)
+            detail = owed_by_the_loser.format(n - 1, ["t3"] if n < 3 else [])
+            assert [(v.cd, v.state, v.detail) for v in stalls(result)] == [
+                (crosser, "Q2", detail)]
+            assert stalls(result) == delegate_scan(result)
+
+            with faulty_delegate(crosser, skip_notify_on_pass(n)):
+                result = run_scenario(scenario, policy=policy, seed=seed)
+            assert [(v.cd, v.state, v.detail) for v in stalls(result)] == [
+                (loser, "P2", owed_by_the_crosser)]
+            if n == 3:
+                assert stalls(result) == delegate_scan(result)
+            elif not delegate_scan(result):
+                scan_missed.append((n, policy, seed))
+            else:
+                assert stalls(result) == delegate_scan(result)
+    # Where the crosser suppresses pass 1's or pass 2's notification, the
+    # loser's thread of that pass waits on. The next pass's notification
+    # releases it, and with it the loser's thread of that pass if that
+    # one waits already; the last notification then releases the last
+    # thread. No delegate is left holding a waiting thread, so the scan
+    # names nothing, while the trace shows the loser at P2 three times
+    # and notified twice. Where the next thread arrives only after that
+    # notification, the last thread is left waiting and both name it.
+    assert sorted(scan_missed) == [(1, "random", 1), (1, "random", 2), (1, "random", 3),
+                                   (1, "roundrobin", 0), (2, "random", 3), (2, "roundrobin", 0)]
 
 
 def _crosses(pair, cm, waited) -> bool:

@@ -24,6 +24,7 @@ from helpers import (
     empty_branch_fork_model,
     guarded_start_model,
     loop_branch_fork_model,
+    loop_branch_stall_scenario,
     loop_first_model,
     nested_fork_model,
     nested_fork_scenario,
@@ -38,13 +39,10 @@ from helpers import (
     twin_fork_model,
     LOOP_BODY_ACTIONS,
     LOOP_EXIT_ACTIONS,
+    START_RUNS,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-# round-robin at seed 0 and random at seeds 1 to 3
-START_RUNS = [("roundrobin", 0), ("random", 1), ("random", 2), ("random", 3)]
 
 
 def scripted(model, env, *scripts) -> Scenario:
@@ -162,13 +160,7 @@ def test_every_word_of_a_fork_join_shape_completes(shape):
 
 @pytest.mark.parametrize("policy,seed", START_RUNS)
 def test_a_join_waits_for_the_pair_that_enters_a_loop_that_never_exits(policy, seed):
-    # with g stuck true (X,Y) never leaves the loop for LX, so (A,B)
-    # stays before J, waiting for (X,Y) alone
-    scenario = scripted(
-        loop_branch_fork_model(), {"g": True},
-        ("X", [("lead", "Y")]), ("A", [("a", "B")]), ("P", [("w", "Q")] * 3),
-    )
-    result = run_scenario(scenario, policy=policy, seed=seed)
+    result = run_scenario(loop_branch_stall_scenario(), policy=policy, seed=seed)
     assert (result.outcome, result.conformant) == (DEADLOCKED, True)
     assert sorted(result.projection) == ["A.a.B", "P.w.Q", "P.w.Q", "P.w.Q", "X.lead.Y"]
     assert [(v.kind, v.cd, v.detail) for v in result.flagged] == [(
