@@ -21,7 +21,7 @@ from .runner import (
     write_report,
     write_trace,
 )
-from .simulator import MAX_EVENTS, enactment_bootstrap
+from .simulator import enactment_bootstrap
 from .validate import validate_cefm
 
 
@@ -80,12 +80,7 @@ def _cmd_bootstrap(args) -> int:
 
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    result = run_scenario(
-        scenario,
-        policy=args.policy,
-        seed=args.seed,
-        max_events=args.max_events,
-    )
+    result = run_scenario(scenario, policy=args.policy, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem
@@ -108,11 +103,7 @@ def _cmd_check_trace(args) -> int:
     scenario = load_scenario(args.scenario)
     events = read_trace(args.trace)
     checker = RuntimeChecker(scenario.model, scenario.environment)
-    verdicts = checker.run(events)
-    # a run that stopped at the default budget holds at least that many
-    # events, and may have stopped with notifications in flight
-    if len(events) < MAX_EVENTS:
-        verdicts += checker.stalled_joins(events)
+    verdicts = checker.run(events) + checker.stalled_joins(events)
     flagged = [v for v in verdicts if v.kind != ALLOWED]
     language = reference_traces(scenario.model, scenario.environment)
     word = projection(events)
@@ -155,7 +146,6 @@ def main(argv=None) -> int:
     p.add_argument("scenario")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--policy", choices=POLICIES, default=None)
-    p.add_argument("--max-events", type=positive_int, default=MAX_EVENTS)
     p.add_argument("--out-dir", default="runs")
     p.set_defaults(func=_cmd_run)
 

@@ -16,10 +16,11 @@ operation gets one verdict:
   the one that crosses, had not been delivered every other waiter's
   notification for one of its entries, or the forwarding pair, another
   waiter, had not been delivered that entry's notification from it.
-* DeadlockingJoin: not a forward's verdict. After a stalled run, the
-  last thread of a pair to reach a join entry is still there (no later
-  StateChange moves it), and for another entry of that join the pair
-  was delivered fewer notifications than it arrived at its own.
+* DeadlockingJoin: not a forward's verdict. In a trace shorter than
+  `simulator.MAX_EVENTS`, which comes from a run that ended by itself,
+  the last thread of a pair to reach a join entry is still there (no
+  later StateChange moves it), and for another entry of that join the
+  pair was delivered fewer notifications than it arrived at its own.
 
 Checks are applied in that order; the first match wins. The guard, loop
 and join checks read the flow that decides the reported state: the
@@ -34,6 +35,8 @@ delegate that skips its bookkeeping cannot hide a missed join.
 from __future__ import annotations
 
 from typing import NamedTuple
+
+from . import simulator
 
 # generate_all is not called here: the benchmark still wraps this name
 from .decompose import generate_all, require_valid  # noqa: F401
@@ -136,12 +139,14 @@ class RuntimeChecker:
         return verdicts
 
     def stalled_joins(self, events: list[dict]) -> list[Verdict]:
-        """The DeadlockingJoin findings of a run that ended stalled: one
+        """The DeadlockingJoin findings of a run that ended by itself: one
         for each pair and join entry where the pair's last thread to
         reach the entry has no later StateChange, and for another entry
         the pair was delivered fewer notifications than it reached its
         own. Counted, since a join inside a loop is reached once per
-        pass. A run cut short may have had notifications in flight."""
+        pass. A trace of `simulator.MAX_EVENTS` events or more comes from
+        a run cut by the budget, which may have had notifications in
+        flight: it is read for malformed events, and has no findings."""
         # (pair, entry) -> (join, the (entry, pair) it waits for); the
         # report comes from the model's memo
         waits = {}
@@ -180,6 +185,8 @@ class RuntimeChecker:
             raise TraceFormatError(f"trace event {index}: missing field {exc}") from None
         except TypeError as exc:
             raise TraceFormatError(f"trace event {index}: {exc}") from None
+        if len(events) >= simulator.MAX_EVENTS:
+            return []
         found = {}
         for (pair, own), count in arrived.items():
             join, others = waits[pair, own]

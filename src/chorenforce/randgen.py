@@ -32,7 +32,7 @@ from .model import EPS, Choreography, Flow, Guard, Operation, StateKind
 from .participants import Action, ScriptSpec
 from .predicate import Not, Value, Var
 from .runner import Enactment
-from .simulator import COMPLETED, MAX_EVENTS
+from .simulator import COMPLETED
 
 ROLES = ("Ra", "Rb", "Rc", "Rd")
 
@@ -221,8 +221,7 @@ def sweep(models: int, seed: int) -> Sweep:
         completed: set[tuple[str, ...]] = set()
         problems = []
         for word, policy, run_seed in plan:
-            run = case.enactment.run(scripts[word], mode="inorder",
-                                     policy=policy, seed=run_seed, max_events=MAX_EVENTS)
+            run = case.enactment.run(scripts[word], mode="inorder", policy=policy, seed=run_seed)
             result.runs += 1
             count, bound = run.overhead
             result.worst = max(result.worst, run.overhead, key=lambda cb: cb[0] / cb[1])

@@ -28,8 +28,7 @@ from .oracle import (
 )
 from .participants import Participant, Scenario, ScriptSpec
 from .predicate import Value
-from .simulator import (COMPLETED, DEADLOCKED, MAX_EVENTS, Simulator, enactment_bootstrap,
-                        make_policy)
+from .simulator import COMPLETED, Simulator, enactment_bootstrap, make_policy
 
 
 class RunResult(NamedTuple):
@@ -93,22 +92,20 @@ class Enactment:
         self.language = reference_traces(model, env)
         self.start = enactment_bootstrap(model, env)
 
-    def run(self, scripts: tuple[ScriptSpec, ...], *, mode: str, policy: str, seed: int,
-            max_events: int) -> RunResult:
+    def run(self, scripts: tuple[ScriptSpec, ...], *, mode: str, policy: str,
+            seed: int) -> RunResult:
         model, env, cms = self.model, self.env, self.cms
         # generate_all gives the pairs in sorted order
         delegates = {pair: Delegate(pair, cm, env) for pair, cm in cms.items()}
         participants = {
             spec.role: Participant(spec, mode=mode, seed=seed) for spec in scripts
         }
-        sim = Simulator(
-            model, self.start, delegates, participants, make_policy(policy, seed),
-            max_events=max_events,
-        )
+        sim = Simulator(model, self.start, delegates, participants, make_policy(policy, seed))
         outcome = sim.run()
 
         verdicts = self.checker.run(sim.events)
-        if outcome == DEADLOCKED:
+        # a completed run leaves no thread waiting at a join
+        if outcome != COMPLETED:
             verdicts.extend(self.checker.stalled_joins(sim.events))
         conformant = check_conformance(sim.events, self.language, outcome == COMPLETED)
 
@@ -130,14 +127,12 @@ def run_scenario(
     *,
     policy: str | None = None,
     seed: int | None = None,
-    max_events: int = MAX_EVENTS,
 ) -> RunResult:
     return Enactment(scenario.model, scenario.environment).run(
         scenario.scripts,
         mode=scenario.mode,
         policy=policy if policy is not None else scenario.policy,
         seed=seed if seed is not None else scenario.seed,
-        max_events=max_events,
     )
 
 

@@ -43,7 +43,9 @@ COMPLETED = "completed"
 DEADLOCKED = "deadlocked"
 BUDGET = "budget"
 
-# the events a run may log before it ends as BUDGET, unless asked otherwise
+# the events a run may log before it ends as BUDGET; a run that ends by
+# itself logs fewer. Simulator.run and RuntimeChecker.stalled_joins read
+# it at call time
 MAX_EVENTS = 10000
 
 
@@ -132,14 +134,12 @@ class Simulator:
         delegates: dict[Pair, Delegate],
         participants: dict[str, Participant],
         policy,
-        max_events: int,
     ):
         self.model = model
         self.start = start
         self.delegates = delegates
         self.participants = participants
         self.policy = policy
-        self.max_events = max_events
         self.events: list[dict] = []
         self.channels: dict[tuple[Pair | None, Pair], deque] = {}
         # each channel's ready label and item, built at its first send
@@ -330,7 +330,7 @@ class Simulator:
         events = self.events
         ready = self._ready
         while True:
-            if len(events) >= self.max_events:
+            if len(events) >= MAX_EVENTS:
                 return BUDGET
             if not ready:
                 break

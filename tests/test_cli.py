@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from chorenforce import cli
+from chorenforce import simulator
 from chorenforce.cli import main
 from chorenforce.decompose import InvalidModelError, generate_all
 from chorenforce.interpreter import Language
@@ -439,7 +439,7 @@ def test_check_trace_looks_for_stalled_joins_below_the_event_budget(tmp_path, ca
     ]
     # a trace that holds the budget's events may come from a run cut
     # with a notification still in flight
-    monkeypatch.setattr(cli, "MAX_EVENTS", len(read_trace(trace)))
+    monkeypatch.setattr(simulator, "MAX_EVENTS", len(read_trace(trace)))
     assert main(["check-trace", str(path), str(trace)]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "verdicts: 6 checked, 0 flagged"
 
@@ -458,16 +458,10 @@ def test_fuzz_small(capsys):
 
 
 @pytest.mark.parametrize("count", ["-3", "-1", "0"])
-@pytest.mark.parametrize("option", ["--models", "--max-events"])
-def test_a_count_below_one_is_a_usage_error(scenario_path, tmp_path, capsys, option, count):
-    argv = {
-        "--models": ["fuzz", "--models", count],
-        "--max-events": [
-            "run", str(scenario_path), "--max-events", count, "--out-dir", str(tmp_path),
-        ],
-    }[option]
+@pytest.mark.parametrize("option", ["--models"])
+def test_a_count_below_one_is_a_usage_error(capsys, option, count):
     with pytest.raises(SystemExit) as exit_info:
-        main(argv)
+        main(["fuzz", option, count])
     assert exit_info.value.code == 2
     assert f"{option}: must be at least 1, got {count}" in capsys.readouterr().err
 
@@ -862,8 +856,8 @@ def test_check_trace_structurally_invalid_model_is_a_clean_error(tmp_path, capsy
         ('{"kind": "Request", "seq": "x"}', "event 63: seq must be an int"),
         ('{"kind": "Request", "seq": true}', "event 63: seq must be an int"),
         ('{"kind": "Request", "seq": 62}', "previous event's, got 62"),
-        # fields the stalled-join pass reads, which check-trace runs on a
-        # trace under the event budget, as this one is
+        # fields the stalled-join pass reads, which check-trace runs on
+        # every trace
         (
             '{"kind": "StateChange", "seq": 99, "cd": ["IM", "UMS"], "from": null, "to": "S5"}',
             "event 63: missing field 'thread'",
@@ -902,7 +896,8 @@ def test_check_trace_structurally_invalid_model_is_a_clean_error(tmp_path, capsy
         "list-request-id",
     ],
 )
-def test_check_trace_malformed_trace_is_a_clean_error(tmp_path, capsys, extra, named):
+def test_check_trace_malformed_trace_is_a_clean_error(tmp_path, capsys, monkeypatch,
+                                                      extra, named):
     scenario = FIXTURES / "scenario_inorder.json"
     runs = tmp_path / "runs"
     main(["run", str(scenario), "--out-dir", str(runs)])
@@ -911,9 +906,12 @@ def test_check_trace_malformed_trace_is_a_clean_error(tmp_path, capsys, extra, n
     with trace.open("a") as fh:
         fh.write(extra + "\n")
     capsys.readouterr()
-    assert main(["check-trace", str(scenario), str(trace)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: trace ") and named in err
+    # under the event budget, then as a trace the budget cut
+    for budget in (simulator.MAX_EVENTS, 63):
+        monkeypatch.setattr(simulator, "MAX_EVENTS", budget)
+        assert main(["check-trace", str(scenario), str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace ") and named in err
 
 
 @pytest.mark.parametrize(

@@ -113,7 +113,7 @@ def test_one_enactment_runs_many_times_sharing_no_run_state(monkeypatch):
     for name, policy, seed in sorted(TRACE_SHA256, key=lambda key: key[::-1]):
         scenario = pinned_scenario(name)
         result = enactment_for(name, scenario).run(
-            scenario.scripts, mode=scenario.mode, policy=policy, seed=seed, max_events=10000
+            scenario.scripts, mode=scenario.mode, policy=policy, seed=seed
         )
         digest = hashlib.sha256(trace_lines(result.events).encode()).hexdigest()
         assert digest == TRACE_SHA256[(name, policy, seed)], (name, policy, seed)
@@ -121,7 +121,7 @@ def test_one_enactment_runs_many_times_sharing_no_run_state(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(runner, "Delegate", wrong_priority())
             stalled = stall.run(
-                stalling.scripts, mode=stalling.mode, policy=policy, seed=seed, max_events=10000
+                stalling.scripts, mode=stalling.mode, policy=policy, seed=seed
             )
         assert stalled.outcome == DEADLOCKED
     # the three fixtures of one environment share one enactment
@@ -138,7 +138,7 @@ def test_an_enactment_keeps_the_environment_it_was_built_with():
     env["shareEnabled"] = False
     for policy, seed in (("roundrobin", 0), ("random", 7)):
         result = enactment.run(
-            scenario.scripts, mode=scenario.mode, policy=policy, seed=seed, max_events=10000
+            scenario.scripts, mode=scenario.mode, policy=policy, seed=seed
         )
         assert result.ok(), result.report()
         digest = hashlib.sha256(trace_lines(result.events).encode()).hexdigest()

@@ -3,13 +3,15 @@ from pathlib import Path
 
 import pytest
 
+from chorenforce import simulator
 from chorenforce.decompose import Pair
 from chorenforce.interpreter import reference_traces
-from chorenforce.oracle import DEADLOCKING_JOIN
+from chorenforce.oracle import ALLOWED, DEADLOCKING_JOIN, RuntimeChecker
 from chorenforce.participants import Action, Scenario, ScriptSpec, load_scenario
 from chorenforce.randgen import scripts_for_word
-from chorenforce.runner import run_scenario, trace_lines
+from chorenforce.runner import Enactment, run_scenario, trace_lines
 from chorenforce.simulator import (
+    BUDGET,
     COMPLETED,
     DEADLOCKED,
     RoundRobin,
@@ -22,6 +24,7 @@ from helpers import (
     adversarial_scenario,
     chain_scenario,
     empty_branch_fork_model,
+    fixture_scenario,
     guarded_start_model,
     loop_branch_fork_model,
     loop_branch_stall_scenario,
@@ -267,10 +270,36 @@ def test_honest_loop_body_never_completes():
     assert result.projection == ("A.init.B", "A.work.B", "A.work.B", "A.work.B")
 
 
-def test_event_budget_returns_budget_outcome():
-    result = run_scenario(inorder_scenario(), max_events=5)
-    assert result.outcome == "budget"
+def test_event_budget_returns_budget_outcome(monkeypatch):
+    monkeypatch.setattr(simulator, "MAX_EVENTS", 5)
+    result = run_scenario(inorder_scenario())
+    assert result.outcome == BUDGET
     assert len(result.events) >= 5
+
+
+def test_run_and_check_trace_agree_at_every_budget(monkeypatch):
+    # one patch moves the simulator's budget and the checker's rule: a
+    # run cut below its length holds at least the budget's events, so
+    # neither run nor check-trace looks for stalled joins in it
+    cuts = 0
+    for name in ("inorder", "shuffled", "adversarial", "share_disabled"):
+        scenario = fixture_scenario(name)
+        enactment = Enactment(scenario.model, scenario.environment)
+        checker = RuntimeChecker(scenario.model, scenario.environment)
+        for policy in ("roundrobin", "random"):
+            length = len(run_scenario(scenario, policy=policy, seed=0).events)
+            for budget in range(1, length):
+                with monkeypatch.context() as patch:
+                    patch.setattr(simulator, "MAX_EVENTS", budget)
+                    result = enactment.run(scenario.scripts, mode=scenario.mode,
+                                           policy=policy, seed=0)
+                    events = result.events
+                    rechecked = [v for v in checker.run(events) + checker.stalled_joins(events)
+                                 if v.kind != ALLOWED]
+                assert result.outcome == BUDGET
+                assert result.flagged == rechecked == [], (name, policy, budget)
+                cuts += 1
+    assert cuts == 394
 
 
 @pytest.mark.parametrize("policy", ["roundrobin", "random"])
@@ -281,16 +310,17 @@ def test_completed_run_leaves_no_delegate_thread(name, policy):
     # a thread with no tuple out of its state is retired, so at the end of
     # a completed run no delegate holds one
     if name == "chain_600":
-        result = run_scenario(
-            chain_scenario(600), policy=policy, seed=0, max_events=10**6
-        )
+        scenario = chain_scenario(600)
+        result = run_scenario(scenario, policy=policy, seed=0)
     else:
-        result = run_scenario(
-            load_scenario(FIXTURES / f"scenario_{name}.json"), policy=policy
-        )
+        scenario = load_scenario(FIXTURES / f"scenario_{name}.json")
+        result = run_scenario(scenario, policy=policy)
     assert result.outcome == COMPLETED
     held = {str(pair): d.threads for pair, d in result.delegates.items() if d.threads}
     assert held == {}
+    # so run need not look for stalled joins in a completed run's trace
+    checker = RuntimeChecker(scenario.model, scenario.environment)
+    assert checker.stalled_joins(result.events) == []
 
 
 def test_a_run_leaves_no_cyclic_garbage():
