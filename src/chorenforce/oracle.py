@@ -13,9 +13,10 @@ operation gets one verdict:
 * InvalidLoop: the state is a loop body entry whose guard is false.
 * MissedLoop: the state is a loop exit although the guard says repeat.
 * MissedJoin: the state follows a join, and the waiter that sorts last,
-  the one that crosses, had not been delivered every other waiter's
-  notification for one of its entries, or the forwarding pair, another
-  waiter, had not been delivered that entry's notification from it.
+  the one that crosses, had not been delivered k notifications for the
+  k-th arrival at one of its entries: k from every other waiter, or, if
+  the forwarding pair is another waiter, k from the crosser to it. Each
+  join a loop repeats is counted per pass.
 * DeadlockingJoin: not a forward's verdict. In a trace shorter than
   `simulator.MAX_EVENTS`, which comes from a run that ended by itself,
   the last thread of a pair to reach a join entry is still there (no
@@ -91,38 +92,48 @@ class RuntimeChecker:
             if isinstance(label, Operation):
                 key = ((label.initiator, label.receiver), src)
                 self._tasks.setdefault(key, set()).add(label.task)
-        # join -> (the pairs that wait there, the last of them, which
-        # crosses as the delegates decide, and for each entry that pair
-        # arrives at, the notifications (entry, sender, receiver) it must
-        # have been delivered); only joins where some pair waits
+        # who waits at a join, read once from the report's arrivals:
+        # (pair, entry) -> (join, the (entry, pair) of each other waiter);
+        # entry -> [(the pair as a trace writes it, (pair, entry))] of each
+        # pair that waits there; join -> (the pairs that wait there, the
+        # last of them, which crosses as the delegates decide, and each
+        # entry that pair arrives at with its other waiters)
+        self._waits: dict[tuple, tuple[str, list]] = {}
+        self._entries: dict[str, list] = {}
         self._crossings: dict[str, tuple] = {}
         for join, arrivals in report.arrivals.items():
             waiters = [(entry, tuple(pair)) for entry, pair in arrivals if pair is not None]
+            for own, pair in waiters:
+                key = (pair, own)
+                self._waits[key] = (join, [w for w in waiters if w[0] != own])
+                self._entries.setdefault(own, []).append((list(pair), key))
             if waiters:
                 crosser = max(pair for _, pair in waiters)
-                owns = [(own, [(e, q, crosser) for e, q in waiters if e != own])
+                owns = [(own, self._waits[crosser, own][1])
                         for own, pair in waiters if pair == crosser]
                 self._crossings[join] = ({pair for _, pair in waiters}, crosser, owns)
 
     def run(self, events: list[dict]) -> list[Verdict]:
-        delivered: set[tuple[str, tuple, str, tuple]] = set()
+        delivered: dict[tuple, int] = {}  # (pred, sender, join, receiver) -> count
+        arrived: dict[tuple, int] = {}  # (pair, entry) -> how often the pair reached it
+        entries = self._entries
         verdicts = []
         index = 0
         last_seq = None
         try:
             for index, event in enumerate(events):
                 kind = event["kind"]
-                if kind == "Notify":
-                    delivered.add(
-                        (
-                            event["pred"],
-                            _roles(event, "from"),
-                            event["join"],
-                            _roles(event, "to"),
-                        )
-                    )
+                if kind == "StateChange":
+                    if event["to"] in entries:
+                        for roles, key in entries[event["to"]]:
+                            if event["cd"] == roles:
+                                arrived[key] = arrived.get(key, 0) + 1
+                elif kind == "Notify":
+                    key = (event["pred"], _roles(event, "from"), event["join"],
+                           _roles(event, "to"))
+                    delivered[key] = delivered.get(key, 0) + 1
                 elif kind == "Forward":
-                    verdicts.append(self._classify(event, delivered))
+                    verdicts.append(self._classify(event, delivered, arrived))
                 elif kind not in EVENT_KINDS:
                     raise TraceFormatError(f"trace event {index}: unknown kind {kind!r}")
                 seq = event["seq"]
@@ -147,13 +158,7 @@ class RuntimeChecker:
         pass. A trace of `simulator.MAX_EVENTS` events or more comes from
         a run cut by the budget, which may have had notifications in
         flight: it is read for malformed events, and has no findings."""
-        # (pair, entry) -> (join, the (entry, pair) it waits for); the
-        # report comes from the model's memo
-        waits = {}
-        for join, arrivals in require_valid(self.model).arrivals.items():
-            waiters = [(entry, tuple(pair)) for entry, pair in arrivals if pair is not None]
-            for own, pair in waiters:
-                waits[pair, own] = (join, [(e, q) for e, q in waiters if e != own])
+        waits = self._waits
         arrived: dict[tuple, int] = {}  # (pair, entry) -> how often the pair reached it
         last: dict[tuple, int] = {}  # (pair, entry) -> the pair's last thread to reach it
         at: dict[tuple, object] = {}  # (pair, thread) -> the state it last changed to
@@ -181,6 +186,19 @@ class RuntimeChecker:
                         raise TypeError(f"{kind} needs an int request_id and a str task, "
                                         f"got {request[1]!r}, {request[2]!r}")
                     blocked[request] = kind == "Block"
+                elif kind == "Request":
+                    _roles(event, "cd")
+                    fields = (event["participant"], event["task"], event["request_id"],
+                              event["injected"])
+                    if list(map(type, fields)) != [str, str, int, bool]:
+                        raise TypeError("Request needs a str participant and task, an int "
+                                        f"request_id and a bool injected, got {fields!r}")
+                elif kind == "Update":
+                    _roles(event, "to")
+                    if event["from"] is not None:
+                        _roles(event, "from")
+                    if type(event["state"]) is not str:
+                        raise TypeError(f"Update state is not a str: {event['state']!r}")
         except KeyError as exc:
             raise TraceFormatError(f"trace event {index}: missing field {exc}") from None
         except TypeError as exc:
@@ -191,8 +209,7 @@ class RuntimeChecker:
         for (pair, own), count in arrived.items():
             join, others = waits[pair, own]
             thread = last[pair, own]
-            awaited = sorted((e, q) for e, q in others
-                             if delivered.get((e, q, join, pair), 0) < count)
+            awaited = sorted(_owed(delivered, join, pair, others, count))
             if awaited and at[pair, thread] == own:
                 pending = [task for (cd, _, task), held in blocked.items() if held and cd == pair]
                 found[pair, thread] = Verdict(
@@ -201,7 +218,7 @@ class RuntimeChecker:
                 )
         return [found[key] for key in sorted(found)]
 
-    def _classify(self, event: dict, delivered: set) -> Verdict:
+    def _classify(self, event: dict, delivered: dict, arrived: dict) -> Verdict:
         # a pair as the simulator writes it, a list of two exact strings,
         # is read without _roles' checks; anything else goes through them
         cd = event["cd"]
@@ -248,14 +265,18 @@ class RuntimeChecker:
                     seq, MISSED_LOOP, cd, task, src, f"loop at {before} should repeat, not exit"
                 ))
         elif kind is _JOIN and before in self._crossings:
-            # another waiter moves on by the crossing pair's update, sent
-            # after that pair's notification to it on the same channel
+            # the crossing pair, at its k-th arrival at one of its entries,
+            # is owed every other waiter's k-th notification; another
+            # waiter moves on by the crossing pair's update, sent after
+            # that pair's k-th notification to it on the same channel
             waiters, crosser, owns = self._crossings[before]
             missed = []
-            for own, needed in owns:
+            for own, others in owns:
+                k = arrived.get((crosser, own)) or 1
+                missing = [(e, q, crosser) for e, q in _owed(delivered, before, crosser, others, k)]
                 if cd != crosser and cd in waiters:
-                    needed = [*needed, (own, crosser, cd)]
-                missing = [n for n in needed if (n[0], n[1], before, n[2]) not in delivered]
+                    missing += [(e, q, cd)
+                                for e, q in _owed(delivered, before, cd, [(own, crosser)], k)]
                 if not missing:
                     return _new(Verdict, (seq, ALLOWED, cd, task, src, ""))
                 missed.append(missing)
@@ -264,6 +285,13 @@ class RuntimeChecker:
                 f"crossed {before} without notifications {min(missed, key=len)}",
             ))
         return _new(Verdict, (seq, ALLOWED, cd, task, src, ""))
+
+
+def _owed(delivered: dict, join: str, receiver: tuple, others: list, k: int) -> list:
+    """What `receiver`, at an entry of `join` for the k-th time, is still
+    owed of `others`: each (entry, pair) whose notification to it was
+    delivered fewer than k times."""
+    return [(e, q) for e, q in others if delivered.get((e, q, join, receiver), 0) < k]
 
 
 def _roles(event: dict, field: str) -> tuple[str, str]:

@@ -132,3 +132,23 @@ def skip_notify_on_pass(n: int) -> type[Delegate]:
             return super()._traverse(thread, t)
 
     return SkipNotifyOnPass
+
+
+def skip_wait_from_pass(n: int) -> type[Delegate]:
+    """Honest, except that from the n-th time (from 1) its walk enters a
+    join it crosses at once, waiting for no sibling branch, though it
+    still tells them that its own branch arrived."""
+
+    class SkipWaitFromPass(Delegate):
+        def __init__(self, pair, cm, env):
+            super().__init__(pair, cm, env)
+            self.joins_entered = 0
+
+        def _traverse(self, thread, t):
+            if t.to_be_waited:
+                self.joins_entered += 1
+                if self.joins_entered >= n:
+                    t = _with(t, to_be_waited=frozenset())
+            return super()._traverse(thread, t)
+
+    return SkipWaitFromPass

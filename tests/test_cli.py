@@ -7,14 +7,15 @@ import pytest
 
 from chorenforce import simulator
 from chorenforce.cli import main
-from chorenforce.decompose import InvalidModelError, generate_all
+from chorenforce.decompose import InvalidModelError, Pair, generate_all
 from chorenforce.interpreter import Language
 from chorenforce.model import EPS, Choreography, Flow, Guard, Operation, StateKind, save_model
-from chorenforce.oracle import ALLOWED, DEADLOCKING_JOIN, RuntimeChecker
+from chorenforce.oracle import ALLOWED, DEADLOCKING_JOIN, MISSED_JOIN, RuntimeChecker
 from chorenforce.participants import Action, Scenario, ScriptSpec, save_scenario
 from chorenforce.predicate import Not, Var
-from chorenforce.runner import read_trace
+from chorenforce.runner import read_trace, run_scenario, write_trace
 from helpers import (
+    START_RUNS,
     chain_model,
     chain_scenario,
     defect_cases,
@@ -25,6 +26,7 @@ from helpers import (
     inorder_scenario,
     int_alternative_model,
     int_loop_model,
+    loop_join_scenario,
     share_disabled_scenario,
     silent_exit_cycle_model,
     silent_exit_cycle_scenario,
@@ -33,6 +35,7 @@ from helpers import (
     sp_model,
     twin_fork_model,
 )
+from mutants import skip_wait_from_pass
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -422,6 +425,47 @@ def test_check_trace_flags_what_run_flagged(tmp_path, capsys):
         verdicts = checker.run(events) + checker.stalled_joins(events)
         assert [(v.kind, v.seq, v.cd, v.state, v.detail) for v in verdicts
                 if v.kind != ALLOWED] == flagged, name
+
+
+def test_a_join_inside_a_loop_is_judged_on_every_pass(tmp_path, capsys):
+    # from its n-th pass at J the crossing pair (E,G) crosses without
+    # waiting for (C,D); A.t2.B then follows J, and it missed the join
+    # where (E,G) had fewer notifications from (C,D) than arrivals at Q2
+    scenario = loop_join_scenario()
+    path = tmp_path / "loop_join.json"
+    save_scenario(scenario, path)
+    notified = ("P2", ["C", "D"], "J", ["E", "G"])
+    short = []  # (n, policy, seed, arrivals, deliveries) of each such forward
+    for policy, seed in [*START_RUNS, ("random", 0), ("random", 4), ("random", 5)]:
+        assert run_scenario(scenario, policy=policy, seed=seed).flagged == []
+        for n in (1, 2, 3):
+            with faulty_delegate(Pair("E", "G"), skip_wait_from_pass(n)):
+                result = run_scenario(scenario, policy=policy, seed=seed)
+            arrived = delivered = 0
+            missed = []
+            for e in result.events:
+                if e["kind"] == "Notify" and (e["pred"], e["from"], e["join"], e["to"]) == notified:
+                    delivered += 1
+                elif e["kind"] == "StateChange" and (e["cd"], e["to"]) == (["E", "G"], "Q2"):
+                    arrived += 1
+                elif e["kind"] == "Forward" and e["task"] == "t2" and delivered < arrived:
+                    missed.append(e["seq"])
+                    short.append((n, policy, seed, arrived, delivered))
+            assert [(v.kind, v.seq) for v in result.flagged] == [(MISSED_JOIN, s) for s in missed]
+            trace = tmp_path / f"loop_join_{n}_{policy}_{seed}.trace.jsonl"
+            write_trace(result.events, trace)
+            capsys.readouterr()
+            status = main(["check-trace", str(path), str(trace)])
+            assert status == (0 if not missed and result.conformant else 1)
+            printed = capsys.readouterr().out.splitlines()
+            assert [line.split(":")[0] for line in printed[2:-2]] == [
+                f"  {MISSED_JOIN} at seq {s}" for s in missed]
+    # 18 of 63 passes forward A.t2.B short of a notification, 12 of them
+    # on a pass after the first, where an earlier pass's notification
+    # came; at random seed 1, pass 2 of n=2 has one of two
+    assert len(short) == 18
+    assert sum(arrived > 1 for *_, arrived, _ in short) == 12
+    assert (2, "random", 1, 2, 1) in short
 
 
 def test_check_trace_looks_for_stalled_joins_below_the_event_budget(tmp_path, capsys,
@@ -877,6 +921,21 @@ def test_check_trace_structurally_invalid_model_is_a_clean_error(tmp_path, capsy
             ' "task": "getUserPref"}',
             "event 63: Unblock needs an int request_id and a str task, got [9], 'getUserPref'",
         ),
+        ('{"kind": "Request", "seq": 99}', "event 63: missing field 'cd'"),
+        (
+            '{"kind": "Request", "seq": 99, "cd": ["IM", "UMS"], "participant": "IM",'
+            ' "task": "getUserPref", "request_id": 9, "injected": 0}',
+            "event 63: Request needs a str participant and task, an int request_id and a bool"
+            " injected, got ('IM', 'getUserPref', 9, 0)",
+        ),
+        (
+            '{"kind": "Update", "seq": 99, "from": null, "to": ["IM", "UMS"], "state": null}',
+            "event 63: Update state is not a str: None",
+        ),
+        (
+            '{"kind": "Update", "seq": 99, "from": ["SPS", "NMU"], "state": "S5"}',
+            "event 63: missing field 'to'",
+        ),
     ],
     ids=[
         "array",
@@ -894,6 +953,10 @@ def test_check_trace_structurally_invalid_model_is_a_clean_error(tmp_path, capsy
         "string-thread",
         "block-string-cd",
         "list-request-id",
+        "bare-request",
+        "request-int-injected",
+        "update-null-state",
+        "update-without-to",
     ],
 )
 def test_check_trace_malformed_trace_is_a_clean_error(tmp_path, capsys, monkeypatch,

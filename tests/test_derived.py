@@ -89,7 +89,7 @@ class FiveTableChecker(RuntimeChecker):
                 elif kind is StateKind.JOIN:
                     self._join_exit_in[flow.trg] = flow.src
 
-    def _classify(self, event, delivered):
+    def _classify(self, event, delivered, arrived):
         cd = _roles(event, "cd")
         task = event["task"]
         src = event["src"]
