@@ -87,10 +87,9 @@ class CoordModel:
     checker read, all filled by the decomposition's walk as it emits the
     tuples."""
 
-    __slots__ = ("owner", "tuples", "by_src", "op_states", "initial_wait", "_op_sources")
+    __slots__ = ("tuples", "by_src", "op_states", "initial_wait", "_op_sources")
 
-    def __init__(self, owner, tuples, by_src, op_sources, op_states, initial_wait):
-        self.owner: Pair = owner
+    def __init__(self, tuples, by_src, op_sources, op_states, initial_wait):
         # in the order the walk emitted them
         self.tuples: list[CoordTuple] = tuples
         # by source state, each list in sort_key order
@@ -244,7 +243,7 @@ class _Decomposition:
                     if join in steps:
                         frontier.append(join)
             past_joins = []
-        return CoordModel(owner, tuples, by_src, op_sources, op_states, initial_wait)
+        return CoordModel(tuples, by_src, op_sources, op_states, initial_wait)
 
 
 def require_valid(model: Choreography) -> ValidationReport:

@@ -172,19 +172,33 @@ class RuntimeChecker:
                     cd, thread, to = _roles(event, "cd"), event["thread"], event["to"]
                     if type(thread) is not int:
                         raise TypeError(f"StateChange thread is not an int: {thread!r}")
+                    if event["from"] is not None and type(event["from"]) is not str:
+                        raise TypeError("StateChange from is neither null nor a str: "
+                                        f"{event['from']!r}")
                     at[cd, thread] = to
                     if (cd, to) in waits:
                         arrived[cd, to] = arrived.get((cd, to), 0) + 1
                         last[cd, to] = thread
                 elif kind == "Notify":
-                    key = (event["pred"], _roles(event, "from"), event["join"],
-                           _roles(event, "to"))
+                    pred, join = event["pred"], event["join"]
+                    if type(pred) is not str or type(join) is not str:
+                        raise TypeError(f"Notify needs a str pred and join, got {pred!r}, {join!r}")
+                    key = (pred, _roles(event, "from"), join, _roles(event, "to"))
                     delivered[key] = delivered.get(key, 0) + 1
+                elif kind == "Forward":
+                    fields = (event["receiver"], event["src"], event["task"], event["trg"])
+                    if list(map(type, fields)) not in ([str, str, str, str],
+                                                       [str, str, str, type(None)]):
+                        raise TypeError("Forward needs a str receiver, src and task and a null "
+                                        f"or str trg, got {fields!r}")
                 elif kind == "Block" or kind == "Unblock":
                     request = (_roles(event, "cd"), event["request_id"], event["task"])
                     if type(request[1]) is not int or type(request[2]) is not str:
                         raise TypeError(f"{kind} needs an int request_id and a str task, "
                                         f"got {request[1]!r}, {request[2]!r}")
+                    if kind == "Block" and type(event["participant"]) is not str:
+                        raise TypeError("Block participant is not a str: "
+                                        f"{event['participant']!r}")
                     blocked[request] = kind == "Block"
                 elif kind == "Request":
                     _roles(event, "cd")
@@ -279,10 +293,13 @@ class RuntimeChecker:
                                 for e, q in _owed(delivered, before, cd, [(own, crosser)], k)]
                 if not missing:
                     return _new(Verdict, (seq, ALLOWED, cd, task, src, ""))
-                missed.append(missing)
+                missed.append((k, missing))
+            k, missing = min(missed, key=lambda m: len(m[1]))
+            counts = {n: delivered.get((n[0], n[1], before, n[2]), 0) for n in missing}
             return _new(Verdict, (
                 seq, MISSED_JOIN, cd, task, src,
-                f"crossed {before} without notifications {min(missed, key=len)}",
+                f"crossed {before} at arrival {k} of {crosser} with notifications "
+                f"delivered {counts}",
             ))
         return _new(Verdict, (seq, ALLOWED, cd, task, src, ""))
 

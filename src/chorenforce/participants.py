@@ -74,7 +74,6 @@ def ordered_actions(spec: ScriptSpec, mode: str, seed: int) -> list[Action]:
 
 class Participant:
     def __init__(self, spec: ScriptSpec, mode: str = "inorder", seed: int = 0):
-        self.role = spec.role
         self.actions = ordered_actions(spec, mode, seed)
         self.injections = list(spec.injections)
         self.ptr = 0

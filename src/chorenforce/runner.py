@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .decompose import Pair, generate_all
+from .decompose import generate_all
 from .delegate import Delegate
 from .interpreter import reference_traces
 from .model import _ENCODE, _MARKERS, Choreography, _str, dumps_json
@@ -40,7 +40,6 @@ class RunResult(NamedTuple):
     overhead: tuple[int, int]
     seed: int
     policy: str
-    delegates: dict[Pair, Delegate]
 
     @property
     def flagged(self) -> list[Verdict]:
@@ -118,7 +117,6 @@ class Enactment:
             overhead=coordination_overhead(sim.events, model),
             seed=seed,
             policy=policy,
-            delegates=delegates,
         )
 
 

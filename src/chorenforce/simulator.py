@@ -148,8 +148,8 @@ class Simulator:
         # the role of each participant request; injected ones unblock nobody
         self._request_role: dict[int, str] = {}
         self._next_request = 0
-        # a weak reference, so that delegates kept after the run do not
-        # keep the simulator, and with it the run's events, in a cycle
+        # a weak reference: with a strong one, the simulator and its
+        # delegates would form a cycle that only the collector frees
         out = weakref.proxy(self)
         for delegate in delegates.values():
             delegate.out = out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -186,14 +187,27 @@ def silent_state_defect_cases() -> list[tuple[str, str, Scenario, Pair, type[Del
     ]
 
 
-def faulty_delegate(pair: Pair, cls: type[Delegate]):
+@contextmanager
+def faulty_delegate(pair: Pair | None, cls: type[Delegate], keep=lambda d: d):
     """A context in which run_scenario gives `pair` a `cls` delegate and
-    every other pair an honest one."""
+    every other pair an honest one. It yields a dict from each pair to
+    `keep` of the delegate last built for it, so a context around one run
+    yields that run's delegates; keep=weakref.ref records them without
+    keeping them alive."""
+    built: dict = {}
 
     def build(p: Pair, cm, env) -> Delegate:
-        return (cls if p == pair else Delegate)(p, cm, env)
+        delegate = (cls if p == pair else Delegate)(p, cm, env)
+        built[p] = keep(delegate)
+        return delegate
 
-    return mock.patch.object(runner, "Delegate", build)
+    with mock.patch.object(runner, "Delegate", build):
+        yield built
+
+
+def recorded_delegates(keep=lambda d: d):
+    """faulty_delegate with an honest delegate at every pair."""
+    return faulty_delegate(None, Delegate, keep)
 
 
 class Outbox:

@@ -33,8 +33,8 @@ def _faulty_model(fault: Callable[[CoordTuple], CoordTuple]) -> type[Delegate]:
             # the honest tables keep their keys and order
             mapped = {id(t): fault(t) for t in cm.tuples}
             by_src = {s: [mapped[id(t)] for t in group] for s, group in cm.by_src.items()}
-            faulty = CoordModel(cm.owner, list(mapped.values()), by_src,
-                                cm._op_sources, cm.op_states, cm.initial_wait)
+            faulty = CoordModel(list(mapped.values()), by_src, cm._op_sources,
+                                cm.op_states, cm.initial_wait)
             super().__init__(pair, faulty, env)
 
     return FaultyModel

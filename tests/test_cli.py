@@ -936,6 +936,37 @@ def test_check_trace_structurally_invalid_model_is_a_clean_error(tmp_path, capsy
             '{"kind": "Update", "seq": 99, "from": ["SPS", "NMU"], "state": "S5"}',
             "event 63: missing field 'to'",
         ),
+        (
+            '{"kind": "Block", "seq": 99, "cd": ["IM", "UMS"], "request_id": 9,'
+            ' "task": "getUserPref"}',
+            "event 63: missing field 'participant'",
+        ),
+        (
+            '{"kind": "Block", "seq": 99, "cd": ["IM", "UMS"], "participant": 3,'
+            ' "request_id": 9, "task": "getUserPref"}',
+            "event 63: Block participant is not a str: 3",
+        ),
+        (
+            '{"kind": "Forward", "seq": 99, "cd": ["IM", "UMS"], "task": "getUserPref",'
+            ' "src": "S1"}',
+            "event 63: missing field 'receiver'",
+        ),
+        (
+            '{"kind": "Forward", "seq": 99, "cd": ["IM", "UMS"], "receiver": "UMS",'
+            ' "task": "getUserPref", "src": "S1", "trg": 5}',
+            "event 63: Forward needs a str receiver, src and task and a null or str trg,"
+            " got ('UMS', 'S1', 'getUserPref', 5)",
+        ),
+        (
+            '{"kind": "StateChange", "seq": 99, "cd": ["IM", "UMS"], "from": 7, "to": "S5",'
+            ' "thread": 0}',
+            "event 63: StateChange from is neither null nor a str: 7",
+        ),
+        (
+            '{"kind": "Notify", "seq": 99, "from": ["SPS", "NMF"], "to": ["SPS", "NMU"],'
+            ' "pred": "S12", "join": 3}',
+            "event 63: Notify needs a str pred and join, got 'S12', 3",
+        ),
     ],
     ids=[
         "array",
@@ -957,6 +988,12 @@ def test_check_trace_structurally_invalid_model_is_a_clean_error(tmp_path, capsy
         "request-int-injected",
         "update-null-state",
         "update-without-to",
+        "block-without-participant",
+        "block-int-participant",
+        "forward-without-receiver",
+        "forward-int-trg",
+        "state-change-int-from",
+        "notify-int-join",
     ],
 )
 def test_check_trace_malformed_trace_is_a_clean_error(tmp_path, capsys, monkeypatch,

@@ -46,6 +46,7 @@ from helpers import (
     inorder_scenario,
     loop_branch_stall_scenario,
     loop_join_scenario,
+    recorded_delegates,
     sp_model,
 )
 from mutants import (
@@ -140,10 +141,13 @@ class FiveTableChecker(RuntimeChecker):
                     missing = [n for n in needed if (n[0], n[1], join, n[2]) not in delivered]
                     if not missing:
                         return verdict(ALLOWED)
-                    missed.append(missing)
+                    missed.append((arrived.get((crosser, t.src)) or 1, missing))
+                k, missing = min(missed, key=lambda m: len(m[1]))
+                counts = {n: delivered.get((n[0], n[1], join, n[2]), 0) for n in missing}
                 return verdict(
                     MISSED_JOIN,
-                    f"crossed {join} without notifications {min(missed, key=len)}",
+                    f"crossed {join} at arrival {k} of {crosser} with notifications "
+                    f"delivered {counts}",
                 )
         return verdict(ALLOWED)
 
@@ -211,8 +215,9 @@ def test_classify_matches_the_five_tables_on_the_defect_runs():
 def _random_model_runs():
     """For 60 random models (seed 9), each reference word's run under the
     random policy, then its runs with one faulty delegate of each kind in
-    turn at a random pair, as (scenario, mutant, result); the mutant is
-    the faulty delegate's factory name, or None for the honest run."""
+    turn at a random pair, as (scenario, mutant, result, delegates); the
+    mutant is the faulty delegate's factory name, or None for the honest
+    run, and the delegates are the run's by pair."""
     rng = random.Random(9)
     for _ in range(60):
         case = random_case(rng)
@@ -223,8 +228,9 @@ def _random_model_runs():
                 environment=dict(case.env),
                 scripts=scripts_for_word(case.model, word),
             )
-            yield scenario, None, run_scenario(scenario, policy="random",
-                                               seed=rng.randrange(100))
+            with recorded_delegates() as delegates:
+                result = run_scenario(scenario, policy="random", seed=rng.randrange(100))
+            yield scenario, None, result, delegates
             for mutant, cls in (
                 ("forward_without_check", forward_without_check()),
                 ("skip_guard_check", skip_guard_check(case.model.states)),
@@ -232,14 +238,14 @@ def _random_model_runs():
                 ("skip_wait", skip_wait()),
                 ("skip_notify", skip_notify()),
             ):
-                with faulty_delegate(rng.choice(pairs), cls):
+                with faulty_delegate(rng.choice(pairs), cls) as delegates:
                     result = run_scenario(scenario)
-                yield scenario, mutant, result
+                yield scenario, mutant, result, delegates
 
 
 def test_classify_matches_the_five_tables_on_random_models():
     kinds: dict[str, int] = {}
-    for scenario, _, result in _random_model_runs():
+    for scenario, _, result, _ in _random_model_runs():
         _compare(scenario, result.events, kinds)
     assert set(kinds) == {
         ALLOWED,
@@ -251,13 +257,13 @@ def test_classify_matches_the_five_tables_on_random_models():
     }
 
 
-def delegate_scan(result: RunResult) -> list[Verdict]:
+def delegate_scan(delegates: dict[Pair, Delegate]) -> list[Verdict]:
     """The DeadlockingJoin findings as the runner made them before it
-    read the trace: one for each thread that the run's delegates still
+    read the trace: one for each thread that a run's delegates still
     held with a tuple into a join, pair by pair in sorted order."""
     findings = []
-    for pair in sorted(result.delegates):
-        delegate = result.delegates[pair]
+    for pair in sorted(delegates):
+        delegate = delegates[pair]
         pending = [task for _, task in delegate.pending]
         for thread in delegate.threads:
             if thread.pending_tuple is None:
@@ -278,28 +284,27 @@ def stalls(result: RunResult) -> list[Verdict]:
 
 def test_the_trace_finds_the_stalled_joins_the_delegates_held():
     ((_, _, scenario, pair, cls),) = [c for c in defect_cases() if c[0] == DEADLOCKING_JOIN]
-    with faulty_delegate(pair, cls):
-        runs = [run_scenario(scenario),
-                run_scenario(inorder_scenario(), policy="roundrobin", seed=0)]
-    runs += [run_scenario(loop_branch_stall_scenario(), policy=policy, seed=seed)
-             for policy, seed in START_RUNS]
-    for result in runs:
+    runs = [(scenario, pair, None, None), (inorder_scenario(), pair, "roundrobin", 0)]
+    runs += [(loop_branch_stall_scenario(), None, policy, seed) for policy, seed in START_RUNS]
+    for stalling, faulty, policy, seed in runs:
+        with faulty_delegate(faulty, cls) as delegates:
+            result = run_scenario(stalling, policy=policy, seed=seed)
         assert result.outcome == DEADLOCKED
         assert len(stalls(result)) == 1
-        assert stalls(result) == delegate_scan(result)
+        assert stalls(result) == delegate_scan(delegates)
 
 
 def test_the_trace_finds_the_stalled_joins_the_delegates_held_on_random_models():
     stalled = found = complete = 0
-    for scenario, mutant, result in _random_model_runs():
+    for scenario, mutant, result, delegates in _random_model_runs():
         if result.outcome != DEADLOCKED:
             # the pass is asked only after a stalled run; it finds
             # nothing in any other run of these
             checker = RuntimeChecker(scenario.model, scenario.environment)
-            assert checker.stalled_joins(result.events) == delegate_scan(result) == []
+            assert checker.stalled_joins(result.events) == delegate_scan(delegates) == []
             continue
         stalled += 1
-        assert stalls(result) == delegate_scan(result)
+        assert stalls(result) == delegate_scan(delegates)
         if stalls(result):
             assert mutant == "skip_notify"
             found += 1
@@ -326,28 +331,29 @@ def test_a_join_inside_a_loop_counts_each_pass():
         "thread 2 awaits [('Q2', ('E', 'G'))] before J; pending requests []")
     scan_missed = []
     for policy, seed in START_RUNS:
-        honest = run_scenario(scenario, policy=policy, seed=seed)
-        assert (honest.outcome, honest.flagged, delegate_scan(honest)) == (DEADLOCKED, [], [])
+        with recorded_delegates() as delegates:
+            honest = run_scenario(scenario, policy=policy, seed=seed)
+        assert (honest.outcome, honest.flagged, delegate_scan(delegates)) == (DEADLOCKED, [], [])
         for n in (1, 2, 3):
             # the crosser's thread of pass n waits for ever, and the
             # crosser's next request with it
-            with faulty_delegate(loser, skip_notify_on_pass(n)):
+            with faulty_delegate(loser, skip_notify_on_pass(n)) as delegates:
                 result = run_scenario(scenario, policy=policy, seed=seed)
             detail = owed_by_the_loser.format(n - 1, ["t3"] if n < 3 else [])
             assert [(v.cd, v.state, v.detail) for v in stalls(result)] == [
                 (crosser, "Q2", detail)]
-            assert stalls(result) == delegate_scan(result)
+            assert stalls(result) == delegate_scan(delegates)
 
-            with faulty_delegate(crosser, skip_notify_on_pass(n)):
+            with faulty_delegate(crosser, skip_notify_on_pass(n)) as delegates:
                 result = run_scenario(scenario, policy=policy, seed=seed)
             assert [(v.cd, v.state, v.detail) for v in stalls(result)] == [
                 (loser, "P2", owed_by_the_crosser)]
             if n == 3:
-                assert stalls(result) == delegate_scan(result)
-            elif not delegate_scan(result):
+                assert stalls(result) == delegate_scan(delegates)
+            elif not delegate_scan(delegates):
                 scan_missed.append((n, policy, seed))
             else:
-                assert stalls(result) == delegate_scan(result)
+                assert stalls(result) == delegate_scan(delegates)
     # Where the crosser suppresses pass 1's or pass 2's notification, the
     # loser's thread of that pass waits on. The next pass's notification
     # releases it, and with it the loser's thread of that pass if that

@@ -152,7 +152,7 @@ FAULTY_TRACE_SHA256 = {
     "inverted alternative guard": "894355ee78b13ad24dd088c160052262bed61e7a04d21a45729936e18819d769",
     "loop entered on a false guard": "9016bcb25c4601e408a091f8831e553c0fc8dafa69bd85cb6ff142dafef10020",
     "loop exited on a true guard": "7002464dd3b3e4c7b0746abe6e4d183f52bdcc65bd6ba21a980426a70684aed7",
-    "join crossed without waiting": "94956ddf199c662bceabcf778731a5b4967144cd42169a3beb1f00538dab7112",
+    "join crossed without waiting": "e35eeb5052f868134813dc30f8131a13e1c255206f0c9e72d62b3d917deba1ca",
     "suppressed notification": "0887cf1746bc50e7861213947d0de75aa2b5132a4b5656894bf7f8a1aad473e6",
 }
 

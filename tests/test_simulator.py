@@ -1,10 +1,11 @@
 import gc
+import weakref
 from pathlib import Path
 
 import pytest
 
 from chorenforce import simulator
-from chorenforce.decompose import Pair
+from chorenforce.decompose import Pair, generate_all
 from chorenforce.interpreter import reference_traces
 from chorenforce.oracle import ALLOWED, DEADLOCKING_JOIN, RuntimeChecker
 from chorenforce.participants import Action, Scenario, ScriptSpec, load_scenario
@@ -36,6 +37,7 @@ from helpers import (
     three_way_twin_fork_model,
     inorder_scenario,
     loop_scenario,
+    recorded_delegates,
     run_sp,
     share_disabled_scenario,
     shuffled_scenario,
@@ -310,17 +312,36 @@ def test_completed_run_leaves_no_delegate_thread(name, policy):
     # a thread with no tuple out of its state is retired, so at the end of
     # a completed run no delegate holds one
     if name == "chain_600":
-        scenario = chain_scenario(600)
-        result = run_scenario(scenario, policy=policy, seed=0)
+        scenario, seed = chain_scenario(600), 0
     else:
-        scenario = load_scenario(FIXTURES / f"scenario_{name}.json")
-        result = run_scenario(scenario, policy=policy)
+        scenario, seed = load_scenario(FIXTURES / f"scenario_{name}.json"), None
+    with recorded_delegates() as delegates:
+        result = run_scenario(scenario, policy=policy, seed=seed)
     assert result.outcome == COMPLETED
-    held = {str(pair): d.threads for pair, d in result.delegates.items() if d.threads}
+    held = {str(pair): d.threads for pair, d in delegates.items() if d.threads}
     assert held == {}
     # so run need not look for stalled joins in a completed run's trace
     checker = RuntimeChecker(scenario.model, scenario.environment)
     assert checker.stalled_joins(result.events) == []
+
+
+def test_a_run_keeps_none_of_its_delegates():
+    # a result is plain data: each delegate a run built is freed by
+    # reference counting once run_scenario returns, also where a stalled
+    # run leaves threads waiting at a join
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for scenario, outcome in ((inorder_scenario(), COMPLETED),
+                                  (loop_branch_stall_scenario(), DEADLOCKED)):
+            with recorded_delegates(keep=weakref.ref) as delegates:
+                result = run_scenario(scenario)
+            assert result.outcome == outcome
+            assert sorted(delegates) == sorted(generate_all(scenario.model))
+            assert [pair for pair, ref in delegates.items() if ref() is not None] == []
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_a_run_leaves_no_cyclic_garbage():
