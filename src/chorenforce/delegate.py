@@ -40,8 +40,6 @@ copy, made once.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .decompose import CoordModel, CoordTuple, Pair
 from .predicate import Value, eval_pred
 
@@ -128,21 +126,21 @@ class Delegate:
             if state in self.cm.op_sources(task):
                 del self.update_buffer[i]
                 thread = self._spawn(state)
-                self._walk([thread])
+                self._walk(thread)
                 return self._match_request(task)
         return None
 
     def _fire_op(self, thread: Thread, t: CoordTuple) -> None:
         self.out.forward(self.pair, t.op, t.src, t.trg)
         if self._traverse(thread, t):
-            self._walk([thread])
+            self._walk(thread)
 
     # -- rule 2: state update ------------------------------------------------
 
     def handle_update(self, state: str) -> None:
         if state in self.cm.initial_wait or self._pending_wants(state):
             thread = self._spawn(state)
-            self._walk([thread])
+            self._walk(thread)
             self._retry_pendings()
             return
         self.update_buffer.append(state)
@@ -168,24 +166,26 @@ class Delegate:
         for thread in ready:
             # the first to resolve retires its siblings at the join
             if thread in self.threads and self._resolve_join(thread):
-                self._walk([thread])
+                self._walk(thread)
         if ready:
             self._retry_pendings()
 
     # -- epsilon walk ----------------------------------------------------------
 
-    def _walk(self, threads: list[Thread]) -> None:
-        """Advance threads through epsilon tuples until each settles.
+    def _walk(self, thread: Thread) -> None:
+        """Advance a thread through epsilon tuples until it and every
+        thread split from it settle.
 
         A settled thread is at an own operation state, waiting before a
         join, or retired: no tuple leaves its state, or it lost a join.
         Several true conditions out of one state mean a concurrent split:
-        one thread per branch.
+        one thread per branch. The walk goes first in, first out over
+        one list that it appends to as it reads it: a thread that
+        advanced goes back on its end, then each new branch's thread.
         """
-        queue = deque(threads)
+        queue = [thread]
         budget = self._budget
-        while queue:
-            thread = queue.popleft()
+        for thread in queue:
             outs = self.cm.tuples_from(thread.state)
             if not outs:
                 self._retire(thread)

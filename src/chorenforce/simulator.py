@@ -7,13 +7,16 @@ reply comes back in the same step. One step therefore consumes exactly
 one schedulable item: a nonempty channel, a participant with a pending
 action, or an armed injection.
 
-The simulator keeps the labels of exactly those items in one ready set,
-updated where they change rather than rebuilt each step: a channel's
-label enters when its queue goes from empty to nonempty and leaves when
-the queue empties, and a role's participant and injection labels are
-re-derived at bootstrap, after the role issues a request, and when a
-request of its script is unblocked. Policies see the set as a sorted
-list, so the schedule depends only on which items are ready.
+The simulator keeps the labels of exactly those items in one ready set:
+a label -> item dict plus the sorted list of its labels, both updated
+where a label enters or leaves rather than rebuilt or sorted each step.
+A channel's label enters when its queue goes from empty to nonempty and
+leaves when the queue empties, and a role's participant and injection
+labels are re-derived at bootstrap, after the role issues a request, and
+when a request of its script is unblocked. Each step hands the sorted
+list to the policy, so the schedule depends only on which items are
+ready. The list belongs to the simulator: a policy must neither keep it
+nor change it.
 
 The simulator is every delegate's transport: a delegate reports each
 state change, forward and unblock, which the simulator logs at once,
@@ -85,25 +88,34 @@ class RoundRobin:
     def __init__(self):
         self._known: list[str] = []
         self._known_set: set[str] = set()
-        self._pos = -1
+        self._last: str | None = None
 
     def select(self, ready: list[str]) -> str:
         """The first ready label after the last pick in the rotation.
 
         `ready` is sorted, so that is the first ready label above the
-        known label at the last pick's index, else the smallest one.
-        The index is kept, not the label: labels first seen in this call
-        are sorted in before it is read, so it may then name another
-        label than the last pick."""
-        for label in ready:
-            if label not in self._known_set:
-                self._known_set.add(label)
-                insort(self._known, label)
+        last pick, else the smallest one. `ready` is scanned for labels
+        not seen before only when some label in it is new; those are
+        sorted into the rotation, which then goes on from the label
+        now at the last pick's index. So the index is kept, not the
+        label, and each new label that sorts before the last pick moves
+        the rotation back by one."""
         if not ready:
             raise SimulationError("no ready source")
-        i = 0 if self._pos < 0 else bisect_right(ready, self._known[self._pos])
+        known_set = self._known_set
+        last = self._last
+        if not known_set.issuperset(ready):
+            known = self._known
+            pos = None if last is None else bisect_left(known, last)
+            for label in ready:
+                if label not in known_set:
+                    known_set.add(label)
+                    insort(known, label)
+            if pos is not None:
+                last = known[pos]
+        i = 0 if last is None else bisect_right(ready, last)
         chosen = ready[i] if i < len(ready) else ready[0]
-        self._pos = bisect_left(self._known, chosen)
+        self._last = chosen
         return chosen
 
 
@@ -144,7 +156,12 @@ class Simulator:
         self.channels: dict[tuple[Pair | None, Pair], deque] = {}
         # each channel's ready label and item, built at its first send
         self._channel_items: dict[tuple[Pair | None, Pair], tuple[str, tuple]] = {}
+        # the ready set: each ready label's item, and the labels sorted
         self._ready: dict[str, tuple] = {}
+        self._ready_labels: list[str] = []
+        # each role's participant label and item
+        self._participant_items = {role: (f"pt:{role}", ("participant", role))
+                                   for role in participants}
         # the role of each participant request; injected ones unblock nobody
         self._request_role: dict[int, str] = {}
         self._next_request = 0
@@ -167,6 +184,7 @@ class Simulator:
         if not queue:
             label, item = self._channel_items[key]
             self._ready[label] = item
+            insort(self._ready_labels, label)
         queue.append(message)
 
     def _deliver(self, src: Pair | None, dst: Pair, label: str) -> None:
@@ -174,6 +192,8 @@ class Simulator:
         message = queue.popleft()
         if not queue:
             del self._ready[label]
+            labels = self._ready_labels
+            del labels[bisect_left(labels, label)]
         delegate = self.delegates[dst]
         events = self.events
         sender = None if src is None else list(src)
@@ -305,17 +325,25 @@ class Simulator:
     def _refresh(self, role: str) -> None:
         """Re-derive the role's participant and injection labels."""
         participant = self.participants[role]
-        label = f"pt:{role}"
-        if participant.ready():
-            self._ready[label] = ("participant", role)
-        else:
-            self._ready.pop(label, None)
+        label, item = self._participant_items[role]
+        self._set_ready(label, participant.ready(), item)
         if not participant.injections:
             return
+        armed = set(participant.ready_injections())
         for idx in range(len(participant.injections)):
-            self._ready.pop(f"inj:{role}:{idx}", None)
-        for idx in participant.ready_injections():
-            self._ready[f"inj:{role}:{idx}"] = ("injection", role, idx)
+            self._set_ready(f"inj:{role}:{idx}", idx in armed, ("injection", role, idx))
+
+    def _set_ready(self, label: str, is_ready: bool, item: tuple) -> None:
+        """Let `label` enter the ready set with `item`, or leave it."""
+        ready = self._ready
+        if is_ready:
+            if label not in ready:
+                ready[label] = item
+                insort(self._ready_labels, label)
+        elif label in ready:
+            del ready[label]
+            labels = self._ready_labels
+            del labels[bisect_left(labels, label)]
 
     # -- main loop ------------------------------------------------------------
 
@@ -328,13 +356,14 @@ class Simulator:
     def run(self) -> str:
         self.bootstrap()
         events = self.events
-        ready = self._ready
+        ready, labels = self._ready, self._ready_labels
+        select = self.policy.select
         while True:
             if len(events) >= MAX_EVENTS:
                 return BUDGET
-            if not ready:
+            if not labels:
                 break
-            item = ready[self.policy.select(sorted(ready))]
+            item = ready[select(labels)]
             if item[0] == "channel":
                 self._deliver(item[1], item[2], item[3])
             elif item[0] == "participant":

@@ -580,6 +580,13 @@ def fork_model(k: int) -> Choreography:
     return Choreography(states, "Initial", "Final", roles, {}, flows)
 
 
+def fork_scenario(k: int) -> Scenario:
+    """fork_model(k); each branch's initiator requests its operation."""
+    model = fork_model(k)
+    word = tuple(op.label for op in model.operations())
+    return Scenario(model=model, environment={}, scripts=scripts_for_word(model, word))
+
+
 def shape_model(forks=(), joins=(), loops=(), alternatives=(), flows=(),
                 variables=None) -> Choreography:
     """A model from (src, label, trg) triples: a label is "" for epsilon,

@@ -26,7 +26,7 @@ from helpers import (
     chain_scenario,
     defect_cases,
     faulty_delegate,
-    fork_model,
+    fork_scenario,
     random_chain_ops,
 )
 from mutants import wrong_priority
@@ -34,12 +34,6 @@ from mutants import wrong_priority
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = ("inorder", "shuffled", "adversarial", "share_disabled")
 POLICIES = ("roundrobin", "random")
-
-
-def fork_scenario(k: int) -> Scenario:
-    model = fork_model(k)
-    word = tuple(op.label for op in model.operations())
-    return Scenario(model=model, environment={}, scripts=scripts_for_word(model, word))
 
 
 def fixture(name: str) -> Scenario:
@@ -222,6 +216,8 @@ def differential_scenarios():
             scripts = scripts_for_word(case.model, word)
             yield f"randgen-{n}-{k}", Scenario(case.model, case.env, scripts)
     yield "random-chain", chain_model_scenario(random_chain_ops(seed=4, n_ops=120, n_roles=20))
+    # a 12-way join: every waiter notifies every other, over 132 channels
+    yield "wide-join", fork_scenario(12)
 
 
 def test_ready_set_matches_a_rebuild(monkeypatch):
@@ -286,8 +282,9 @@ def test_round_robin_matches_the_linear_rotation(seed):
 
 # -- scaling ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_simulator_is_fast_on_a_long_chain_over_many_roles(monkeypatch, policy):
+@pytest.fixture
+def run_times(monkeypatch):
+    """The seconds each Simulator.run of the test takes, in call order."""
     elapsed = []
     run = Simulator.run
 
@@ -298,10 +295,32 @@ def test_simulator_is_fast_on_a_long_chain_over_many_roles(monkeypatch, policy):
         return outcome
 
     monkeypatch.setattr(Simulator, "run", timed_run)
+    return elapsed
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_simulator_is_fast_on_a_long_chain_over_many_roles(run_times, policy):
     scenario = chain_model_scenario(random_chain_ops(seed=3, n_ops=800, n_roles=400))
     result = run_scenario(scenario, policy=policy, seed=0)
     assert result.outcome == COMPLETED and len(result.projection) == 800
-    assert elapsed[0] < 0.25, f"Simulator.run took {elapsed[0]:.3f}s"
+    assert run_times[0] < 0.25, f"Simulator.run took {run_times[0]:.3f}s"
+
+
+@pytest.mark.parametrize("policy, bound", [("roundrobin", 0.12), ("random", 0.04)])
+def test_simulator_is_fast_on_a_wide_join(run_times, policy, bound):
+    # a 48-way join: every waiter notifies every other, over 2,256
+    # channels, so the ready set holds many labels at once. Each bound is
+    # about 3x a run on a 2-CPU host (40 ms round-robin, 13 ms random);
+    # a run that sorted the ready set every step took 60 ms with the
+    # random policy. The best of three runs is timed, so that one run
+    # slowed by the host does not fail the check.
+    scenario = fork_scenario(48)
+    enactment = Enactment(scenario.model, scenario.environment)
+    for _ in range(3):
+        result = enactment.run(scenario.scripts, mode="inorder", policy=policy, seed=0)
+        assert result.outcome == COMPLETED and not result.flagged
+    best = min(run_times)
+    assert best < bound, f"the fastest of three runs of Simulator.run took {best * 1000:.1f} ms"
 
 
 def test_delegates_are_cheap_to_build_on_a_long_chain_over_many_roles():
